@@ -7,31 +7,72 @@ is validated against the golden trace of the in-order architectural
 simulator.  Recovery from branch mispredictions and memory-ordering
 violations is a partial pipeline flush: squash everything younger than the
 recovery point, restore the register alias table from the per-instruction
-checkpoint, and redirect fetch.
+undo log, and redirect fetch.
 
-Stage order within :meth:`Core.step` (one simulated cycle):
+The cycle loop
+--------------
 
-1. complete instructions whose latency expires this cycle (writeback);
+:meth:`Core._cycles` is the whole pipeline: a generator that binds the
+hot structures to locals once and yields once per simulated cycle.
+:meth:`Core.run` and :meth:`Core.run_until` drain it; :meth:`Core.step`
+(and through it :meth:`~repro.pipeline.system.System.step`) advances it
+by one cycle, so single-core runs, sampled windows and lockstepped
+multicore share one implementation.  The scalar state (``cycle``,
+``retired``, ``done``, the fetch PC, trace index and stall, ``next_seq``,
+the last seen eviction count) lives on the :class:`Core` and is re-read
+at the top of each cycle, so any mix of the three entry points, and the
+recovery helpers that redirect fetch, stay exact, and a loop can be
+dropped and made anew between any two cycles.  The stages run in this
+order each cycle:
+
+1. writeback: complete instructions whose latency expires this cycle;
 2. retire from the ROB head, validating against the golden trace;
 3. clear scheduler stall bits if the MDT/SFC evicted entries;
-4. select + execute ready instructions (loads/stores consult the memory
-   subsystem here, speculatively and out of order);
-5. fetch/rename/dispatch along the predicted path.
+4. select, then execute, the ready instructions: the whole selected
+   group is popped before any executes, because executing one can
+   squash or wake another (loads/stores consult the memory subsystem
+   here, speculatively and out of order);
+5. fetch/rename/dispatch along the predicted path;
+6. advance the clock, skipping guaranteed-idle spans.
+
+Work every instruction does runs inline in the loop: rename and the
+ROB/scheduler insert at dispatch, ALU execution through
+:func:`~repro.isa.interp.execute_op` and completion scheduling,
+writeback, and retirement with the golden-trace comparison.  Work
+specific to one instruction class stays in one helper per stage:
+memory instructions use :meth:`Core._dispatch_mem` (dependence-predictor
+tags, subsystem dispatch), :meth:`Core._execute_mem` and
+:meth:`Core._retire_mem`; control instructions use
+:meth:`Core._predict`, :meth:`Core._execute_control` (resolution through
+:func:`~repro.isa.interp.branch_taken`, mispredict redirect) and
+:meth:`Core._retire_control`; recovery is :meth:`Core._ordering_violation`,
+:meth:`Core._flush_after` and :meth:`Core._squash_after`.
+
+Observer
+--------
+
+``Core.observer`` is an optional event sink (the
+:class:`~repro.pipeline.pipetrace.PipeTracer` is one).  The loop reads
+it into a local at the top of each cycle and, when it is set, calls
+``on_dispatch``, ``on_issue`` (after execution, so a replayed access is
+already ``stalled``), ``on_complete``, ``on_retire`` and ``on_squash``
+with ``(inst, cycle)``, and ``on_cycle(cycle)`` once the clock has
+advanced.  With no observer each event costs one ``is not None`` test,
+and an observer never changes a simulated outcome.
 
 A :class:`Core` owns every *per-core* structure (fetch state, rename
 table, scheduler, ROB, store FIFO, SFC/MDT subsystem, gshare, counters)
 but its architectural memory image and cache hierarchy are injectable:
-standalone (the :class:`~repro.pipeline.processor.Processor` single-core
-path) it builds a private :class:`~repro.memory.main_memory.MainMemory`
-and the paper's hierarchy; under a
-:class:`~repro.pipeline.system.System` it is handed a shared image
-and a per-core hierarchy over a shared L2 instead.
+standalone (the single-core path) it builds a private
+:class:`~repro.memory.main_memory.MainMemory` and the paper's hierarchy;
+under a :class:`~repro.pipeline.system.System` it is handed a shared
+image and a per-core hierarchy over a shared L2 instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional
 
 from ..branch.gshare import GsharePredictor
 from ..core import registry
@@ -111,6 +152,7 @@ _HAS_DEST = frozenset(
      ops.SLTI, ops.SLLI, ops.SRLI, ops.SRAI, ops.LI, ops.MUL, ops.DIV,
      ops.REM, ops.FADD, ops.FSUB, ops.FMUL, ops.FDIV, ops.JAL, ops.JALR}
     | ops.LOAD_OPS | ops.W_RRR_OPS | ops.W_RRI_OPS)
+_SIGNED_LOADS = (ops.LB, ops.LH, ops.LW)
 
 
 class SimulationError(Exception):
@@ -210,8 +252,9 @@ class Core:
                                      seed=config.branch_seed)
 
         self.rob: Deque[DynInst] = deque()
-        self._by_seq: Dict[int, DynInst] = {}
         self._completions: Dict[int, List[DynInst]] = {}
+        #: Event sink for pipeline tracing (see the module docstring).
+        self.observer = None
 
         # Interned counter handles for per-instruction events (a plain
         # attribute add instead of a string-dict lookup per event); rare
@@ -239,7 +282,6 @@ class Core:
         self._fetch_pc: Optional[int] = start_pc
         self._fetch_trace_index = 0
         self._fetch_stall_until = 0
-        self._fetch_progress = False
         self._last_evictions = 0
 
         # Checkpoint restore: seed the architectural register values into
@@ -259,34 +301,47 @@ class Core:
             if cache_state is not None:
                 self.hierarchy.import_state(cache_state)
 
+        #: The cycle loop :meth:`step` advances (made on first use).
+        self._loop: Optional[Iterator[None]] = None
+
     # ------------------------------------------------------------------ run
 
     def run(self) -> SimResult:
         """Simulate until the program's HALT retires."""
-        max_cycles = self.config.max_cycles
-        while not self.done:
-            if self.cycle > max_cycles:
-                raise SimulationError(
-                    f"exceeded {max_cycles} cycles "
-                    f"({self.retired}/{len(self.trace)} retired; "
-                    f"rob head={self.rob[0] if self.rob else None})")
-            self.step()
+        self._drain(None)
         return self.finalize()
 
     def run_until(self, retired_target: int) -> None:
-        """Step cycles until ``retired_target`` instructions have retired
+        """Run cycles until ``retired_target`` instructions have retired
         (or the program halts).  The sampling engine uses this to split a
         detailed window into a discarded warm-up span and a measured
         span; call :meth:`finalize` (or read counters directly) after the
         last window."""
+        self._drain(retired_target)
+
+    def step(self) -> None:
+        """Advance one cycle (nothing happens once the program halted)."""
+        if self.done:
+            return
+        if self._loop is None:
+            self._loop = self._cycles()
+        next(self._loop, None)
+
+    def _drain(self, retired_target: Optional[int]) -> None:
+        # The loop is let go on return: a suspended loop refers back to
+        # its core, and a core abandoned mid-run (a sampled window) must
+        # not wait for the cycle collector to be freed.
+        loop = self._loop or self._cycles()
+        self._loop = None
         max_cycles = self.config.max_cycles
-        while not self.done and self.retired < retired_target:
+        while not self.done and (retired_target is None or
+                                 self.retired < retired_target):
             if self.cycle > max_cycles:
                 raise SimulationError(
                     f"exceeded {max_cycles} cycles "
                     f"({self.retired}/{len(self.trace)} retired; "
                     f"rob head={self.rob[0] if self.rob else None})")
-            self.step()
+            next(loop, None)
 
     def architectural_registers(self) -> List[int]:
         """The committed architectural register file.
@@ -317,242 +372,339 @@ class Core:
         return SimResult(self.program.name, self.config, self.cycle,
                          self.retired, self.counters)
 
-    # ------------------------------------------------------------------ cycle
+    # ------------------------------------------------------------------ cycle loop
 
-    def step(self) -> None:
-        """Advance one cycle."""
-        cycle = self.cycle
-
-        for inst in self._completions.pop(cycle, ()):
-            self._complete(inst)
-
-        self._retire_stage()
-        if self.done:
-            return
-
-        evictions = self.subsystem.eviction_events
-        if evictions != self._last_evictions:
-            self._last_evictions = evictions
-            self.scheduler.clear_stall_bits()
-
-        self._issue_stage()
-        self._fetch_stage()
-        self._advance_clock()
-
-    def _advance_clock(self) -> None:
-        """Advance to the next cycle, skipping guaranteed-idle spans."""
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        if not self.idle_skip:
-            return
-        if self.scheduler.has_ready or self._fetch_progress:
-            return
+    def _cycles(self) -> Iterator[None]:
+        """The pipeline: yields after each simulated cycle and returns
+        in the cycle the HALT retires."""
+        config = self.config
+        width_slots = range(config.width)
+        num_fus = config.num_fus
+        rob_size = config.rob_size
+        branch_limit = config.fetch_branches_per_cycle
+        validate = self.validate_trace
+        idle_skip = self.idle_skip
+        trace = self.trace
+        trace_len = len(trace)
+        counters = self.counters
         rob = self.rob
-        if rob and rob[0].completed:
-            return
+        rob_append = rob.append
+        rob_popleft = rob.popleft
         completions = self._completions
-        target = min(completions) if completions else -1
-        if self._fetch_pc is not None and self._fetch_stall_until > cycle:
-            stall = self._fetch_stall_until
-            if target < 0 or stall < target:
-                target = stall
-        if target > cycle:
-            self._c_idle_skipped.value += target - cycle
-            self.cycle = target
+        pop_due = completions.pop
+        rename = self.rename
+        rat = rename.rat
+        values = rename.values
+        ready = rename.ready
+        free = rename._free
+        free_pop = free.pop
+        free_append = free.append
+        scheduler = self.scheduler
+        sched_capacity = scheduler.capacity
+        select = scheduler.select
+        mark_issued = scheduler.mark_issued
+        dispatch_fast = scheduler.dispatch_fast
+        on_phys_ready = scheduler.on_phys_ready
+        tag_file = self.tag_file
+        subsystem = self.subsystem
+        instructions = self.program.instructions
+        num_insts = len(instructions)
+        fetch = self.program.fetch
+        inst_latency = self.hierarchy.inst_latency
+        dispatch_mem = self._dispatch_mem
+        predict = self._predict
+        execute_mem = self._execute_mem
+        execute_control = self._execute_control
+        retire_mem = self._retire_mem
+        retire_control = self._retire_control
+        c_dispatched = self._c_dispatched
+        c_idle_skipped = self._c_idle_skipped
+        c_stall_rob = self._c_stall_rob
+        c_stall_sched = self._c_stall_sched
+        c_stall_phys = self._c_stall_phys
+        no_rs1 = _NO_RS1
+        uses_rs2 = _USES_RS2
+        has_dest = _HAS_DEST
+        nop = ops.NOP
+        halt = ops.HALT
 
-    # ------------------------------------------------------------------ completion
+        while True:
+            cycle = self.cycle
+            observer = self.observer
 
-    def _complete(self, inst: DynInst) -> None:
-        if inst.squashed:
-            return
-        inst.completed = True
-        inst.complete_cycle = self.cycle
-        phys = inst.rd_phys
-        if phys is not None:
-            rename = self.rename
-            rename.values[phys] = inst.dest_value or 0
-            rename.ready[phys] = True
-            self.scheduler.on_phys_ready(phys)
-        if inst.produced_tag is not None:
-            # The idealized scheduler only wakes predicted consumers of
-            # accesses that complete successfully (Section 3).
-            self.tag_file.mark_ready(inst.produced_tag)
-            self.scheduler.on_tag_ready(inst.produced_tag)
+            # 1. Writeback.
+            due = pop_due(cycle, None)
+            if due is not None:
+                for inst in due:
+                    if inst.squashed:
+                        continue
+                    inst.completed = True
+                    phys = inst.rd_phys
+                    if phys is not None:
+                        values[phys] = inst.dest_value or 0
+                        ready[phys] = True
+                        on_phys_ready(phys)
+                    tag = inst.produced_tag
+                    if tag is not None:
+                        # The idealized scheduler only wakes predicted
+                        # consumers of accesses that complete successfully
+                        # (Section 3).
+                        tag_file.mark_ready(tag)
+                        scheduler.on_tag_ready(tag)
+                    if observer is not None:
+                        observer.on_complete(inst, cycle)
 
-    def _schedule_completion(self, inst: DynInst, latency: int) -> None:
-        due = self.cycle + (latency if latency > 1 else 1)
-        pending = self._completions.get(due)
-        if pending is None:
-            self._completions[due] = [inst]
-        else:
-            pending.append(inst)
-
-    # ------------------------------------------------------------------ retire
-
-    def _retire_stage(self) -> None:
-        rob = self.rob
-        for _ in range(self.config.width):
-            if not rob:
-                return
-            head = rob[0]
-            if not head.completed:
-                if head.stalled and head.inst.is_mem and \
-                        not head.rob_head_bypass:
-                    # ROB-lockup avoidance (Section 2.2): let the head
-                    # access bypass the MDT/SFC.
-                    head.rob_head_bypass = True
-                    self.counters.incr("rob_head_bypass_grants")
-                    self.scheduler.force_ready(head)
-                return
-            self._retire_one(head)
+            # 2. Retire from the ROB head.
+            retired = self.retired
+            for _ in width_slots:
+                if not rob:
+                    break
+                head = rob[0]
+                if not head.completed:
+                    if head.stalled and head.inst.is_mem and \
+                            not head.rob_head_bypass:
+                        # ROB-lockup avoidance (Section 2.2): let the head
+                        # access bypass the MDT/SFC.
+                        head.rob_head_bypass = True
+                        counters.incr("rob_head_bypass_grants")
+                        scheduler.force_ready(head)
+                    break
+                static = head.inst
+                if static.is_mem:
+                    retire_mem(head)
+                elif static.is_control:
+                    retire_control(head)
+                # Validation runs after retirement-replay correction so
+                # the value compared against the golden trace is the
+                # retiring one.
+                if validate:
+                    if head.trace_index != retired:
+                        raise SimulationError(
+                            f"retired {head!r} out of order: trace index "
+                            f"{head.trace_index} != retire count {retired}")
+                    record = trace[retired]
+                    if head.pc != record.pc or static.op != record.op:
+                        raise SimulationError(
+                            f"retired {head!r} does not match trace "
+                            f"{record!r}")
+                    if record.dest_value is not None and static.rd != 0 \
+                            and head.dest_value != record.dest_value:
+                        raise SimulationError(
+                            f"wrong destination value at {head!r}: "
+                            f"{head.dest_value} != {record.dest_value} "
+                            f"({record!r})")
+                    if record.store_addr is not None and (
+                            head.addr != record.store_addr or
+                            head.store_data != record.store_data):
+                        raise SimulationError(
+                            f"wrong store effect at {head!r}: "
+                            f"{head.addr}/{head.store_data} != "
+                            f"{record.store_addr}/{record.store_data}")
+                    if static.is_control and \
+                            head.actual_target != record.next_pc:
+                        raise SimulationError(
+                            f"wrong control target at {head!r}: "
+                            f"{head.actual_target:#x} != "
+                            f"{record.next_pc:#x}")
+                phys = head.old_rd_phys
+                if phys is not None:
+                    ready[phys] = False
+                    free_append(phys)
+                if head.produced_tag is not None:
+                    tag_file.release(head.produced_tag)
+                rob_popleft()
+                retired += 1
+                if observer is not None:
+                    observer.on_retire(head, cycle)
+                if static.op == halt:
+                    self.done = True
+                    break
+            self.retired = retired
             if self.done:
                 return
 
-    def _retire_one(self, head: DynInst) -> None:
-        inst = head.inst
-        if inst.is_load:
-            corrected, violations = self.subsystem.retire_load(
-                head.seq, head.addr or 0, head.size)
-            self._c_retired_loads.value += 1
-            if corrected is not None:
-                # Value-based retirement replay (Cain & Lipasti): the
-                # load consumed stale data; retire it with the corrected
-                # value and flush everything that may have used the old
-                # one.  The physical register becomes architectural state
-                # here, so it must carry the corrected value too.  The
-                # subsystem replays the raw memory bytes; signed loads
-                # need the same extension the execute path applies.
-                if inst.op in (ops.LB, ops.LH, ops.LW):
-                    corrected = sign_extend(corrected, head.size * 8)
-                head.dest_value = corrected
-                if head.rd_phys is not None:
-                    self.rename.write(head.rd_phys, corrected)
-            if violations:
-                self._ordering_violation(head, violations)
-        elif inst.is_store:
-            addr, size, data, violations = self.subsystem.retire_store(
-                head.seq, head.addr or 0, head.size,
-                bypassed=head.rob_head_bypass, pc=head.pc)
-            self.memory.write_int(addr, size, data)
-            self.hierarchy.data_latency(addr)  # commit-port cache traffic
-            self._c_retired_stores.value += 1
-            if violations:
-                # A bypassed store found younger loads that already read
-                # stale data: conservative recovery flush (see
-                # MemoryDisambiguationTable.check_store).
-                self._ordering_violation(head, violations)
-        elif inst.op in ops.BRANCH_OPS:
-            self.bpred.update(head.pc, head.actual_taken,
-                              head.predicted_taken)
-        elif inst.op == ops.JR or inst.op == ops.JALR:
-            self.bpred.update_indirect(head.pc, head.actual_target)
-        # Validation runs after retirement-replay correction so the
-        # value compared against the golden trace is the retiring one.
-        if self.validate_trace:
-            self._validate(head)
-        old_phys = head.old_rd_phys
-        if old_phys is not None:
-            rename = self.rename
-            rename.ready[old_phys] = False
-            rename._free.append(old_phys)
-        if head.produced_tag is not None:
-            self.tag_file.release(head.produced_tag)
-        self.rob.popleft()
-        del self._by_seq[head.seq]
-        self.retired += 1
-        if inst.op == ops.HALT:
-            self.done = True
+            # 3. An MDT/SFC eviction lets every parked access retry.
+            evictions = subsystem.eviction_events
+            if evictions != self._last_evictions:
+                self._last_evictions = evictions
+                scheduler.clear_stall_bits()
 
-    def _validate(self, head: DynInst) -> None:
-        """Compare a retiring instruction against the golden trace."""
-        if head.trace_index != self.retired:
-            raise SimulationError(
-                f"retired {head!r} out of order: trace index "
-                f"{head.trace_index} != retire count {self.retired}")
-        record = self.trace[self.retired]
-        if head.pc != record.pc or head.inst.op != record.op:
-            raise SimulationError(
-                f"retired {head!r} does not match trace {record!r}")
-        if record.dest_value is not None and head.inst.rd != 0 and \
-                head.dest_value != record.dest_value:
-            raise SimulationError(
-                f"wrong destination value at {head!r}: "
-                f"{head.dest_value} != {record.dest_value} ({record!r})")
-        if record.store_addr is not None and (
-                head.addr != record.store_addr or
-                head.store_data != record.store_data):
-            raise SimulationError(
-                f"wrong store effect at {head!r}: "
-                f"{head.addr}/{head.store_data} != "
-                f"{record.store_addr}/{record.store_data}")
-        if head.inst.is_control and head.actual_target != record.next_pc:
-            raise SimulationError(
-                f"wrong control target at {head!r}: "
-                f"{head.actual_target:#x} != {record.next_pc:#x}")
+            # 4. Select the cycle's group, then execute it.
+            for inst in select(num_fus):
+                if inst.squashed:
+                    continue
+                mark_issued(inst)
+                static = inst.inst
+                a = values[inst.rs1_phys]
+                b = values[inst.rs2_phys]
+                if static.is_mem:
+                    latency = execute_mem(inst, a, b)
+                elif static.is_control:
+                    execute_control(inst, a, b)
+                    latency = 1
+                else:
+                    op = static.op
+                    if op == nop or op == halt:
+                        latency = 1
+                    else:
+                        inst.dest_value = execute_op(op, a, b, static.imm)
+                        latency = static.latency
+                if latency is not None:
+                    due_cycle = cycle + (latency if latency > 1 else 1)
+                    pending = completions.get(due_cycle)
+                    if pending is None:
+                        completions[due_cycle] = [inst]
+                    else:
+                        pending.append(inst)
+                if observer is not None:
+                    observer.on_issue(inst, cycle)
 
-    # ------------------------------------------------------------------ issue/execute
+            # 5. Fetch, rename and dispatch along the predicted path.
+            fetch_progress = False
+            fetch_pc = self._fetch_pc
+            if fetch_pc is not None and cycle >= self._fetch_stall_until:
+                trace_index = self._fetch_trace_index
+                first_seq = seq = self.next_seq
+                branches = 0
+                for _ in width_slots:
+                    if len(rob) >= rob_size:
+                        c_stall_rob.value += 1
+                        break
+                    if scheduler._occupancy >= sched_capacity:
+                        c_stall_sched.value += 1
+                        break
+                    if not free:
+                        c_stall_phys.value += 1
+                        break
+                    pc = fetch_pc
+                    # Program.fetch's aligned in-range fast path; the slow
+                    # path (pad/HALT for wrong-path fetch) stays in fetch().
+                    index = pc >> 2
+                    if index < num_insts and not pc & 3:
+                        static = instructions[index]
+                    else:
+                        static = fetch(pc)
+                    if static.is_load and not subsystem.can_dispatch_load():
+                        counters.incr("dispatch_stalls_lq")
+                        break
+                    if static.is_store and \
+                            not subsystem.can_dispatch_store():
+                        counters.incr("dispatch_stalls_sq")
+                        break
+                    if static.is_control and branches >= branch_limit:
+                        break
+                    # Instruction cache: a miss stalls fetch; the lookup
+                    # filled the line, so the re-fetch after the stall hits.
+                    ilat = inst_latency(pc)
+                    if ilat > 1:
+                        self._fetch_stall_until = cycle + ilat - 1
+                        break
 
-    def _issue_stage(self) -> None:
-        scheduler = self.scheduler
-        selected = scheduler.select(self.config.num_fus)
-        cycle = self.cycle
-        for inst in selected:
-            if inst.squashed:
-                continue
-            scheduler.mark_issued(inst)
-            inst.issue_cycle = cycle
-            self._execute(inst)
+                    record = None
+                    if trace_index >= 0:
+                        if trace_index >= trace_len:
+                            raise SimulationError(
+                                f"right-path fetch ran past the golden "
+                                f"trace ({trace_len} records) at "
+                                f"pc={pc:#x}; the trace does not belong "
+                                f"to this program")
+                        record = trace[trace_index]
+                        if record.pc != pc:
+                            raise SimulationError(
+                                f"right-path fetch diverged: pc={pc:#x} "
+                                f"but trace expects {record.pc:#x} at "
+                                f"index {trace_index}")
+                    inst = DynInst(seq, pc, static, trace_index)
+                    seq += 1
 
-    def _execute(self, inst: DynInst) -> None:
+                    # Rename.  The RAT needs no checkpoint: recovery walks
+                    # the undo log (each instruction's old_rd_phys).
+                    unready1 = unready2 = -1
+                    op = static.op
+                    if op not in no_rs1:
+                        phys = rat[static.rs1]
+                        inst.rs1_phys = phys
+                        if not ready[phys]:
+                            unready1 = phys
+                    if op in uses_rs2:
+                        phys = rat[static.rs2]
+                        inst.rs2_phys = phys
+                        if not ready[phys]:
+                            unready2 = phys
+                    rd = static.rd
+                    if rd and op in has_dest:
+                        inst.old_rd_phys = rat[rd]
+                        phys = free_pop()
+                        ready[phys] = False
+                        rat[rd] = phys
+                        inst.rd_phys = phys
+
+                    if static.is_mem:
+                        dispatch_mem(inst)
+                    rob_append(inst)
+                    dispatch_fast(inst, unready1, unready2)
+                    if observer is not None:
+                        observer.on_dispatch(inst, cycle)
+
+                    # Next fetch PC and right-path tracking.
+                    if static.is_control:
+                        branches += 1
+                        trace_index = predict(inst, record)
+                        fetch_pc = inst.predicted_target
+                    elif op == halt:
+                        inst.actual_target = pc  # the ISS convention
+                        inst.predicted_target = pc
+                        fetch_pc = None
+                        break
+                    else:
+                        fetch_pc = (pc + INSTRUCTION_BYTES) & MASK64
+                        inst.predicted_target = fetch_pc
+                        if trace_index >= 0:
+                            trace_index += 1
+                self._fetch_pc = fetch_pc
+                self._fetch_trace_index = trace_index
+                self.next_seq = seq
+                c_dispatched.value += seq - first_seq
+                fetch_progress = seq != first_seq
+
+            # 6. Advance the clock, skipping guaranteed-idle spans.
+            cycle += 1
+            self.cycle = cycle
+            if idle_skip and not fetch_progress and \
+                    not scheduler.has_ready and \
+                    not (rob and rob[0].completed):
+                target = min(completions) if completions else -1
+                stall = self._fetch_stall_until
+                if self._fetch_pc is not None and stall > cycle:
+                    if target < 0 or stall < target:
+                        target = stall
+                if target > cycle:
+                    c_idle_skipped.value += target - cycle
+                    cycle = target
+                    self.cycle = cycle
+            if observer is not None:
+                observer.on_cycle(cycle)
+            yield
+
+    # ------------------------------------------------------------------ memory instructions
+
+    def _dispatch_mem(self, inst: DynInst) -> None:
+        """Memory dependence prediction (Section 2.1) and the memory
+        subsystem's dispatch-time allocation."""
         static = inst.inst
-        op = static.op
-        values = self.rename.values
-        a = values[inst.rs1_phys]
-        b = values[inst.rs2_phys]
-
-        if static.is_mem:
-            self._execute_mem(inst, a, b)
-            return
-
-        latency = 1
-        mispredicted = False
-        if static.is_branch:
-            inst.actual_taken = taken = branch_taken(op, a, b)
-            inst.actual_target = static.imm if taken \
-                else (inst.pc + INSTRUCTION_BYTES) & MASK64
-            mispredicted = inst.actual_target != inst.predicted_target
-        elif op == ops.JR:
-            inst.actual_taken = True
-            inst.actual_target = a
-            mispredicted = inst.actual_target != inst.predicted_target
-        elif op == ops.JALR:
-            inst.actual_taken = True
-            inst.actual_target = (a + static.imm) & MASK64 & ~1
-            inst.dest_value = (inst.pc + INSTRUCTION_BYTES) & MASK64
-            mispredicted = inst.actual_target != inst.predicted_target
-        elif op in (ops.J, ops.JAL):
-            inst.actual_taken = True
-            inst.actual_target = static.imm
-            if op == ops.JAL:
-                inst.dest_value = (inst.pc + INSTRUCTION_BYTES) & MASK64
-        elif op in (ops.NOP, ops.HALT):
-            pass
+        consumed, produced = self.predictor.on_dispatch(
+            inst.pc, static.is_store, self.tag_file)
+        inst.consumed_tag = consumed
+        inst.produced_tag = produced
+        if static.is_load:
+            self.subsystem.dispatch_load(inst.seq, inst.pc)
         else:
-            inst.dest_value = execute_op(op, a, b, static.imm)
-            latency = static.latency
+            self.subsystem.dispatch_store(inst.seq, inst.pc)
 
-        # Inline completion scheduling (the per-instruction common case).
-        due = self.cycle + (latency if latency > 1 else 1)
-        completions = self._completions
-        pending = completions.get(due)
-        if pending is None:
-            completions[due] = [inst]
-        else:
-            pending.append(inst)
-        if mispredicted:
-            self._branch_mispredict(inst)
-
-    def _execute_mem(self, inst: DynInst, a: int, b: int) -> None:
+    def _execute_mem(self, inst: DynInst, a: int, b: int) -> Optional[int]:
+        """Issue a load/store to the memory subsystem.  Returns its
+        latency, or None when it did not complete (replayed, or squashed
+        by its own ordering violation)."""
         static = inst.inst
         op = static.op
         addr = (a + static.imm) & MASK64
@@ -576,7 +728,7 @@ class Core:
         if outcome.status == REPLAY:
             self._c_mem_replays.value += 1
             self.scheduler.replay(inst)
-            return
+            return None
 
         for violation in outcome.train_only:
             self.predictor.on_violation(violation.kind,
@@ -586,13 +738,116 @@ class Core:
             self._ordering_violation(inst, outcome.violations)
         if inst.squashed:
             # An anti-dependence flush squashes the triggering load itself.
-            return
+            return None
         if static.is_load:
             value = outcome.value or 0
-            if op in (ops.LB, ops.LH, ops.LW):
+            if op in _SIGNED_LOADS:
                 value = sign_extend(value, size * 8)
             inst.dest_value = value
-        self._schedule_completion(inst, outcome.latency)
+        return outcome.latency
+
+    def _retire_mem(self, head: DynInst) -> None:
+        """Retire a load/store through the memory subsystem; stores write
+        the architectural image here."""
+        if head.inst.is_load:
+            corrected, violations = self.subsystem.retire_load(
+                head.seq, head.addr or 0, head.size)
+            self._c_retired_loads.value += 1
+            if corrected is not None:
+                # Value-based retirement replay (Cain & Lipasti): the
+                # load consumed stale data; retire it with the corrected
+                # value and flush everything that may have used the old
+                # one.  The physical register becomes architectural state
+                # here, so it must carry the corrected value too.  The
+                # subsystem replays the raw memory bytes; signed loads
+                # need the same extension the execute path applies.
+                if head.inst.op in _SIGNED_LOADS:
+                    corrected = sign_extend(corrected, head.size * 8)
+                head.dest_value = corrected
+                if head.rd_phys is not None:
+                    self.rename.write(head.rd_phys, corrected)
+            if violations:
+                self._ordering_violation(head, violations)
+        else:
+            addr, size, data, violations = self.subsystem.retire_store(
+                head.seq, head.addr or 0, head.size,
+                bypassed=head.rob_head_bypass, pc=head.pc)
+            self.memory.write_int(addr, size, data)
+            self.hierarchy.data_latency(addr)  # commit-port cache traffic
+            self._c_retired_stores.value += 1
+            if violations:
+                # A bypassed store found younger loads that already read
+                # stale data: conservative recovery flush (see
+                # MemoryDisambiguationTable.check_store).
+                self._ordering_violation(head, violations)
+
+    # ------------------------------------------------------------------ control instructions
+
+    def _predict(self, inst: DynInst, record: Optional[RetireRecord]) -> int:
+        """Predict a fetched control instruction's target into
+        ``inst.predicted_target``.  Returns the next fetch's trace index
+        (-1 once fetch leaves the architecturally correct path)."""
+        static = inst.inst
+        pc = inst.pc
+        op = static.op
+        bpred = self.bpred
+        if static.is_branch:
+            if record is not None:
+                predicted = bpred.predict_with_oracle(pc, record.taken)
+            else:
+                predicted = bpred.predict(pc)
+                bpred.predictions += 1
+            inst.predicted_taken = predicted
+            target = static.imm if predicted \
+                else (pc + INSTRUCTION_BYTES) & MASK64
+        else:
+            inst.predicted_taken = True
+            if op == ops.J or op == ops.JAL:
+                inst.predicted_target = static.imm
+                return inst.trace_index + 1 if record is not None else -1
+            target = bpred.predict_indirect(pc)
+            if record is not None and target != record.next_pc \
+                    and bpred.oracle_should_fix():
+                target = record.next_pc
+        inst.predicted_target = target
+        if record is not None and target == record.next_pc:
+            return inst.trace_index + 1
+        return -1
+
+    def _execute_control(self, inst: DynInst, a: int, b: int) -> None:
+        """Resolve a control instruction; a mispredicted one redirects
+        fetch."""
+        static = inst.inst
+        op = static.op
+        if static.is_branch:
+            inst.actual_taken = taken = branch_taken(op, a, b)
+            inst.actual_target = static.imm if taken \
+                else (inst.pc + INSTRUCTION_BYTES) & MASK64
+        else:
+            inst.actual_taken = True
+            if op == ops.JR:
+                inst.actual_target = a
+            elif op == ops.JALR:
+                inst.actual_target = (a + static.imm) & MASK64 & ~1
+                inst.dest_value = (inst.pc + INSTRUCTION_BYTES) & MASK64
+            else:  # J / JAL: the target is static, never mispredicted
+                inst.actual_target = static.imm
+                if op == ops.JAL:
+                    inst.dest_value = \
+                        (inst.pc + INSTRUCTION_BYTES) & MASK64
+                return
+        if inst.actual_target != inst.predicted_target:
+            self._branch_mispredict(inst)
+
+    def _retire_control(self, head: DynInst) -> None:
+        """Train the branch predictor with a retiring control
+        instruction."""
+        op = head.inst.op
+        if op in ops.BRANCH_OPS:
+            self.bpred.update(head.pc, head.actual_taken,
+                              head.predicted_taken)
+        elif op == ops.JR or op == ops.JALR:
+            self.bpred.update_indirect(head.pc, head.actual_target)
 
     # ------------------------------------------------------------------ recovery
 
@@ -658,7 +913,7 @@ class Core:
         rat = rename.rat
         scheduler = self.scheduler
         tag_file = self.tag_file
-        by_seq = self._by_seq
+        observer = self.observer
         first_squashed: Optional[DynInst] = None
         squashed_count = 0
         while rob and rob[-1].seq > flush_after_seq:
@@ -672,7 +927,8 @@ class Core:
             if dead.rd_phys is not None:
                 rat[dead.inst.rd] = dead.old_rd_phys
                 rename.release(dead.rd_phys)
-            del by_seq[dead.seq]
+            if observer is not None:
+                observer.on_squash(dead, self.cycle)
             first_squashed = dead
             squashed_count += 1
         if first_squashed is not None:
@@ -686,178 +942,3 @@ class Core:
         self._fetch_trace_index = resume_trace_index
         # A redirect supersedes any pending stall for the abandoned path.
         self._fetch_stall_until = self.cycle + penalty
-
-    # ------------------------------------------------------------------ fetch/dispatch
-
-    def _fetch_stage(self) -> None:
-        self._fetch_progress = False
-        if self._fetch_pc is None or self.cycle < self._fetch_stall_until:
-            return
-        branches = 0
-        config = self.config
-        rob = self.rob
-        rob_size = config.rob_size
-        scheduler = self.scheduler
-        sched_capacity = scheduler.capacity
-        rename = self.rename
-        subsystem = self.subsystem
-        fetch = self.program.fetch
-        instructions = self.program.instructions
-        num_insts = len(instructions)
-        inst_latency = self.hierarchy.inst_latency
-        branch_limit = config.fetch_branches_per_cycle
-        for _ in range(config.width):
-            if len(rob) >= rob_size:
-                self._c_stall_rob.value += 1
-                return
-            if scheduler._occupancy >= sched_capacity:
-                self._c_stall_sched.value += 1
-                return
-            if not rename._free:
-                self._c_stall_phys.value += 1
-                return
-            pc = self._fetch_pc
-            # Inline of Program.fetch's aligned in-range fast path; the
-            # slow path (pad/HALT for wrong-path fetch) stays in fetch().
-            index = pc >> 2
-            if index < num_insts and not pc & 3:
-                static = instructions[index]
-            else:
-                static = fetch(pc)
-            if static.is_load and not subsystem.can_dispatch_load():
-                self.counters.incr("dispatch_stalls_lq")
-                return
-            if static.is_store and not subsystem.can_dispatch_store():
-                self.counters.incr("dispatch_stalls_sq")
-                return
-            if static.is_control and branches >= branch_limit:
-                return
-            # Instruction cache: a miss stalls fetch; the lookup filled
-            # the line, so the re-fetch after the stall hits.
-            ilat = inst_latency(pc)
-            if ilat > 1:
-                self._fetch_stall_until = self.cycle + ilat - 1
-                return
-
-            self._dispatch(static, pc)
-            self._fetch_progress = True
-            if static.is_control:
-                branches += 1
-            if static.op == ops.HALT:
-                self._fetch_pc = None
-                return
-            if self._fetch_pc is None:
-                return
-
-    def _dispatch(self, static, pc: int) -> None:
-        """Rename + dispatch one fetched instruction, updating fetch PC.
-
-        This is the hottest function in the simulator (once per dispatched
-        instruction, right *and* wrong path), so the next-fetch-PC logic is
-        folded in rather than split into a helper, and the non-control
-        common case exits early.
-        """
-        trace_index = self._fetch_trace_index
-        record: Optional[RetireRecord] = None
-        if trace_index >= 0:
-            trace = self.trace
-            if trace_index >= len(trace):
-                raise SimulationError(
-                    f"right-path fetch ran past the golden trace "
-                    f"({len(trace)} records) at pc={pc:#x}; the "
-                    f"trace does not belong to this program")
-            record = trace[trace_index]
-            if record.pc != pc:
-                raise SimulationError(
-                    f"right-path fetch diverged: pc={pc:#x} but trace "
-                    f"expects {record.pc:#x} at index {trace_index}")
-
-        seq = self.next_seq
-        self.next_seq = seq + 1
-        inst = DynInst(seq, pc, static, trace_index)
-
-        # Source renaming.  The RAT needs no checkpoint here: recovery
-        # walks the undo log (each instruction's old_rd_phys) instead.
-        rename = self.rename
-        rat = rename.rat
-        ready = rename.ready
-        unready1 = -1
-        unready2 = -1
-        op = static.op
-        if op not in _NO_RS1:
-            phys = rat[static.rs1]
-            inst.rs1_phys = phys
-            if not ready[phys]:
-                unready1 = phys
-        if op in _USES_RS2:
-            phys = rat[static.rs2]
-            inst.rs2_phys = phys
-            if not ready[phys]:
-                unready2 = phys
-        # Destination renaming.
-        if op in _HAS_DEST and static.rd != 0:
-            inst.old_rd_phys = rat[static.rd]
-            inst.rd_phys = rename.allocate(static.rd)
-
-        # Memory dependence prediction (Section 2.1).
-        if static.is_mem:
-            consumed, produced = self.predictor.on_dispatch(
-                pc, static.is_store, self.tag_file)
-            inst.consumed_tag = consumed
-            inst.produced_tag = produced
-            if static.is_load:
-                self.subsystem.dispatch_load(seq, pc)
-            else:
-                self.subsystem.dispatch_store(seq, pc)
-
-        self.rob.append(inst)
-        self._by_seq[seq] = inst
-        self.scheduler.dispatch_fast(inst, unready1, unready2)
-        self._c_dispatched.value += 1
-
-        # Next fetch PC + right-path tracking (was _advance_fetch_pc).
-        if not static.is_control:
-            if op == ops.HALT:
-                inst.actual_target = pc  # matches the ISS convention
-                inst.predicted_target = pc
-                return
-            fall_through = (pc + INSTRUCTION_BYTES) & MASK64
-            inst.predicted_target = fall_through
-            self._fetch_pc = fall_through
-            if record is not None:
-                self._fetch_trace_index = trace_index + 1
-            return
-
-        if static.is_branch:
-            if record is not None:
-                predicted = self.bpred.predict_with_oracle(pc, record.taken)
-            else:
-                predicted = self.bpred.predict(pc)
-                self.bpred.predictions += 1
-            inst.predicted_taken = predicted
-            target = static.imm if predicted \
-                else (pc + INSTRUCTION_BYTES) & MASK64
-            inst.predicted_target = target
-            self._fetch_pc = target
-            if record is not None and target == record.next_pc:
-                self._fetch_trace_index = trace_index + 1
-            else:
-                self._fetch_trace_index = -1
-        elif op == ops.JR or op == ops.JALR:
-            predicted_target = self.bpred.predict_indirect(pc)
-            if record is not None and predicted_target != record.next_pc \
-                    and self.bpred.oracle_should_fix():
-                predicted_target = record.next_pc
-            inst.predicted_taken = True
-            inst.predicted_target = predicted_target
-            self._fetch_pc = predicted_target
-            if record is not None and predicted_target == record.next_pc:
-                self._fetch_trace_index = trace_index + 1
-            else:
-                self._fetch_trace_index = -1
-        else:  # J / JAL
-            inst.predicted_taken = True
-            inst.predicted_target = static.imm
-            self._fetch_pc = static.imm
-            if record is not None:
-                self._fetch_trace_index = trace_index + 1

@@ -23,15 +23,13 @@ class DynInst:
         "rd_phys", "old_rd_phys", "rs1_phys", "rs2_phys",
         # scheduler state
         "wait_count", "stalled", "in_ready", "rob_head_bypass",
-        "consumed_tag", "produced_tag", "replay_count",
+        "consumed_tag", "produced_tag",
         # execution state
         "issued", "completed", "squashed", "dest_value",
         "addr", "size", "store_data",
         # control flow
         "predicted_taken", "predicted_target", "actual_taken",
         "actual_target",
-        # bookkeeping
-        "issue_cycle", "complete_cycle",
     )
 
     def __init__(self, seq: int, pc: int, inst: Instruction,
@@ -50,7 +48,6 @@ class DynInst:
         self.rob_head_bypass = False
         self.consumed_tag: Optional[int] = None
         self.produced_tag: Optional[int] = None
-        self.replay_count = 0
         self.issued = False
         self.completed = False
         self.squashed = False
@@ -62,8 +59,6 @@ class DynInst:
         self.predicted_target = 0
         self.actual_taken = False
         self.actual_target = 0
-        self.issue_cycle = -1
-        self.complete_cycle = -1
 
     @property
     def on_right_path(self) -> bool:

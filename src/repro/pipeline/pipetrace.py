@@ -1,7 +1,7 @@
 """Pipeline event tracing ("pipetrace") for debugging and time series.
 
-Attach a :class:`PipeTracer` to a :class:`~repro.pipeline.processor.Processor`
-to record, for every dynamic instruction, the cycles at which it was
+Attach a :class:`PipeTracer` to a :class:`~repro.pipeline.core.Core` to
+record, for every dynamic instruction, the cycles at which it was
 dispatched, issued, completed, squashed, or retired, plus memory-unit
 events (replays with their reasons, violations).  The collected trace can
 be rendered as a classic timeline:
@@ -19,10 +19,11 @@ arbitrarily long simulations:
   deltas for the epoch, and the derived per-epoch rates -- exportable as
   JSON Lines (:meth:`PipeTracer.epochs_jsonl`) for time-series analysis.
 
-Tracing hooks into the processor by wrapping its stage methods, so the
-processor itself stays hook-free and fast when no tracer is attached;
-results (cycles and every counter) are bit-identical with and without a
-tracer.
+A tracer attaches itself as the core's ``observer`` (see
+:mod:`repro.pipeline.core`): the cycle loop reports dispatch, issue,
+completion, retirement, squash and clock events to it, and tests one
+``is not None`` per event when no tracer is attached.  Results (cycles
+and every counter) are bit-identical with and without a tracer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Union
 
 from .dyninst import DynInst
-from .processor import Processor
+from .core import Core
 
 
 class InstructionTrace:
@@ -153,7 +154,7 @@ class PipeTracer:
     ``max_instructions``) behaviour.
     """
 
-    def __init__(self, processor: Processor,
+    def __init__(self, processor: Core,
                  max_instructions: int = 100_000,
                  ring_size: Optional[int] = None,
                  epoch_cycles: Optional[int] = None):
@@ -171,81 +172,53 @@ class PipeTracer:
         self._last_epoch = 0
         self._epoch_counters: Dict[str, float] = {}
         self._epoch_retired = 0
-        self._install(processor)
+        if processor.observer is not None:
+            raise ValueError("the core already has an observer attached")
+        processor.observer = self
 
-    # -- hook installation ----------------------------------------------------
+    # -- core events (see repro.pipeline.core) ----------------------------------
 
-    def _install(self, proc: Processor) -> None:
-        orig_dispatch = proc._dispatch
-        orig_execute = proc._execute
-        orig_complete = proc._complete
-        orig_retire = proc._retire_one
-        orig_squash = proc._squash_after
-
+    def on_dispatch(self, inst: DynInst, cycle: int) -> None:
         ring_size = self.ring_size
-        ring = self._ring
+        if ring_size is not None:
+            ring = self._ring
+            if len(ring) >= ring_size:
+                del self.traces[ring.popleft()]
+            ring.append(inst.seq)
+        elif len(self.traces) >= self.max_instructions:
+            return
+        self.traces[inst.seq] = InstructionTrace(
+            inst.seq, inst.pc, repr(inst.inst), cycle)
 
-        def dispatch(static, pc):
-            orig_dispatch(static, pc)
-            inst = proc.rob[-1]
-            if ring_size is not None:
-                if len(ring) >= ring_size:
-                    del self.traces[ring.popleft()]
-                ring.append(inst.seq)
-            elif len(self.traces) >= self.max_instructions:
-                return
-            self.traces[inst.seq] = InstructionTrace(
-                inst.seq, pc, repr(static), proc.cycle)
+    def on_issue(self, inst: DynInst, cycle: int) -> None:
+        """Called after execution, so a replayed access is stalled."""
+        trace = self.traces.get(inst.seq)
+        if trace is not None:
+            trace.issue_cycles.append(cycle)
+            if inst.stalled:
+                trace.events.append(f"replay@{cycle}")
 
-        def execute(inst: DynInst):
-            trace = self.traces.get(inst.seq)
-            if trace is not None:
-                trace.issue_cycles.append(proc.cycle)
-            orig_execute(inst)
-            if trace is not None and inst.stalled:
-                trace.events.append(
-                    f"replay@{proc.cycle}")
+    def on_complete(self, inst: DynInst, cycle: int) -> None:
+        trace = self.traces.get(inst.seq)
+        if trace is not None:
+            trace.complete_cycle = cycle
 
-        def complete(inst: DynInst):
-            orig_complete(inst)
-            trace = self.traces.get(inst.seq)
-            if trace is not None and inst.completed:
-                trace.complete_cycle = proc.cycle
+    def on_retire(self, inst: DynInst, cycle: int) -> None:
+        trace = self.traces.get(inst.seq)
+        if trace is not None:
+            trace.retire_cycle = cycle
 
-        def retire(head: DynInst):
-            orig_retire(head)
-            trace = self.traces.get(head.seq)
-            if trace is not None:
-                trace.retire_cycle = proc.cycle
+    def on_squash(self, inst: DynInst, cycle: int) -> None:
+        trace = self.traces.get(inst.seq)
+        if trace is not None:
+            trace.squash_cycle = cycle
+            trace.events.append(f"squash@{cycle}")
 
-        def squash_after(flush_after_seq: int):
-            cycle = proc.cycle
-            # Mark everything younger before the processor drops it.
-            for seq, trace in self.traces.items():
-                if seq > flush_after_seq and trace.retire_cycle is None \
-                        and trace.squash_cycle is None:
-                    candidate = proc._by_seq.get(seq)
-                    if candidate is not None:
-                        trace.squash_cycle = cycle
-                        trace.events.append(f"squash@{cycle}")
-            return orig_squash(flush_after_seq)
-
-        proc._dispatch = dispatch
-        proc._execute = execute
-        proc._complete = complete
-        proc._retire_one = retire
-        proc._squash_after = squash_after
-
+    def on_cycle(self, cycle: int) -> None:
         if self.epoch_cycles is not None:
-            orig_advance = proc._advance_clock
-            epoch_cycles = self.epoch_cycles
-
-            def advance_clock():
-                orig_advance()
-                epoch = proc.cycle // epoch_cycles
-                if epoch > self._last_epoch:
-                    self._snapshot(epoch)
-            proc._advance_clock = advance_clock
+            epoch = cycle // self.epoch_cycles
+            if epoch > self._last_epoch:
+                self._snapshot(epoch)
 
     # -- epoch sampling -------------------------------------------------------
 
@@ -330,7 +303,7 @@ class PipeTracer:
             handle.write(text + ("\n" if text else ""))
 
 
-def trace_run(processor: Processor,
+def trace_run(processor: Core,
               max_instructions: int = 100_000,
               ring_size: Optional[int] = None,
               epoch_cycles: Optional[int] = None) -> PipeTracer:

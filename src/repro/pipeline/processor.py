@@ -1,30 +1,17 @@
-"""Single-core entry point over :mod:`repro.pipeline.core`.
+"""Single-core entry point: ``Processor`` is
+:class:`~repro.pipeline.core.Core`.
 
-Historically this module *was* the simulator: a ~760-line monolith that
-privately constructed its branch predictor, memory subsystem, caches,
-and architectural memory.  The machinery now lives in
-:class:`~repro.pipeline.core.Core` (per-core pipeline state with an
-injectable memory image and cache hierarchy) so that
-:class:`~repro.pipeline.system.System` can run N cores over a shared
-:class:`~repro.memory.system.MemorySystem`.  ``Processor`` remains the
-supported single-core construction path -- a ``Core`` with its private
-defaults -- and is bit-exact with the pre-split simulator (the
-``manifest_digest`` gate in ``scripts/check_digest.py`` pins this).
+A ``Core`` built with its defaults -- a private
+:class:`~repro.memory.main_memory.MainMemory` image, the paper's cache
+hierarchy, golden-trace validation and idle-cycle skipping on -- is the
+single-core simulator; ``Processor`` is the name the public API, the
+experiment engine and the examples construct it by.
 """
 
 from __future__ import annotations
 
 from .core import Core, SimResult, SimulationError
 
-
-class Processor(Core):
-    """One configured superscalar core bound to one program.
-
-    Exactly a :class:`~repro.pipeline.core.Core` with its single-core
-    defaults: a private :class:`~repro.memory.main_memory.MainMemory`
-    image, the paper's cache hierarchy, golden-trace validation on, and
-    idle-cycle fast-forwarding on.
-    """
-
+Processor = Core
 
 __all__ = ["Processor", "SimResult", "SimulationError"]

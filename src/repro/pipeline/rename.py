@@ -1,10 +1,14 @@
-"""Register renaming with per-instruction RAT checkpoints.
+"""Register renaming: RAT, physical register file and free list.
 
 The paper's processors use Alpha-21264-style renaming with one checkpoint
 per ROB entry (Figure 4 lists checkpoints == ROB size), enabling recovery
-to an arbitrary instruction boundary.  We snapshot the 32-entry register
-alias table before every rename; a flush restores the snapshot of the first
-squashed instruction and returns its physical register to the free list.
+to an arbitrary instruction boundary.  The model recovers the same way
+without copying the register alias table: each renamed instruction keeps
+the mapping its destination displaced (``DynInst.old_rd_phys``), and a
+flush walks the squashed instructions youngest-first, mapping each
+destination back and releasing its physical register
+(``Core._squash_after``).  The core's dispatch stage performs
+:meth:`RenameTable.allocate` inline.
 
 Physical register 0 is permanently mapped to architectural r0 (always
 zero, always ready).
@@ -40,12 +44,6 @@ class RenameTable:
     @property
     def free_count(self) -> int:
         return len(self._free)
-
-    def snapshot(self) -> List[int]:
-        return self.rat[:]
-
-    def restore(self, snap: List[int]) -> None:
-        self.rat[:] = snap
 
     def lookup(self, arch: int) -> int:
         return self.rat[arch]

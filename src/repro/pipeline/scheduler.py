@@ -46,43 +46,15 @@ class Scheduler:
 
     # -- dispatch -------------------------------------------------------------------
 
-    def dispatch(self, inst: DynInst, unready_phys: List[int]) -> None:
-        """Insert a renamed instruction into the window.
-
-        ``unready_phys`` lists the source physical registers that are not
-        yet ready (duplicates allowed -- wakeups decrement per listing).
-        The consumed dependence tag, if pending, adds one more wait.
-        """
-        self._occupancy += 1
-        wait = 0
-        if unready_phys:
-            phys_waiters = self._phys_waiters
-            for phys in unready_phys:
-                waiters = phys_waiters.get(phys)
-                if waiters is None:
-                    phys_waiters[phys] = [inst]
-                else:
-                    waiters.append(inst)
-                wait += 1
-        tag = inst.consumed_tag
-        if tag is not None and not self.tag_file.is_ready(tag):
-            waiters = self._tag_waiters.get(tag)
-            if waiters is None:
-                self._tag_waiters[tag] = [inst]
-            else:
-                waiters.append(inst)
-            wait += 1
-        inst.wait_count = wait
-        if wait == 0:
-            self._push_ready(inst)
-
     def dispatch_fast(self, inst: DynInst, unready1: int = -1,
                       unready2: int = -1) -> None:
-        """Allocation-free dispatch for the two-source common case.
+        """Insert a renamed instruction into the window.
 
-        Same semantics as :meth:`dispatch` with the unready sources passed
-        as scalars (-1 = none) instead of a per-call list; the processor's
-        dispatch loop calls this once per instruction.
+        ``unready1``/``unready2`` are the source physical registers that
+        are not yet ready (-1 = none; the same register twice waits for
+        two wakeups).  The consumed dependence tag, if pending, adds one
+        more wait.  The core's dispatch stage calls this once per
+        instruction.
         """
         self._occupancy += 1
         wait = 0
@@ -180,7 +152,6 @@ class Scheduler:
         window with its stall bit set (Section 2.4.3)."""
         inst.issued = False
         inst.stalled = True
-        inst.replay_count += 1
         self._occupancy += 1
         self._stalled.append(inst)
 

@@ -46,21 +46,6 @@ class TestRename:
         table.release(phys)
         assert table.allocate(2) == phys
 
-    def test_snapshot_restore(self):
-        table = RenameTable(64)
-        snap = table.snapshot()
-        table.allocate(5)
-        table.allocate(7)
-        table.restore(snap)
-        assert table.lookup(5) == 5
-        assert table.lookup(7) == 7
-
-    def test_snapshot_is_a_copy(self):
-        table = RenameTable(64)
-        snap = table.snapshot()
-        table.allocate(5)
-        assert snap[5] == 5
-
     def test_rejects_too_few_phys(self):
         with pytest.raises(ValueError):
             RenameTable(NUM_REGS)

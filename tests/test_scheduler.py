@@ -20,13 +20,13 @@ class TestDispatchAndSelect:
     def test_ready_at_dispatch_selectable(self):
         sched = make_scheduler()
         inst = make_inst(1)
-        sched.dispatch(inst, unready_phys=[])
+        sched.dispatch_fast(inst)
         assert sched.select(4) == [inst]
 
     def test_waits_for_sources(self):
         sched = make_scheduler()
         inst = make_inst(1)
-        sched.dispatch(inst, unready_phys=[40])
+        sched.dispatch_fast(inst, 40)
         assert sched.select(4) == []
         sched.on_phys_ready(40)
         assert sched.select(4) == [inst]
@@ -34,7 +34,7 @@ class TestDispatchAndSelect:
     def test_duplicate_source_counted_twice(self):
         sched = make_scheduler()
         inst = make_inst(1)
-        sched.dispatch(inst, unready_phys=[40, 40])
+        sched.dispatch_fast(inst, 40, 40)
         sched.on_phys_ready(40)
         assert sched.select(4) == [inst]
 
@@ -42,21 +42,21 @@ class TestDispatchAndSelect:
         sched = make_scheduler()
         younger = make_inst(5)
         older = make_inst(2)
-        sched.dispatch(younger, [])
-        sched.dispatch(older, [])
+        sched.dispatch_fast(younger)
+        sched.dispatch_fast(older)
         assert sched.select(2) == [older, younger]
 
     def test_select_width_limited(self):
         sched = make_scheduler()
         for seq in range(4):
-            sched.dispatch(make_inst(seq), [])
+            sched.dispatch_fast(make_inst(seq))
         assert len(sched.select(2)) == 2
         assert len(sched.select(4)) == 2
 
     def test_capacity_tracking(self):
         sched = make_scheduler(capacity=2)
-        sched.dispatch(make_inst(1), [])
-        sched.dispatch(make_inst(2), [])
+        sched.dispatch_fast(make_inst(1))
+        sched.dispatch_fast(make_inst(2))
         assert not sched.has_space
         inst = sched.select(1)[0]
         sched.mark_issued(inst)
@@ -70,7 +70,7 @@ class TestDependenceTags:
         tag = tags.allocate()
         inst = make_inst(1)
         inst.consumed_tag = tag
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         assert sched.select(4) == []
         tags.mark_ready(tag)
         sched.on_tag_ready(tag)
@@ -83,7 +83,7 @@ class TestDependenceTags:
         tags.mark_ready(tag)
         inst = make_inst(1)
         inst.consumed_tag = tag
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         assert sched.select(4) == [inst]
 
     def test_tag_and_phys_both_required(self):
@@ -92,7 +92,7 @@ class TestDependenceTags:
         tag = tags.allocate()
         inst = make_inst(1)
         inst.consumed_tag = tag
-        sched.dispatch(inst, [40])
+        sched.dispatch_fast(inst, 40)
         sched.on_phys_ready(40)
         assert sched.select(4) == []
         tags.mark_ready(tag)
@@ -104,7 +104,7 @@ class TestReplayAndStallBits:
     def test_replayed_inst_is_parked(self):
         sched = make_scheduler()
         inst = make_inst(1, ops.LD)
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         sched.mark_issued(sched.select(1)[0])
         sched.replay(inst)
         assert inst.stalled
@@ -113,7 +113,7 @@ class TestReplayAndStallBits:
     def test_clear_stall_bits_releases(self):
         sched = make_scheduler()
         inst = make_inst(1, ops.LD)
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         sched.mark_issued(sched.select(1)[0])
         sched.replay(inst)
         sched.clear_stall_bits()
@@ -122,7 +122,7 @@ class TestReplayAndStallBits:
     def test_replay_restores_occupancy(self):
         sched = make_scheduler(capacity=1)
         inst = make_inst(1, ops.LD)
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         sched.mark_issued(sched.select(1)[0])
         assert sched.has_space
         sched.replay(inst)
@@ -131,29 +131,32 @@ class TestReplayAndStallBits:
     def test_force_ready_for_rob_head(self):
         sched = make_scheduler()
         inst = make_inst(1, ops.LD)
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         sched.mark_issued(sched.select(1)[0])
         sched.replay(inst)
         sched.force_ready(inst)
         assert sched.select(4) == [inst]
 
-    def test_replay_count_increments(self):
-        sched = make_scheduler()
+    def test_repeated_replay_reparks(self):
+        sched = make_scheduler(capacity=1)
         inst = make_inst(1, ops.LD)
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         sched.mark_issued(sched.select(1)[0])
         sched.replay(inst)
         sched.clear_stall_bits()
         sched.mark_issued(sched.select(1)[0])
         sched.replay(inst)
-        assert inst.replay_count == 2
+        assert inst.stalled and not inst.issued
+        assert not sched.has_space
+        assert sched.stalled_count == 1
+        assert sched.select(4) == []
 
 
 class TestSquash:
     def test_squashed_not_selected(self):
         sched = make_scheduler()
         inst = make_inst(1)
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         inst.squashed = True
         sched.note_squashed(inst)
         assert sched.select(4) == []
@@ -161,7 +164,7 @@ class TestSquash:
     def test_squashed_waiter_dropped_on_wakeup(self):
         sched = make_scheduler()
         inst = make_inst(1)
-        sched.dispatch(inst, [40])
+        sched.dispatch_fast(inst, 40)
         inst.squashed = True
         sched.note_squashed(inst)
         sched.on_phys_ready(40)
@@ -170,7 +173,7 @@ class TestSquash:
     def test_note_squashed_restores_occupancy(self):
         sched = make_scheduler(capacity=1)
         inst = make_inst(1)
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         inst.squashed = True
         sched.note_squashed(inst)
         assert sched.has_space
@@ -178,7 +181,7 @@ class TestSquash:
     def test_squash_after_cleans_stalled_list(self):
         sched = make_scheduler()
         inst = make_inst(5, ops.LD)
-        sched.dispatch(inst, [])
+        sched.dispatch_fast(inst)
         sched.mark_issued(sched.select(1)[0])
         sched.replay(inst)
         inst.squashed = True
@@ -188,7 +191,7 @@ class TestSquash:
 
     def test_flush_all(self):
         sched = make_scheduler()
-        sched.dispatch(make_inst(1), [])
+        sched.dispatch_fast(make_inst(1))
         sched.flush_all()
         assert sched.occupancy == 0
         assert sched.select(4) == []
