@@ -18,10 +18,8 @@ Environment knobs:
 * ``REPRO_CACHE_DIR`` -- persistent result-cache directory (default
   ``.repro_cache/`` at the repository root); delete it to force cold
   re-simulation.
-* ``REPRO_BENCH_TIMEOUT`` -- per-cell wall-clock timeout in seconds for
-  pool workers (default 0 = disabled).
-* ``REPRO_BENCH_RETRIES`` -- extra attempts per failing grid cell
-  (default: the engine's default of 2).
+* ``REPRO_BENCH_TIMEOUT`` -- per-cell wall-clock timeout in seconds
+  (default 0 = disabled).
 
 Because completed cells checkpoint to the cache as they finish, an
 interrupted bench session resumes where it left off on the next run.
@@ -48,9 +46,6 @@ CACHE_DIR = os.environ.get(
 
 CELL_TIMEOUT = float(os.environ.get("REPRO_BENCH_TIMEOUT", "0")) or None
 
-MAX_RETRIES = (int(os.environ["REPRO_BENCH_RETRIES"])
-               if os.environ.get("REPRO_BENCH_RETRIES") else None)
-
 
 @pytest.fixture(scope="session")
 def scale() -> int:
@@ -63,8 +58,7 @@ def runner() -> ExperimentRunner:
     completed cells persist in the on-disk result cache."""
     engine = ExperimentRunner(scale=DEFAULT_SCALE, jobs=DEFAULT_JOBS,
                               cache_dir=CACHE_DIR,
-                              cell_timeout=CELL_TIMEOUT,
-                              max_retries=MAX_RETRIES)
+                              cell_timeout=CELL_TIMEOUT)
     yield engine
     if engine.manifest:
         RESULTS_DIR.mkdir(exist_ok=True)

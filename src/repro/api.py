@@ -16,9 +16,9 @@ or ``repro.harness`` internals:
   machine, every observed outcome judged by the operational-model
   oracle (:class:`~repro.verify.litmus_oracle.LitmusReport`);
 * :func:`compare` -- one benchmark under several configurations;
-* :func:`run_suite` -- a fault-tolerant (benchmark x configuration)
-  grid -> RunRecords, including structured failure entries for cells
-  whose workers crashed, hung, or kept raising;
+* :func:`run_suite` -- a resumable (benchmark x configuration) grid
+  -> RunRecords, including structured failure entries for cells that
+  raised, timed out, or lost their worker;
 * :func:`run_figure` -- regenerate one of the paper's figures/tables;
 * :func:`trace` -- a sampled pipetrace run (ring buffer + epoch
   snapshots) for time-series analysis;
@@ -44,10 +44,6 @@ Example::
     record = api.simulate("gzip", "baseline-sfc-mdt", scale=5000)
     print(record.ipc, record.metric("sfc_forwards"))
     print(record.to_json(indent=2))   # schema_version included
-
-The old entry points (``repro.cli.CONFIGS``/``FIGURES``, and
-``format_report`` over a raw ``SimResult``) keep working through thin
-shims that emit :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -260,22 +256,21 @@ def run_suite(benchmarks: Optional[Sequence[str]] = None,
               scale: int = DEFAULT_SCALE,
               jobs: Optional[int] = None,
               cell_timeout: Optional[float] = None,
-              max_retries: Optional[int] = None,
               runner: Optional[ExperimentRunner] = None,
               **runner_kwargs) -> List[RunRecord]:
-    """Run a fault-tolerant (benchmark x configuration) grid.
+    """Run a resumable (benchmark x configuration) grid.
 
     Returns one :class:`RunRecord` per grid cell *including* structured
-    failure entries (``status`` failed/timeout, ``attempts``,
-    ``error``) for cells that exhausted their retry budget -- a crashed
-    or hung worker never discards the rest of the grid.  Completed
-    cells checkpoint to the persistent cache as they finish, so calling
-    again with the same runner settings resumes an interrupted sweep
-    (only missing/failed cells are re-simulated).
+    failure entries (``status`` failed/timeout, ``error``) for cells
+    that raised, ran past ``cell_timeout`` seconds, or lost their
+    worker -- one bad cell never discards the rest of the grid.
+    Completed cells are cached as they finish, so calling again with
+    the same runner settings resumes an interrupted sweep (only
+    missing/failed cells are re-simulated).
 
     ``benchmarks`` defaults to every benchmark and ``configs`` to every
-    named preset.  ``cell_timeout`` (seconds) and ``max_retries``
-    override the engine's fault-tolerance knobs for this call.
+    named preset.  ``jobs`` and ``cell_timeout`` override the engine's
+    settings for this call.
     """
     engine = _runner(scale, runner, **runner_kwargs)
     names = list(benchmarks) if benchmarks else list_benchmarks()
@@ -284,7 +279,7 @@ def run_suite(benchmarks: Optional[Sequence[str]] = None,
                                else list_configs())]
     start = len(engine.manifest)
     engine.run_suite(names, resolved, jobs=jobs,
-                     cell_timeout=cell_timeout, max_retries=max_retries)
+                     cell_timeout=cell_timeout)
     return [RunRecord.from_dict(entry)
             for entry in engine.manifest[start:]]
 

@@ -22,16 +22,16 @@ Subcommands
 ``figure NAME``
     Regenerate one of the paper's figures/tables.
 ``suite``
-    Run a full (benchmark x configuration) grid through the
-    fault-tolerant engine and archive the manifest.  Failed/timed-out
-    cells are recorded structurally (status, attempts, error) instead
-    of aborting the sweep; ``--resume`` restarts an interrupted sweep,
-    restoring completed cells from the persistent cache so only
-    missing/failed cells are simulated.  ``--timeout``/``--retries``
-    tune the per-cell fault-tolerance knobs; ``--gc-cache`` sweeps
-    unreadable/foreign-format cache entries first.  Exits nonzero when
-    any cell remains failed.  ``--suite NAME`` runs a declared suite
-    (e.g. ``riscv-conformance``) instead of an explicit benchmark list.
+    Run a full (benchmark x configuration) grid through the experiment
+    engine and archive the manifest.  A cell that raises, runs past
+    ``--timeout`` seconds, or loses its worker is recorded structurally
+    (status, error) instead of aborting the sweep; ``--resume``
+    restarts an interrupted sweep, restoring completed cells from the
+    persistent cache so only missing/failed cells are simulated.
+    ``--gc-cache`` sweeps unreadable/foreign-format cache entries
+    first.  Exits nonzero when any cell remains failed.  ``--suite
+    NAME`` runs a declared suite (e.g. ``riscv-conformance``) instead
+    of an explicit benchmark list.
 ``conformance``
     Execute every program of the ``riscv-conformance`` suite on the
     interpreter oracle and on every configuration of the differential
@@ -60,10 +60,11 @@ emits one :class:`~repro.obs.runrecord.RunRecord`; ``compare``,
 underlying RunRecords where applicable.  ``--out`` writes the document
 to a file instead of stdout.
 
-``run``, ``compare``, and ``figure`` share the experiment-engine flags:
-``--jobs N`` simulates uncached grid cells on N worker processes
-(default: all cores), ``--cache-dir`` relocates the persistent result
-cache (default ``.repro_cache/``), and ``--no-cache`` disables it.
+``run``, ``compare``, ``figure``, and ``suite`` share the
+experiment-engine flags: ``--jobs N`` (N >= 1) simulates uncached grid
+cells on N worker processes (default: all cores), ``--cache-dir``
+relocates the persistent result cache (default ``.repro_cache/``), and
+``--no-cache`` disables it.
 
 ``run`` can additionally export a sampled pipetrace:
 ``--epoch-cycles N --trace-out FILE`` writes per-epoch snapshots
@@ -85,13 +86,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import api, perf
 from .core import registry
-from .harness.experiment import ExperimentRunner
+from .harness.experiment import ExperimentRunner, check_jobs, check_timeout
 from .obs.runrecord import SCHEMA_VERSION
 from .stats.report import format_report
 from .workloads import (ALL_BENCHMARKS, RISCV_BENCHMARKS,
@@ -99,23 +99,22 @@ from .workloads import (ALL_BENCHMARKS, RISCV_BENCHMARKS,
                         suite_names)
 from .workloads.litmus import get_litmus, is_litmus
 
-_DEPRECATED_ATTRS = ("CONFIGS", "FIGURES")
 
-
-def __getattr__(name: str):
-    """Deprecation shims: the CONFIGS/FIGURES registries moved to
-    :mod:`repro.api`; importing them from here still works but warns."""
-    if name in _DEPRECATED_ATTRS:
-        warnings.warn(
-            f"repro.cli.{name} is deprecated; use repro.api.{name}",
-            DeprecationWarning, stacklevel=2)
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _checked(convert: Callable, check: Callable) -> Callable:
+    """An argparse ``type=`` that reports the engine's ``ValueError``
+    for an out-of-range value as a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """Experiment-engine knobs shared by run/compare/figure."""
-    parser.add_argument("--jobs", type=int, default=None,
+    """Experiment-engine knobs shared by run/compare/figure/suite."""
+    parser.add_argument("--jobs", type=_checked(int, check_jobs),
+                        default=None,
                         help="worker processes for uncached grid cells "
                              "(default: all cores; 1 = serial)")
     parser.add_argument("--cache-dir", default=None,
@@ -246,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(figure)
 
     suite = sub.add_parser(
-        "suite", help="run a fault-tolerant, resumable (benchmark x "
-                      "config) grid and archive its manifest")
+        "suite", help="run a resumable (benchmark x config) grid and "
+                      "archive its manifest")
     suite.add_argument("--benchmarks", nargs="+", default=None,
                        choices=sorted(ALL_BENCHMARKS)
                        + sorted(RISCV_BENCHMARKS),
@@ -273,13 +272,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="continue an interrupted sweep: completed "
                             "cells are restored from the result cache "
                             "and only missing/failed cells simulate")
-    suite.add_argument("--timeout", type=float, default=None,
-                       metavar="S",
-                       help="per-cell wall-clock timeout in seconds "
+    suite.add_argument("--timeout", type=_checked(float, check_timeout),
+                       default=None, metavar="S",
+                       help="per-cell wall-clock timeout in seconds, "
+                            "enforced in the process that runs the cell "
                             "(default: none)")
-    suite.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="extra attempts per failing cell "
-                            "(default 2)")
     suite.add_argument("--gc-cache", action="store_true",
                        help="drop unreadable/foreign-format cache "
                             "entries and stale temp files first")
@@ -635,16 +632,16 @@ def _cmd_suite(args) -> int:
               f"restored from the result cache) or pick another "
               f"--manifest path", file=sys.stderr)
         return 2
-    if args.resume and args.no_cache:
-        print("error: --resume needs the persistent result cache "
-              "(drop --no-cache)", file=sys.stderr)
+    if args.no_cache and (args.resume or args.gc_cache):
+        flag = "--resume" if args.resume else "--gc-cache"
+        print(f"error: {flag} needs the persistent result cache "
+              f"(drop --no-cache)", file=sys.stderr)
         return 2
     runner = ExperimentRunner(scale=args.scale, jobs=args.jobs,
                               cache_dir=args.cache_dir,
                               use_cache=not args.no_cache,
-                              cell_timeout=args.timeout,
-                              max_retries=args.retries)
-    if args.gc_cache and runner.cache:
+                              cell_timeout=args.timeout)
+    if args.gc_cache:
         removed = runner.cache.gc()
         print(f"cache gc: removed {removed} unreadable/stale files",
               file=sys.stderr)
@@ -675,8 +672,7 @@ def _cmd_suite(args) -> int:
                  f"  failed: {len(failed)}"]
         for entry in failed:
             lines.append(f"    {entry['benchmark']}/"
-                         f"{entry['config_name']}: {entry['status']} "
-                         f"after {entry['attempts']} attempt(s): "
+                         f"{entry['config_name']}: {entry['status']}: "
                          f"{entry['error']}")
         lines.append(f"manifest: {manifest_path}")
         _emit("\n".join(lines), args)

@@ -1,6 +1,6 @@
 """Experiment engine: (benchmark x configuration) grids, in parallel,
-with golden-trace reuse, a persistent on-disk result cache, and a
-fault-tolerant, resumable scheduler.
+with golden-trace reuse, a persistent on-disk result cache, and
+per-cell failure records.
 
 One :class:`ExperimentRunner` owns three layers of reuse:
 
@@ -8,10 +8,10 @@ One :class:`ExperimentRunner` owns three layers of reuse:
   once per (benchmark, scale) no matter how many processor
   configurations are measured against it, and is shipped to worker
   processes so they never re-interpret the program;
-* **process-pool scheduling** -- ``run_suite`` farms uncached grid cells
-  out to a ``ProcessPoolExecutor`` (``jobs`` workers, default
-  ``os.cpu_count()``; ``jobs=1`` preserves the serial in-process path
-  for determinism tests and debugging);
+* **process-pool scheduling** -- ``run_suite`` submits uncached grid
+  cells to a ``ProcessPoolExecutor`` (``jobs`` workers, default
+  ``os.cpu_count()``); ``jobs=1``, or a single uncached cell, runs
+  in-process, for determinism tests and debugging;
 * **persistent result cache** -- completed cells are stored as JSON
   under ``.repro_cache/`` (override with ``cache_dir`` or the
   ``REPRO_CACHE_DIR`` environment variable), keyed by a content hash of
@@ -22,53 +22,49 @@ One :class:`ExperimentRunner` owns three layers of reuse:
 The simulator is fully deterministic, so all three paths (serial,
 parallel, cached) produce identical :class:`SimResult` grids.
 
-Fault tolerance (``run_suite``)
--------------------------------
+Failures and resume (``run_suite``)
+-----------------------------------
 
-Long sweeps must survive worker crashes, hangs, and restarts instead of
-losing every completed-but-unreported cell.  ``run_suite`` therefore
-dispatches cells with ``submit``/``wait`` instead of an eager ordered
-``pool.map``:
+A deterministic cell can only finish, raise, or run too long, and a
+cell that raised once raises again, so nothing is retried:
 
-* completed cells **checkpoint to the persistent cache as they finish**,
-  so an interrupted sweep resumes from the cache (``repro suite
+* each cell is written to the persistent cache **as it finishes**, so
+  an interrupted sweep resumes from the cache (``repro suite
   --resume``) instead of re-simulating everything;
-* each failing cell is retried with exponential backoff up to
-  ``max_retries`` extra attempts; a worker crash
-  (``BrokenProcessPool``) triggers pool re-creation and requeues every
-  in-flight cell, re-running ambiguous crash victims solo so the crash
-  is attributed to exactly one cell;
-* an optional per-cell wall-clock timeout (``cell_timeout``) reclaims
-  hung workers by tearing the pool down and rescheduling the innocent
-  in-flight cells;
-* when the pool repeatedly fails without making progress
-  (``max_pool_rebuilds``), the engine degrades gracefully to serial
-  in-process execution of the remaining cells;
-* cells that exhaust their budget land in the manifest as structured
-  failure entries (``status`` failed/timeout, ``attempts``, ``error``)
-  instead of raising away the rest of the grid.
+* ``cell_timeout`` is enforced inside the process that runs the cell
+  (a ``SIGALRM`` timer; POSIX only), so a hung cell raises
+  :class:`CellTimeout` like any other exception and no pool is ever
+  killed;
+* a cell that raises or times out lands in the manifest as a structured
+  failure entry (``status`` failed/timeout, ``error``) instead of
+  raising away the rest of the grid;
+* a worker crash (``BrokenProcessPool``) marks every unfinished cell
+  failed, and a resumed sweep re-runs exactly those.
 
 Every cell additionally appends one versioned
 :class:`~repro.obs.runrecord.RunRecord` dict to :attr:`ExperimentRunner.
 manifest` -- schema version, config dict, cycles, IPC, metric snapshot,
-wall-time, engine/cache provenance, and the fault-tolerance outcome --
-which the figure layer, the benches, ``repro.api``, and the CLI's
-``--format json`` all consume instead of ad-hoc prints (see
+wall-time, engine/cache provenance, and the cell's status -- which the
+figure layer, the benches, ``repro.api``, and the CLI's ``--format
+json`` all consume instead of ad-hoc prints (see
 :func:`repro.harness.figures.manifest_table` and
 :meth:`ExperimentRunner.records`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import os
+import signal
+import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..checkpoint.sampling import sample_run
 from ..checkpoint.store import CheckpointStore
@@ -101,16 +97,6 @@ CACHE_FORMAT = 1
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-#: Default retry budget: extra attempts after the first per grid cell.
-DEFAULT_MAX_RETRIES = 2
-
-#: First retry delay in seconds; doubles per attempt, capped at 4s.
-DEFAULT_RETRY_BACKOFF = 0.25
-
-#: Consecutive pool failures without a completed cell before the engine
-#: degrades to serial in-process execution.
-DEFAULT_MAX_POOL_REBUILDS = 6
-
 #: Age (seconds) past which an orphaned ``*.tmp.*`` cache file from a
 #: crashed writer is swept on cache open.  Younger temps may belong to a
 #: concurrent writer and are left alone.
@@ -124,8 +110,6 @@ STALE_TEMP_SECONDS = 3600.0
 #: remove-everything sweeps (``max_age <= 0``, e.g. :meth:`ResultCache.
 #: gc`) bypass the floor.
 MIN_STALE_TEMP_SECONDS = 300.0
-
-_CRASH_ERROR = "worker process crashed (BrokenProcessPool)"
 
 
 def cache_key(benchmark: str, scale: int, config,
@@ -327,54 +311,84 @@ def _simulate_system_cell(programs, traces, config: SystemConfig) -> dict:
     }
 
 
+class CellTimeout(Exception):
+    """A grid cell ran past its ``cell_timeout``."""
+
+
+def _run_cell(cell_fn: Callable[..., dict], program: Program,
+              trace: List[RetireRecord], config: ProcessorConfig,
+              timeout: Optional[float]) -> dict:
+    """``cell_fn(program, trace, config)``, raising :class:`CellTimeout`
+    once ``timeout`` seconds have passed.
+
+    Module-level so ``ProcessPoolExecutor`` can pickle it.  The timer is
+    armed in the process that simulates, so a hung cell ends as an
+    ordinary per-cell exception and its worker stays usable.
+    ``SIGALRM`` is POSIX-only and only the main thread can handle it.
+    """
+    if timeout is None:
+        return cell_fn(program, trace, config)
+
+    def expire(signum, frame):
+        raise CellTimeout(f"cell exceeded the {timeout:g}s timeout")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        return cell_fn(program, trace, config)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check_jobs(jobs: int) -> int:
+    """``jobs`` if it is a usable worker count, else ``ValueError``."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    return jobs
+
+
+def check_timeout(timeout: Optional[float]) -> Optional[float]:
+    """``timeout`` if it is None (no timeout) or a finite number of
+    seconds > 0, else ``ValueError``."""
+    if timeout is not None and not (math.isfinite(timeout)
+                                    and timeout > 0):
+        raise ValueError(f"timeout must be a finite number of seconds "
+                         f"> 0, got {timeout!r}")
+    return timeout
+
+
 class _Cell:
     """One uncached grid cell: a unique cache key plus every
-    (benchmark, config) alias that hashes to it, and its retry state."""
+    (benchmark, config) alias that hashes to it."""
 
-    __slots__ = ("benchmark", "configs", "key", "attempts", "timeouts",
-                 "error")
+    __slots__ = ("benchmark", "configs", "key")
 
     def __init__(self, benchmark: str, config: ProcessorConfig, key: str):
         self.benchmark = benchmark
         self.configs = [config]  # aliases sharing one cache entry
         self.key = key
-        self.attempts = 0        # submissions charged to this cell
-        self.timeouts = 0        # how many of those hit the timeout
-        self.error = ""
 
     @property
     def primary(self) -> ProcessorConfig:
         return self.configs[0]
 
 
-class _PoolUnusable(Exception):
-    """The process pool failed repeatedly without completing any cell;
-    the caller should degrade to serial execution."""
-
-
 class ExperimentRunner:
     """Runs (benchmark x configuration) grids with golden-trace reuse,
-    fault-tolerant process-pool parallelism, and persistent result
-    caching."""
+    process-pool parallelism, and persistent result caching."""
 
     def __init__(self, scale: int = DEFAULT_SCALE, verbose: bool = False,
                  jobs: Optional[int] = None,
                  cache_dir: Optional[Union[str, Path]] = None,
                  use_cache: bool = True,
-                 cell_timeout: Optional[float] = None,
-                 max_retries: Optional[int] = None,
-                 retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-                 max_pool_rebuilds: int = DEFAULT_MAX_POOL_REBUILDS):
+                 cell_timeout: Optional[float] = None):
         self.scale = scale
         self.verbose = verbose
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        #: Per-cell wall-clock timeout in seconds (None/0 disables).
-        self.cell_timeout = cell_timeout
-        #: Extra attempts per failing cell beyond the first.
-        self.max_retries = DEFAULT_MAX_RETRIES if max_retries is None \
-            else max_retries
-        self.retry_backoff = retry_backoff
-        self.max_pool_rebuilds = max_pool_rebuilds
+        self.jobs = check_jobs(jobs if jobs is not None
+                                else (os.cpu_count() or 1))
+        #: Per-cell wall-clock timeout in seconds (None disables).
+        self.cell_timeout = check_timeout(cell_timeout)
         if use_cache:
             self.cache: Optional[ResultCache] = ResultCache(
                 cache_dir or os.environ.get("REPRO_CACHE_DIR",
@@ -390,11 +404,9 @@ class ExperimentRunner:
         self._checkpoints = _MemoCheckpointStore(
             CheckpointStore(self.cache.directory / "checkpoints")
             if self.cache else None)
-        #: Injection points for failure testing: the per-cell worker
-        #: function (must stay picklable) and the pool constructor.
+        #: Injection point for failure testing: the per-cell worker
+        #: function (must stay picklable for ``jobs > 1``).
         self._cell_fn = _simulate_cell
-        self._pool_factory = lambda workers: ProcessPoolExecutor(
-            max_workers=workers)
 
     # ------------------------------------------------------------ workloads
 
@@ -522,18 +534,17 @@ class ExperimentRunner:
     def run_suite(self, benchmarks: Iterable[str],
                   configs: Iterable[ProcessorConfig],
                   jobs: Optional[int] = None,
-                  cell_timeout: Optional[float] = None,
-                  max_retries: Optional[int] = None
+                  cell_timeout: Optional[float] = None
                   ) -> Dict[Tuple[str, str], SimResult]:
         """Run the full grid; keys are ``(benchmark, config.name)``.
 
         Cached cells are resolved up front; the remainder is simulated
-        serially (``jobs=1``) or farmed out to a fault-tolerant process
-        pool.  The returned grid is identical in all modes.  Cells that
-        exhaust their retry budget are *omitted* from the returned grid
-        and appear in :attr:`manifest` as structured failure entries
-        (``status`` failed/timeout, ``attempts``, ``error``) -- one
-        crashed or hung worker no longer discards every other cell.
+        in-process (``jobs=1``) or on a process pool.  The returned grid
+        is identical in all modes.  Cells that raise, time out, or die
+        with their worker are *omitted* from the returned grid and
+        appear in :attr:`manifest` as structured failure entries
+        (``status`` failed/timeout, ``error``) -- one bad cell never
+        discards every other cell.
 
         Duplicate configurations are deduplicated by cache key within
         the batch (each unique cell simulates once); reusing a
@@ -542,14 +553,11 @@ class ExperimentRunner:
         """
         benchmarks = list(benchmarks)
         configs = self._dedup_configs(configs)
-        jobs = self.jobs if jobs is None else jobs
+        jobs = self.jobs if jobs is None else check_jobs(jobs)
         cell_timeout = self.cell_timeout if cell_timeout is None \
-            else cell_timeout
-        max_retries = self.max_retries if max_retries is None \
-            else max_retries
+            else check_timeout(cell_timeout)
         results: Dict[Tuple[str, str], SimResult] = {}
         cells: Dict[str, _Cell] = {}
-        order: List[_Cell] = []
         for benchmark in benchmarks:
             for config in configs:
                 key = cache_key(benchmark, self.scale, config)
@@ -559,23 +567,15 @@ class ExperimentRunner:
                                  jobs=jobs)
                     results[(benchmark, config.name)] = \
                         self._rehydrate(config, payload)
-                    continue
-                cell = cells.get(key)
-                if cell is None:
-                    cells[key] = cell = _Cell(benchmark, config, key)
-                    order.append(cell)
-                else:
+                elif key in cells:
                     # identical payload under another display name:
                     # simulate once, record per alias
-                    cell.configs.append(config)
-
-        if not order:
-            return results
-        if len(order) <= 1 or jobs <= 1:
-            self._run_cells_serial(order, results, jobs, max_retries)
-            return results
-        self._run_cells_pool(order, results, jobs, cell_timeout,
-                             max_retries)
+                    cells[key].configs.append(config)
+                else:
+                    cells[key] = _Cell(benchmark, config, key)
+        if cells:
+            self._run_cells(list(cells.values()), results, jobs,
+                            cell_timeout)
         return results
 
     @staticmethod
@@ -600,202 +600,55 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------ execution
 
-    def _run_cells_serial(self, cells: List[_Cell],
-                          results: Dict[Tuple[str, str], SimResult],
-                          jobs: int, max_retries: int) -> None:
-        """In-process execution with the same retry/failure-record
-        semantics as the pool path (no timeout enforcement: a hang
-        cannot be reclaimed in-process, so cells that already timed out
-        in a worker are recorded as timeouts instead of re-run)."""
-        for cell in cells:
-            if cell.timeouts:
-                self._fail_cell(cell, STATUS_TIMEOUT, jobs)
-                continue
-            program = self.program(cell.benchmark)
-            trace = self.trace(cell.benchmark)
-            while True:
-                cell.attempts += 1
-                try:
-                    payload = self._cell_fn(program, trace, cell.primary)
-                except Exception as exc:  # noqa: BLE001 -- isolate cells
-                    cell.error = f"{type(exc).__name__}: {exc}"
-                    if cell.attempts > max_retries:
-                        self._fail_cell(cell, STATUS_FAILED, jobs)
-                        break
-                    self._sleep_backoff(cell.attempts)
-                else:
-                    self._finish_cell(cell, payload, results, jobs)
-                    break
-
-    def _run_cells_pool(self, cells: List[_Cell],
-                        results: Dict[Tuple[str, str], SimResult],
-                        jobs: int, cell_timeout: Optional[float],
-                        max_retries: int) -> None:
-        """Fault-tolerant ``submit``/``wait`` scheduler over a process
-        pool; degrades to :meth:`_run_cells_serial` when the pool
-        repeatedly fails without progress."""
-        workers = min(jobs, len(cells))
-        # Build every needed golden trace once, in the parent, before
-        # the pool forks, so workers inherit/receive them instead of
-        # re-interpreting the program per cell.
-        for cell in cells:
-            self.program(cell.benchmark)
-            self.trace(cell.benchmark)
-
-        queue: Deque[_Cell] = deque(cells)
-        # Cells re-run strictly solo: crash victims awaiting
-        # attribution and cells between retry attempts.
-        quarantine: Deque[_Cell] = deque()
-        inflight: Dict[object, Tuple[_Cell, Optional[float]]] = {}
-        pool: Optional[ProcessPoolExecutor] = None
-        rebuilds = 0  # consecutive pool deaths with no completed cell
-
-        def kill_pool() -> None:
-            """Tear down a poisoned pool (hung or crashed workers)."""
-            nonlocal pool
-            if pool is None:
-                return
-            procs = getattr(pool, "_processes", None) or {}
-            for proc in list(procs.values()):
-                try:
-                    proc.terminate()
-                except Exception:  # noqa: BLE001 -- already dying
-                    pass
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except TypeError:  # Python < 3.9 signature
-                pool.shutdown(wait=False)
-            pool = None
-
-        def recover_inflight() -> None:
-            """The pool died under these cells through no proven fault
-            of their own: refund the charged attempt and reschedule
-            solo so any repeat offender is unambiguous."""
-            for cell, _ in inflight.values():
-                cell.attempts -= 1
-                quarantine.append(cell)
-            inflight.clear()
-
-        def submit_one(cell: _Cell) -> bool:
-            nonlocal rebuilds
-            try:
-                fut = pool.submit(self._cell_fn,
-                                  self._programs[cell.benchmark],
-                                  self._traces[cell.benchmark],
-                                  cell.primary)
-            except Exception:  # noqa: BLE001 -- pool already broken
-                quarantine.appendleft(cell)
-                recover_inflight()
-                kill_pool()
-                rebuilds += 1
-                return False
-            cell.attempts += 1
-            deadline = (time.monotonic() + cell_timeout) \
-                if cell_timeout else None
-            inflight[fut] = (cell, deadline)
-            return True
-
-        def retry_or_fail(cell: _Cell, status: str) -> None:
-            if cell.attempts > max_retries:
-                self._fail_cell(cell, status, jobs)
-            else:
-                self._sleep_backoff(cell.attempts)
-                quarantine.append(cell)
-
+    def _run_cells(self, cells: List[_Cell],
+                   results: Dict[Tuple[str, str], SimResult],
+                   jobs: int, timeout: Optional[float]) -> None:
+        """Simulate every uncached cell -- in-process when ``jobs <= 1``
+        or there is only one cell, otherwise on a process pool --
+        recording (and caching) each one as it finishes."""
+        in_process = jobs <= 1 or len(cells) == 1
+        if in_process and timeout is not None and \
+                threading.current_thread() is not threading.main_thread():
+            raise ValueError(
+                "cell_timeout uses SIGALRM, which only the main thread "
+                "can handle; run in-process cells from the main thread "
+                "or drop the timeout")
+        # Golden traces are built once, in the parent, so pool workers
+        # receive them instead of re-interpreting the program per cell.
+        work = [(cell, functools.partial(
+            _run_cell, self._cell_fn, self.program(cell.benchmark),
+            self.trace(cell.benchmark), cell.primary, timeout))
+            for cell in cells]
+        if in_process:
+            for cell, run in work:
+                self._settle(cell, run, results, jobs)
+            return
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)))
         try:
-            while queue or quarantine or inflight:
-                if pool is None:
-                    if rebuilds > self.max_pool_rebuilds:
-                        raise _PoolUnusable()
-                    try:
-                        pool = self._pool_factory(workers)
-                    except Exception:  # noqa: BLE001 -- env failure
-                        rebuilds += 1
-                        self._sleep_backoff(rebuilds)
-                        continue
-                submitted = True
-                if quarantine:
-                    if not inflight:
-                        submitted = submit_one(quarantine.popleft())
-                else:
-                    while submitted and queue and len(inflight) < workers:
-                        submitted = submit_one(queue.popleft())
-                if not submitted or not inflight:
-                    continue
-
-                timeout = None
-                deadlines = [dl for _, dl in inflight.values()
-                             if dl is not None]
-                if deadlines:
-                    timeout = max(0.0, min(deadlines) - time.monotonic())
-                done, _ = wait(list(inflight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-
-                if not done:
-                    # A deadline elapsed with the worker still running.
-                    now = time.monotonic()
-                    overdue = [fut for fut, (_, dl) in inflight.items()
-                               if dl is not None and now >= dl]
-                    if not overdue:
-                        continue
-                    for fut in overdue:
-                        cell, _ = inflight.pop(fut)
-                        cell.timeouts += 1
-                        cell.error = (f"cell exceeded the "
-                                      f"{cell_timeout:g}s timeout "
-                                      f"(attempt {cell.attempts})")
-                        retry_or_fail(cell, STATUS_TIMEOUT)
-                    # The hung worker cannot be reclaimed: tear the
-                    # pool down and recover the innocent cells.
-                    recover_inflight()
-                    kill_pool()
-                    rebuilds += 1
-                    continue
-
-                crashed: List[_Cell] = []
-                for fut in done:
-                    cell, _ = inflight.pop(fut)
-                    try:
-                        payload = fut.result()
-                    except BrokenProcessPool:
-                        crashed.append(cell)
-                    except Exception as exc:  # noqa: BLE001
-                        cell.error = f"{type(exc).__name__}: {exc}"
-                        retry_or_fail(cell, STATUS_FAILED)
-                    else:
-                        self._finish_cell(cell, payload, results, jobs)
-                        rebuilds = 0
-                if crashed:
-                    if len(crashed) == 1 and not inflight:
-                        # Sole running cell: the crash is its.
-                        cell = crashed[0]
-                        cell.error = _CRASH_ERROR
-                        retry_or_fail(cell, STATUS_FAILED)
-                    else:
-                        # Ambiguous: nobody is charged; every victim
-                        # re-runs solo so a crasher convicts itself.
-                        for cell in crashed:
-                            cell.attempts -= 1
-                            quarantine.append(cell)
-                    recover_inflight()
-                    kill_pool()
-                    rebuilds += 1
-        except _PoolUnusable:
-            remaining = list(queue) + list(quarantine) + \
-                [cell for cell, _ in inflight.values()]
-            inflight.clear()
-            self._run_cells_serial(remaining, results, jobs, max_retries)
-        finally:
-            if pool is not None:
+            pending = {}
+            for cell, run in work:
                 try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except TypeError:
-                    pool.shutdown(wait=False)
+                    pending[pool.submit(run)] = cell
+                except BrokenProcessPool as exc:
+                    # A worker died while cells were still being queued.
+                    self._fail_cell(cell, exc, jobs)
+            for future in as_completed(pending):
+                self._settle(pending[future], future.result, results,
+                             jobs)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
-    def _sleep_backoff(self, attempt: int) -> None:
-        delay = self.retry_backoff * (2 ** (attempt - 1))
-        if delay > 0:
-            time.sleep(min(delay, 4.0))
+    def _settle(self, cell: _Cell, outcome: Callable[[], dict],
+                results: Dict[Tuple[str, str], SimResult],
+                jobs: int) -> None:
+        """Record one cell from ``outcome()``: its payload, or whatever
+        it raised as a failure entry."""
+        try:
+            payload = outcome()
+        except Exception as exc:  # noqa: BLE001 -- isolate cells
+            self._fail_cell(cell, exc, jobs)
+        else:
+            self._finish_cell(cell, payload, results, jobs)
 
     # ------------------------------------------------------------ manifest
 
@@ -841,31 +694,32 @@ class ExperimentRunner:
     def _finish_cell(self, cell: _Cell, payload: dict,
                      results: Dict[Tuple[str, str], SimResult],
                      jobs: int) -> None:
-        """Checkpoint one completed cell immediately: persist to cache,
-        then record/rehydrate every (benchmark, config) alias."""
+        """Persist one completed cell to the cache, then record and
+        rehydrate every (benchmark, config) alias."""
         if self.cache:
             self.cache.store(cell.key, payload)
         for config in cell.configs:
             self._record(cell.benchmark, config, payload, cell.key, False,
-                         jobs=jobs, attempts=max(cell.attempts, 1))
+                         jobs=jobs)
             results[(cell.benchmark, config.name)] = \
                 self._rehydrate(config, payload)
 
-    def _fail_cell(self, cell: _Cell, status: str, jobs: int) -> None:
+    def _fail_cell(self, cell: _Cell, exc: Exception, jobs: int) -> None:
         """Record a structured failure entry for every alias of a cell
-        that exhausted its retry budget."""
+        that raised, timed out, or lost its worker."""
+        status = STATUS_TIMEOUT if isinstance(exc, CellTimeout) \
+            else STATUS_FAILED
+        error = f"{type(exc).__name__}: {exc}"
         for config in cell.configs:
             record = RunRecord.failure(
                 benchmark=cell.benchmark, config_name=config.name,
                 config=config.to_dict(), scale=self.scale, key=cell.key,
-                status=status, attempts=max(cell.attempts, 1),
-                error=cell.error,
+                status=status, attempts=1, error=error,
                 engine=self._engine_provenance(jobs))
             self.manifest.append(record.to_dict())
             if self.verbose:
                 print(f"  {cell.benchmark:<10s} {config.name:<28s} "
-                      f"{status.upper()} after {record.attempts} "
-                      f"attempt(s): {cell.error}")
+                      f"{status.upper()}: {error}")
 
     def _rehydrate(self, config: ProcessorConfig,
                    payload: dict) -> SimResult:
@@ -879,8 +733,8 @@ class ExperimentRunner:
 
     def _record(self, benchmark: str, config,
                 payload: dict, key: str, hit: bool,
-                jobs: Optional[int] = None, attempts: int = 1,
-                cores: int = 1, sampling: Optional[dict] = None) -> None:
+                jobs: Optional[int] = None, cores: int = 1,
+                sampling: Optional[dict] = None) -> None:
         cycles = payload["cycles"]
         instructions = payload["instructions"]
         if sampling is not None:
@@ -904,7 +758,6 @@ class ExperimentRunner:
             cache_hit=hit,
             engine=self._engine_provenance(jobs),
             status=STATUS_OK,
-            attempts=attempts,
             cores=cores,
             sampling=sampling)
         entry = record.to_dict()

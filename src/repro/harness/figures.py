@@ -80,8 +80,7 @@ def manifest_table(runner: ExperimentRunner) -> str:
              f"{'cycles':>10}  {'wall(s)':>8}  cache"]
     for entry in runner.manifest:
         if entry["status"] != "ok":
-            origin = (f"{entry['status'].upper()} "
-                      f"(x{entry['attempts']})")
+            origin = entry["status"].upper()
         else:
             origin = "hit" if entry["cache_hit"] else "miss"
         lines.append(

@@ -27,9 +27,10 @@ import json
 from typing import Dict, List, Optional
 
 #: Bump on any incompatible change to the record shape (see module doc).
-#: v2 added the fault-tolerance fields ``status``/``attempts``/``error``
-#: so the experiment engine can record failed and timed-out grid cells
-#: structurally instead of raising away the whole sweep.
+#: v2 added the fields ``status``/``attempts``/``error`` so the
+#: experiment engine can record failed and timed-out grid cells
+#: structurally instead of raising away the whole sweep (``attempts``
+#: is always 1: cells are not retried).
 SCHEMA_VERSION = 2
 
 #: Multicore records (``cores > 1``) serialize under this version: they
@@ -53,9 +54,9 @@ KIND_FUZZ = "fuzz"
 #: (:meth:`repro.verify.litmus_oracle.LitmusReport.to_dict`).
 KIND_LITMUS = "litmus"
 
-#: ``status`` values: a cell that simulated successfully, one whose
-#: worker kept failing (exception or crash) past the retry budget, and
-#: one that exceeded the per-cell wall-clock timeout.
+#: ``status`` values: a cell that simulated successfully, one that
+#: raised or lost its worker process, and one that exceeded the
+#: per-cell wall-clock timeout.
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
@@ -299,7 +300,7 @@ class RunRecord:
     def __repr__(self) -> str:
         if self.status != STATUS_OK:
             return (f"RunRecord({self.benchmark} on {self.config_name}: "
-                    f"{self.status} after {self.attempts} attempt(s))")
+                    f"{self.status})")
         version = SCHEMA_VERSION_MULTICORE if self.cores > 1 \
             else SCHEMA_VERSION
         return (f"RunRecord({self.benchmark} on {self.config_name}: "

@@ -10,34 +10,21 @@ through the metric registry (:data:`repro.obs.metrics.METRICS`):
 * an *undeclared* metric name -- a typo'd counter string -- raises
   :class:`~repro.obs.metrics.UnknownMetricError` immediately, so report
   drift is caught by the test suite rather than shipped as empty rows.
-
-Passing a legacy :class:`~repro.pipeline.processor.SimResult` still
-works through a thin deprecation shim (it is wrapped with
-:meth:`RunRecord.from_sim_result` after a :class:`DeprecationWarning`).
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import List, Union
+from typing import List
 
 from ..obs.metrics import METRICS
 from ..obs.runrecord import RunRecord
 
 
-def _coerce(result: Union[RunRecord, object]) -> RunRecord:
-    if isinstance(result, RunRecord):
-        return result
-    warnings.warn(
-        "format_report(SimResult) is deprecated; pass a RunRecord "
-        "(e.g. from repro.api.simulate) instead",
-        DeprecationWarning, stacklevel=3)
-    return RunRecord.from_sim_result(result)
-
-
-def format_report(result: Union[RunRecord, object]) -> str:
+def format_report(record: RunRecord) -> str:
     """Render a run record as a sectioned text report."""
-    record = _coerce(result)
+    if not isinstance(record, RunRecord):
+        raise TypeError(f"format_report takes a RunRecord, got "
+                        f"{type(record).__name__}")
     metrics = record.counters
     lines: List[str] = []
 

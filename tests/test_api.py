@@ -1,4 +1,4 @@
-"""Tests for the stable public API facade and the deprecation shims."""
+"""Tests for the stable public API facade."""
 
 import warnings
 
@@ -90,31 +90,20 @@ class TestListings:
 
 
 class TestDeprecationShims:
-    """Old entry points keep working, but warn."""
-
-    def test_cli_configs_attribute_warns(self):
-        from repro import cli
-        with pytest.warns(DeprecationWarning, match="repro.api.CONFIGS"):
-            configs = cli.CONFIGS
-        assert configs is api.CONFIGS
-
-    def test_cli_figures_attribute_warns(self):
-        from repro import cli
-        with pytest.warns(DeprecationWarning, match="repro.api.FIGURES"):
-            figures = cli.FIGURES
-        assert figures is api.FIGURES
+    """The pre-API shims are gone: old entry points fail loudly, and
+    RunRecords render without warnings."""
 
     def test_cli_unknown_attribute_still_raises(self):
         from repro import cli
-        with pytest.raises(AttributeError):
-            cli.NO_SUCH_NAME
+        for name in ("CONFIGS", "FIGURES", "NO_SUCH_NAME"):
+            with pytest.raises(AttributeError):
+                getattr(cli, name)
 
-    def test_format_report_simresult_warns_and_renders(self):
+    def test_format_report_rejects_simresult(self):
         result = Processor(assemble(counted_loop_program),
                            baseline_sfc_mdt_config()).run()
-        with pytest.warns(DeprecationWarning, match="RunRecord"):
-            report = format_report(result)
-        assert "IPC" in report
+        with pytest.raises(TypeError, match="RunRecord"):
+            format_report(result)
 
     def test_format_report_runrecord_does_not_warn(self):
         record = api.simulate("gap", scale=1200, **quiet_runner_kwargs())

@@ -187,6 +187,12 @@ class TestErrorPaths:
         assert main(["fuzz", "--replay"]) == 2
         assert "--corpus" in capsys.readouterr().err
 
+    def test_bad_jobs_is_a_usage_error_on_run(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "gap", "--jobs", "-1"])
+        assert exit_info.value.code == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
 
 class TestSuiteCommand:
     """``repro suite``: the fault-tolerant, resumable grid runner."""
@@ -227,6 +233,39 @@ class TestSuiteCommand:
     def test_resume_rejects_no_cache(self, tmp_path, capsys):
         assert main(self.args(tmp_path, "--resume", "--no-cache")) == 2
         assert "--no-cache" in capsys.readouterr().err
+
+    def test_gc_cache_rejects_no_cache(self, tmp_path, capsys):
+        assert main(self.args(tmp_path, "--gc-cache", "--no-cache")) == 2
+        assert "--no-cache" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flags", [("--timeout", "-1"),
+                                       ("--timeout", "0"),
+                                       ("--timeout", "nan"),
+                                       ("--jobs", "0")],
+                             ids=["timeout-negative", "timeout-zero",
+                                  "timeout-nan", "jobs-zero"])
+    def test_bad_engine_settings_are_usage_errors(self, tmp_path, capsys,
+                                                  flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.args(tmp_path, *flags))
+        assert exit_info.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_failed_cell_listed_with_its_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        def boom(program, trace, config):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(
+            "repro.harness.experiment._simulate_cell", boom)
+        assert main(self.args(tmp_path)) == 1
+        out = capsys.readouterr().out
+        assert "failed: 4" in out
+        assert "gap/baseline-lsq" in out
+        assert ": failed: RuntimeError: injected" in out
+        assert "attempt" not in out
 
     def test_suite_json_envelope(self, tmp_path, capsys):
         assert main(self.args(tmp_path, "--format", "json")) == 0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -296,6 +297,53 @@ class TestEngineGrids:
         assert normalized(serial) == normalized(parallel) == \
             normalized(warm)
         assert all(e["status"] == "ok" for e in serial.manifest)
+
+
+class TestEngineSettings:
+    """Nonsensical engine settings fail loudly instead of being
+    silently ignored or misreported as per-cell timeouts."""
+
+    @pytest.mark.parametrize("timeout",
+                             [0, -1, float("nan"), float("inf")])
+    def test_bad_cell_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            ExperimentRunner(scale=SCALE, use_cache=False,
+                             cell_timeout=timeout)
+        runner = ExperimentRunner(scale=SCALE, use_cache=False)
+        with pytest.raises(ValueError, match="timeout"):
+            runner.run_suite(["gap"], configs(), cell_timeout=timeout)
+        assert not runner.manifest
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_bad_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            ExperimentRunner(scale=SCALE, use_cache=False, jobs=jobs)
+        runner = ExperimentRunner(scale=SCALE, use_cache=False)
+        with pytest.raises(ValueError, match="jobs"):
+            runner.run_suite(["gap"], configs(), jobs=jobs)
+        assert not runner.manifest
+
+    def test_timed_in_process_run_needs_main_thread(self):
+        """SIGALRM reaches only the main thread, so a timed in-process
+        run elsewhere is refused before any cell simulates."""
+        runner = ExperimentRunner(scale=SCALE, use_cache=False,
+                                  cell_timeout=5)
+        calls = []
+        runner._cell_fn = lambda *args: calls.append(args)
+        errors = []
+
+        def body():
+            try:
+                runner.run_suite(["gap"], configs(), jobs=1)
+            except ValueError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and "main thread" in str(errors[0])
+        assert not calls and not runner.manifest
 
 
 class TestBatchDedup:

@@ -1,15 +1,21 @@
-"""Failure-injection tests for the fault-tolerant experiment engine.
+"""Failure-injection tests for the experiment engine's per-cell failure
+records.
 
 Each test swaps the engine's per-cell worker function (``_cell_fn``)
 for a double that crashes, hangs, or raises on marked configurations,
-then proves the recovery path: every other cell still completes and
-checkpoints to the cache, exactly one structured failure entry lands in
-the manifest, and a resumed run simulates only the missing cell.
+then checks what the engine promises: the bad cell becomes one
+structured manifest entry and is never retried, every other cell still
+completes and is cached, and a resumed run simulates only the missing
+cells.  The in-process path (``jobs=1``) and the pool path (``jobs=2``)
+share each check that applies to both; a crash only applies to the
+pool, since it would take the test process down.
 
 The doubles live at module level so the process pool can pickle them;
-they dispatch on ``config.name`` prefixes.  The marked configs carry
-distinct parameter payloads (``rob_size``) so in-batch cache-key dedup
-does not merge a faulty cell with a healthy one.
+they dispatch on ``config.name`` prefixes and log every call (config
+name and pid) to the file named by ``REPRO_TEST_CALL_LOG``, which forked
+workers inherit.  The marked configs carry distinct parameter payloads
+(``rob_size``) so in-batch cache-key dedup does not merge a faulty cell
+with a healthy one.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from pathlib import Path
+from typing import List, Tuple
 
 import pytest
 
@@ -42,65 +48,48 @@ def cfg(name: str, rob: int):
     return config
 
 
+def _log_call(config) -> None:
+    with open(os.environ["REPRO_TEST_CALL_LOG"], "a") as log:
+        log.write(f"{config.name} {os.getpid()}\n")
+
+
 def _crash_on_marked(program, trace, config):
+    _log_call(config)
     if config.name.startswith("crash"):
         os._exit(23)
     return _simulate_cell(program, trace, config)
 
 
 def _hang_on_marked(program, trace, config):
+    _log_call(config)
     if config.name.startswith("hang"):
         time.sleep(60)
     return _simulate_cell(program, trace, config)
 
 
 def _raise_on_marked(program, trace, config):
+    _log_call(config)
     if config.name.startswith("boom"):
         raise RuntimeError("injected cell failure")
     return _simulate_cell(program, trace, config)
 
 
-def _raise_once_on_marked(program, trace, config):
-    """Raises on the marked cell's first attempt only: the sentinel
-    file (path via environment, inherited by workers) records that the
-    first attempt happened."""
-    if config.name.startswith("flaky"):
-        sentinel = Path(os.environ["REPRO_TEST_FLAKY_SENTINEL"])
-        try:
-            fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass  # retry attempt: succeed normally
-        else:
-            os.close(fd)
-            raise RuntimeError("injected first-attempt failure")
-    return _simulate_cell(program, trace, config)
+@pytest.fixture(autouse=True)
+def call_log(tmp_path, monkeypatch):
+    path = tmp_path / "calls.log"
+    monkeypatch.setenv("REPRO_TEST_CALL_LOG", str(path))
+    return path
 
 
-def _chaos_on_marked(program, trace, config):
-    if config.name.startswith("crash"):
-        os._exit(23)
-    if config.name.startswith("boom"):
-        raise RuntimeError("injected cell failure")
-    if config.name.startswith("hang"):
-        time.sleep(60)
-    return _simulate_cell(program, trace, config)
-
-
-def _crash_once_on_marked(program, trace, config):
-    if config.name.startswith("flaky"):
-        sentinel = Path(os.environ["REPRO_TEST_FLAKY_SENTINEL"])
-        try:
-            fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        else:
-            os.close(fd)
-            os._exit(23)
-    return _simulate_cell(program, trace, config)
+def calls(call_log) -> List[Tuple[str, int]]:
+    """Every double call so far, as (config name, pid)."""
+    if not call_log.exists():
+        return []
+    return [(name, int(pid)) for name, pid in
+            (line.split() for line in call_log.read_text().splitlines())]
 
 
 def runner(tmp_path, **kwargs):
-    kwargs.setdefault("retry_backoff", 0.0)
     return ExperimentRunner(scale=SCALE, cache_dir=tmp_path / "cache",
                             **kwargs)
 
@@ -109,83 +98,95 @@ def failure_entries(engine):
     return [e for e in engine.manifest if e["status"] != "ok"]
 
 
+def check_raising_cell(tmp_path, call_log, jobs):
+    engine = runner(tmp_path)
+    engine._cell_fn = _raise_on_marked
+    results = engine.run_suite(
+        [BENCH], [cfg("boom", 64), cfg("ok1", 128)], jobs=jobs)
+    assert set(results) == {(BENCH, "ok1")}
+    (entry,) = failure_entries(engine)
+    assert entry["config_name"] == "boom"
+    assert entry["status"] == "failed"
+    assert entry["attempts"] == 1
+    assert entry["error"] == "RuntimeError: injected cell failure"
+    names = [name for name, _ in calls(call_log)]
+    assert names.count("boom") == 1, "a raising cell is never retried"
+
+
+def check_hung_cell(tmp_path, call_log, jobs):
+    engine = runner(tmp_path, cell_timeout=0.5)
+    engine._cell_fn = _hang_on_marked
+    configs = [cfg("ok1", 128), cfg("hang-me", 64), cfg("ok2", 96)]
+    started = time.monotonic()
+    results = engine.run_suite([BENCH], configs, jobs=jobs)
+    elapsed = time.monotonic() - started
+
+    assert set(results) == {(BENCH, "ok1"), (BENCH, "ok2")}
+    (entry,) = failure_entries(engine)
+    assert entry["config_name"] == "hang-me"
+    assert entry["status"] == "timeout"
+    assert entry["attempts"] == 1
+    assert "0.5s timeout" in entry["error"]
+    # The 60 s sleeper was interrupted, not waited out...
+    assert elapsed < 30
+    # ...inside its own process, which then ran on: no worker was
+    # killed and replaced.
+    assert len({pid for _, pid in calls(call_log)}) <= jobs
+
+
 @fork_only
 class TestCrashRecovery:
-    def test_crash_loses_only_the_crashing_cell(self, tmp_path):
-        engine = runner(tmp_path, max_retries=1)
+    GRID = (("ok1", 128), ("crash-me", 64), ("ok2", 96), ("ok3", 160))
+
+    def grid(self):
+        return [cfg(name, rob) for name, rob in self.GRID]
+
+    def test_crash_fails_every_unfinished_cell(self, tmp_path, call_log):
+        engine = runner(tmp_path)
         engine._cell_fn = _crash_on_marked
-        configs = [cfg("ok1", 128), cfg("crash-me", 64),
-                   cfg("ok2", 96), cfg("ok3", 160)]
-        results = engine.run_suite([BENCH], configs, jobs=2)
+        results = engine.run_suite([BENCH], self.grid(), jobs=2)
 
-        assert set(results) == {(BENCH, "ok1"), (BENCH, "ok2"),
-                                (BENCH, "ok3")}
         failures = failure_entries(engine)
-        assert len(failures) == 1
-        (entry,) = failures
-        assert entry["config_name"] == "crash-me"
-        assert entry["status"] == "failed"
-        assert entry["attempts"] == 2  # first try + one retry
-        assert "BrokenProcessPool" in entry["error"]
-        # The three healthy cells checkpointed to cache as they
-        # finished, despite the crash.
-        cache_files = list((tmp_path / "cache").glob("*.json"))
-        assert len(cache_files) == 3
+        assert "crash-me" in {e["config_name"] for e in failures}
+        for entry in failures:
+            assert entry["status"] == "failed"
+            assert entry["attempts"] == 1
+            assert "BrokenProcessPool" in entry["error"]
+        ok = [e for e in engine.manifest if e["status"] == "ok"]
+        assert len(ok) + len(failures) == len(self.GRID)
+        assert set(results) == {(BENCH, e["config_name"]) for e in ok}
+        # Cells that finished before the crash were cached as they
+        # finished; nothing else was.
+        cached = {path.stem for path in (tmp_path / "cache").glob("*.json")}
+        assert cached == {e["key"] for e in ok}
+        names = [name for name, _ in calls(call_log)]
+        assert names.count("crash-me") == 1
 
-    def test_resume_completes_only_the_missing_cell(self, tmp_path):
-        configs = [cfg("ok1", 128), cfg("crash-me", 64),
-                   cfg("ok2", 96), cfg("ok3", 160)]
-        crashed = runner(tmp_path, max_retries=0)
+    def test_resume_simulates_exactly_the_failed_cells(self, tmp_path):
+        crashed = runner(tmp_path)
         crashed._cell_fn = _crash_on_marked
-        crashed.run_suite([BENCH], configs, jobs=2)
-        assert len(failure_entries(crashed)) == 1
+        crashed.run_suite([BENCH], self.grid(), jobs=2)
+        failed = {e["config_name"] for e in failure_entries(crashed)}
 
         resumed = runner(tmp_path)  # healthy worker this time
-        results = resumed.run_suite([BENCH], configs, jobs=2)
-        assert len(results) == 4
-        assert resumed.cache_hits == 3, \
-            "completed cells must come back from the checkpoint cache"
-        assert resumed.cache_misses == 1, \
-            "only the previously crashed cell may re-simulate"
+        results = resumed.run_suite([BENCH], self.grid(), jobs=2)
+        assert len(results) == len(self.GRID)
         assert not failure_entries(resumed)
-
-    def test_crash_once_then_succeed_on_retry(self, tmp_path,
-                                              monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_FLAKY_SENTINEL",
-                           str(tmp_path / "sentinel"))
-        engine = runner(tmp_path, max_retries=2)
-        engine._cell_fn = _crash_once_on_marked
-        results = engine.run_suite(
-            [BENCH], [cfg("flaky", 64), cfg("ok1", 128)], jobs=2)
-        assert len(results) == 2
-        assert not failure_entries(engine)
-        assert all(e["status"] == "ok" for e in engine.manifest)
+        simulated = {e["config_name"] for e in resumed.manifest
+                     if not e["cache_hit"]}
+        assert simulated == failed
+        assert resumed.cache_hits == len(self.GRID) - len(failed)
 
 
 @fork_only
 class TestHangRecovery:
-    def test_hung_worker_times_out_and_grid_survives(self, tmp_path):
-        engine = runner(tmp_path, max_retries=0, cell_timeout=0.5)
-        engine._cell_fn = _hang_on_marked
-        configs = [cfg("ok1", 128), cfg("hang-me", 64), cfg("ok2", 96)]
-        started = time.monotonic()
-        results = engine.run_suite([BENCH], configs, jobs=2)
-        elapsed = time.monotonic() - started
-
-        assert set(results) == {(BENCH, "ok1"), (BENCH, "ok2")}
-        failures = failure_entries(engine)
-        assert len(failures) == 1
-        (entry,) = failures
-        assert entry["config_name"] == "hang-me"
-        assert entry["status"] == "timeout"
-        assert entry["attempts"] == 1
-        assert "timeout" in entry["error"]
-        # The 60s sleeper was reclaimed, not waited out.
-        assert elapsed < 30
+    def test_hung_worker_times_out_and_grid_survives(self, tmp_path,
+                                                     call_log):
+        check_hung_cell(tmp_path, call_log, jobs=2)
 
     def test_timeout_resume_completes_only_the_hung_cell(self, tmp_path):
         configs = [cfg("ok1", 128), cfg("hang-me", 64), cfg("ok2", 96)]
-        hung = runner(tmp_path, max_retries=0, cell_timeout=0.5)
+        hung = runner(tmp_path, cell_timeout=0.5)
         hung._cell_fn = _hang_on_marked
         hung.run_suite([BENCH], configs, jobs=2)
 
@@ -198,81 +199,20 @@ class TestHangRecovery:
 
 @fork_only
 class TestExceptionRetry:
-    def test_persistent_exception_becomes_failure_entry(self, tmp_path):
-        engine = runner(tmp_path, max_retries=2)
-        engine._cell_fn = _raise_on_marked
-        results = engine.run_suite(
-            [BENCH], [cfg("boom", 64), cfg("ok1", 128)], jobs=2)
-        assert set(results) == {(BENCH, "ok1")}
-        (entry,) = failure_entries(engine)
-        assert entry["status"] == "failed"
-        assert entry["attempts"] == 3  # first try + two retries
-        assert "RuntimeError: injected cell failure" in entry["error"]
+    """A raising cell is recorded once; exceptions are never retried,
+    because a deterministic cell that raised would raise again."""
 
-    def test_transient_exception_retries_to_success(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_FLAKY_SENTINEL",
-                           str(tmp_path / "sentinel"))
-        engine = runner(tmp_path, max_retries=2)
-        engine._cell_fn = _raise_once_on_marked
-        results = engine.run_suite(
-            [BENCH], [cfg("flaky", 64), cfg("ok1", 128)], jobs=2)
-        assert len(results) == 2
-        assert not failure_entries(engine)
-        by_name = {e["config_name"]: e for e in engine.manifest}
-        assert by_name["flaky"]["attempts"] == 2
-        assert by_name["ok1"]["attempts"] == 1
+    def test_persistent_exception_becomes_failure_entry(self, tmp_path,
+                                                        call_log):
+        check_raising_cell(tmp_path, call_log, jobs=2)
 
 
 class TestSerialPaths:
-    def test_serial_exception_is_recorded_not_raised(self, tmp_path):
-        engine = runner(tmp_path, max_retries=1)
-        engine._cell_fn = _raise_on_marked
-        results = engine.run_suite(
-            [BENCH], [cfg("boom", 64), cfg("ok1", 128)], jobs=1)
-        assert set(results) == {(BENCH, "ok1")}
-        (entry,) = failure_entries(engine)
-        assert entry["status"] == "failed"
-        assert entry["attempts"] == 2
+    """The in-process path (``jobs=1``) records the same entries."""
 
-    def test_unusable_pool_degrades_to_serial(self, tmp_path):
-        engine = runner(tmp_path, max_retries=0, max_pool_rebuilds=1)
+    def test_serial_exception_is_recorded_not_raised(self, tmp_path,
+                                                     call_log):
+        check_raising_cell(tmp_path, call_log, jobs=1)
 
-        def broken_factory(workers):
-            raise OSError("no processes available")
-
-        engine._pool_factory = broken_factory
-        configs = [cfg("ok1", 128), cfg("ok2", 64),
-                   cfg("ok3", 96), cfg("ok4", 160)]
-        results = engine.run_suite([BENCH], configs, jobs=4)
-        assert len(results) == 4, \
-            "serial degradation must complete the whole grid"
-        assert not failure_entries(engine)
-        assert all(e["engine"]["jobs"] == 4 for e in engine.manifest)
-
-
-@fork_only
-@pytest.mark.slow
-class TestFaultStress:
-    def test_mixed_fault_grid_converges(self, tmp_path):
-        """A grid mixing a crasher, a raiser, a hanger, and healthy
-        cells converges to N-3 results and 3 structured failures."""
-        engine = runner(tmp_path, max_retries=1, cell_timeout=1.0,
-                        max_pool_rebuilds=8)
-        engine._cell_fn = _chaos_on_marked
-        configs = [cfg("ok1", 128), cfg("crash-a", 64),
-                   cfg("boom-b", 96), cfg("hang-c", 160),
-                   cfg("ok2", 256), cfg("ok3", 48), cfg("ok4", 72)]
-        results = engine.run_suite([BENCH], configs, jobs=3)
-        assert set(results) == {(BENCH, n)
-                                for n in ("ok1", "ok2", "ok3", "ok4")}
-        failures = {e["config_name"]: e["status"]
-                    for e in failure_entries(engine)}
-        assert failures == {"crash-a": "failed", "boom-b": "failed",
-                            "hang-c": "timeout"}
-        # ...and a resumed healthy run completes exactly the missing 3.
-        resumed = runner(tmp_path)
-        resumed.run_suite([BENCH], configs, jobs=3)
-        assert resumed.cache_hits == 4
-        assert resumed.cache_misses == 3
-        assert not failure_entries(resumed)
+    def test_serial_hang_times_out(self, tmp_path, call_log):
+        check_hung_cell(tmp_path, call_log, jobs=1)
