@@ -38,9 +38,6 @@ Subcommands
     matrix, asserting identical final register/memory digests;
     ``--manifest FILE`` archives the per-cell RunRecords.  Exits
     nonzero on any nonconforming cell.
-``bench``
-    Measure simulator throughput (instructions/sec); ``--profile`` adds
-    the top-N hot functions from cProfile.
 ``fuzz``
     Differentially fuzz every memory subsystem against the in-order
     interpreter oracle (``--iterations``/``--seconds`` budgets,
@@ -54,8 +51,8 @@ Subcommands
 
 Every subcommand takes ``--format text|json`` and ``--out FILE``.  JSON
 output is the versioned results schema (schema_version |SCHEMA|): ``run``
-emits one :class:`~repro.obs.runrecord.RunRecord`; ``compare``,
-``figure``, and ``bench`` emit an envelope with the same
+emits one :class:`~repro.obs.runrecord.RunRecord`; ``list``,
+``compare``, ``figure``, and ``suite`` emit an envelope with the same
 ``schema_version`` field and a ``kind`` discriminator, carrying the
 underlying RunRecords where applicable.  ``--out`` writes the document
 to a file instead of stdout.
@@ -89,9 +86,10 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Optional
 
-from . import api, perf
+from . import api
 from .core import registry
-from .harness.experiment import ExperimentRunner, check_jobs, check_timeout
+from .harness.experiment import (ExperimentRunner, check_jobs,
+                                 check_scale, check_timeout)
 from .obs.runrecord import SCHEMA_VERSION
 from .stats.report import format_report
 from .workloads import (ALL_BENCHMARKS, RISCV_BENCHMARKS,
@@ -181,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "of a named benchmark")
     run.add_argument("--config", default="baseline-sfc-mdt",
                      choices=sorted(api.CONFIGS))
-    run.add_argument("--scale", type=int, default=20_000,
+    run.add_argument("--scale", type=_checked(int, check_scale),
+                     default=20_000,
                      help="dynamic instruction budget (default 20000)")
     run.add_argument("--cores", type=int, default=1, metavar="N",
                      help="simulate an N-core system (default 1: the "
@@ -230,14 +229,16 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--configs", nargs="+",
                          default=["baseline-lsq", "baseline-sfc-mdt"],
                          choices=sorted(api.CONFIGS))
-    compare.add_argument("--scale", type=int, default=20_000)
+    compare.add_argument("--scale", type=_checked(int, check_scale),
+                         default=20_000)
     _add_engine_flags(compare)
     _add_output_flags(compare)
 
     figure = sub.add_parser("figure",
                             help="regenerate a paper figure/table")
     figure.add_argument("name", choices=sorted(api.FIGURES))
-    figure.add_argument("--scale", type=int, default=8_000,
+    figure.add_argument("--scale", type=_checked(int, check_scale),
+                        default=8_000,
                         help="dynamic instruction budget per run "
                              "(default 8000; the archived results use "
                              "20000)")
@@ -260,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--configs", nargs="+",
                        default=sorted(api.CONFIGS),
                        choices=sorted(api.CONFIGS))
-    suite.add_argument("--scale", type=int, default=20_000,
+    suite.add_argument("--scale", type=_checked(int, check_scale),
+                       default=20_000,
                        help="dynamic instruction budget per cell "
                             "(default 20000)")
     suite.add_argument("--manifest", default="suite_manifest.json",
@@ -282,25 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "entries and stale temp files first")
     _add_engine_flags(suite)
     _add_output_flags(suite)
-
-    bench = sub.add_parser(
-        "bench", help="measure simulator throughput (insts/sec)")
-    bench.add_argument("--benchmarks", nargs="+",
-                       default=sorted(ALL_BENCHMARKS),
-                       choices=sorted(ALL_BENCHMARKS))
-    bench.add_argument("--configs", nargs="+",
-                       default=["baseline-lsq", "baseline-sfc-mdt"],
-                       choices=sorted(api.CONFIGS))
-    bench.add_argument("--scale", type=int, default=4_000,
-                       help="dynamic instruction budget per cell "
-                            "(default 4000)")
-    bench.add_argument("--profile", action="store_true",
-                       help="also run the grid under cProfile and show "
-                            "the hottest functions")
-    bench.add_argument("--top", type=int, default=15,
-                       help="hot functions to show with --profile "
-                            "(default 15)")
-    _add_output_flags(bench)
 
     fuzz = sub.add_parser(
         "fuzz", help="differentially fuzz the memory subsystems "
@@ -679,34 +662,6 @@ def _cmd_suite(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench(args) -> int:
-    configs = [api.CONFIGS[name]() for name in args.configs]
-    report = perf.measure_throughput(args.benchmarks, configs,
-                                     scale=args.scale)
-    if args.format == "json":
-        _emit(_envelope(
-            "bench", scale=args.scale,
-            samples=[{"benchmark": s.benchmark,
-                      "config_name": s.config_name,
-                      "instructions": s.instructions,
-                      "cycles": s.cycles,
-                      "wall_seconds": s.wall_seconds,
-                      "insts_per_sec": s.insts_per_sec}
-                     for s in report.samples],
-            total_instructions=report.total_instructions,
-            total_wall_seconds=report.total_wall_seconds,
-            insts_per_sec=report.insts_per_sec,
-            manifest_digest=report.manifest_digest), args)
-        return 0
-    text = report.format()
-    if args.profile:
-        profile = perf.profile_suite(args.benchmarks, configs,
-                                     scale=args.scale)
-        text += "\n\n" + profile.format(top_n=args.top)
-    _emit(text, args)
-    return 0
-
-
 def _cmd_conformance(args) -> int:
     report = api.run_riscv_conformance(suite=args.suite_name,
                                        configs=args.configs)
@@ -764,8 +719,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_figure(args)
         if args.command == "suite":
             return _cmd_suite(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "fuzz":
             return _cmd_fuzz(args)
         if args.command == "conformance":

@@ -341,6 +341,14 @@ def _run_cell(cell_fn: Callable[..., dict], program: Program,
         signal.signal(signal.SIGALRM, previous)
 
 
+def check_scale(scale: int) -> int:
+    """``scale`` if it is a usable instruction budget, else ``ValueError``
+    (the kernels would silently clamp a budget below 1)."""
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale!r}")
+    return scale
+
+
 def check_jobs(jobs: int) -> int:
     """``jobs`` if it is a usable worker count, else ``ValueError``."""
     if jobs < 1:
@@ -383,7 +391,7 @@ class ExperimentRunner:
                  cache_dir: Optional[Union[str, Path]] = None,
                  use_cache: bool = True,
                  cell_timeout: Optional[float] = None):
-        self.scale = scale
+        self.scale = check_scale(scale)
         self.verbose = verbose
         self.jobs = check_jobs(jobs if jobs is not None
                                 else (os.cpu_count() or 1))

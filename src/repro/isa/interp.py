@@ -493,12 +493,13 @@ class Interpreter:
         """The pre-predecode fast-forward loop: per-instruction fetch and
         dispatch over :class:`Instruction` objects.
 
-        Kept as the independent baseline for the bit-exactness gate
-        (``scripts/check_fastforward.py`` compares registers, memory
-        digest, retire count, and warm capsules against
-        :meth:`fast_forward`) and as the denominator for its speedup
-        measurement.  Architecturally identical to N x :meth:`step`:
-        in particular loads always perform the read, even into ``r0``.
+        Kept as the warm-state reference for ``tests/test_predecode.py``:
+        :meth:`step` trains no branch predictor or cache, so this loop
+        is the only independent check of the warm bpred/cache capsules
+        :meth:`fast_forward` exports (alongside registers, memory
+        digest, and retire count).  Architecturally identical to
+        N x :meth:`step`: in particular loads always perform the read,
+        even into ``r0``.
         """
         if self.halted or count <= 0:
             return 0

@@ -41,7 +41,7 @@ SCHEMA_VERSION = 2
 SCHEMA_VERSION_MULTICORE = 3
 
 #: ``kind`` discriminator for a single-cell record.  Multi-run CLI
-#: envelopes (compare/figure/bench/list) carry their own kinds but share
+#: envelopes (compare/figure/suite/list) carry their own kinds but share
 #: the ``schema_version`` field.
 KIND_RUN = "run"
 

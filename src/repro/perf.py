@@ -1,155 +1,24 @@
-"""Profiling and throughput instrumentation for the simulator.
+"""The bit-exactness gate: a digest over a runner's result manifest.
 
-The ROADMAP's north star is a simulator that "runs as fast as the
-hardware allows"; this module supplies the measurement half of that
-loop.  ``measure_throughput`` times each (benchmark, configuration)
-grid cell through the experiment engine and reports simulated
-instructions per wall-clock second; ``profile_suite`` wraps the same
-grid in ``cProfile`` and extracts the top-N hot functions.  Both drive
-the public ``repro bench [--profile]`` CLI subcommand.
-
-The companion correctness gate is ``manifest_digest``: a SHA-256 over
-the runner's canonical result manifest (config + cycles + IPC + every
-counter).  Two simulator builds that disagree on *any* architected
-outcome produce different digests, so an optimization pass is accepted
-only when the digest is unchanged while instructions/sec improves (see
-DESIGN.md, "Hot-path optimization methodology").
+``manifest_digest`` is a SHA-256 over the runner's canonical result
+manifest (config + cycles + IPC + every counter).  Two simulator builds
+that disagree on *any* architected outcome produce different digests,
+so an optimization pass is accepted only when the digest is unchanged
+(see DESIGN.md, "Hot-path optimization methodology").
+``scripts/check_digest.py`` pins it over the Figure 5/6 grids, and the
+end-to-end benchmark (``benchmarks/e2e``) checks every timed cell
+against it.
 """
 
 from __future__ import annotations
 
-import cProfile
 import hashlib
 import json
-import pstats
-import time
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-from .harness.experiment import ExperimentRunner
-from .pipeline.config import ProcessorConfig
+from typing import Iterable
 
 #: Manifest fields that must be bit-exact across optimization passes.
 _MANIFEST_FIELDS = ("benchmark", "config_name", "config", "scale",
                     "cycles", "instructions", "ipc", "counters")
-
-
-class ThroughputSample:
-    """Wall-clock timing of one simulated (benchmark, config) cell."""
-
-    __slots__ = ("benchmark", "config_name", "instructions", "cycles",
-                 "wall_seconds")
-
-    def __init__(self, benchmark: str, config_name: str, instructions: int,
-                 cycles: int, wall_seconds: float):
-        self.benchmark = benchmark
-        self.config_name = config_name
-        self.instructions = instructions
-        self.cycles = cycles
-        self.wall_seconds = wall_seconds
-
-    @property
-    def insts_per_sec(self) -> float:
-        return self.instructions / self.wall_seconds \
-            if self.wall_seconds else 0.0
-
-    def __repr__(self) -> str:
-        return (f"ThroughputSample({self.benchmark}/{self.config_name}: "
-                f"{self.insts_per_sec:.0f} insts/s)")
-
-
-class ThroughputReport:
-    """Aggregate of one timed sweep over a simulation grid.
-
-    ``cache_hits`` is the number of timed cells that were served from
-    the result cache and must always be zero: a cache lookup's wall
-    time is not simulation throughput (see ``measure_throughput``).
-    """
-
-    def __init__(self, samples: List[ThroughputSample], scale: int,
-                 manifest_digest: str, cache_hits: int = 0):
-        self.samples = samples
-        self.scale = scale
-        self.manifest_digest = manifest_digest
-        self.cache_hits = cache_hits
-
-    @property
-    def total_instructions(self) -> int:
-        return sum(s.instructions for s in self.samples)
-
-    @property
-    def total_wall_seconds(self) -> float:
-        return sum(s.wall_seconds for s in self.samples)
-
-    @property
-    def insts_per_sec(self) -> float:
-        wall = self.total_wall_seconds
-        return self.total_instructions / wall if wall else 0.0
-
-    @property
-    def usec_per_inst(self) -> float:
-        insts = self.total_instructions
-        return 1e6 * self.total_wall_seconds / insts if insts else 0.0
-
-    def format(self) -> str:
-        lines = [
-            f"{'benchmark':<10} {'configuration':<24} {'insts':>8} "
-            f"{'wall(s)':>8} {'insts/s':>9}",
-        ]
-        for s in self.samples:
-            lines.append(
-                f"{s.benchmark:<10} {s.config_name:<24} "
-                f"{s.instructions:>8d} {s.wall_seconds:>8.3f} "
-                f"{s.insts_per_sec:>9.0f}")
-        lines += [
-            "",
-            f"total: {self.total_instructions} simulated insts in "
-            f"{self.total_wall_seconds:.3f}s = "
-            f"{self.insts_per_sec:.0f} insts/s "
-            f"({self.usec_per_inst:.2f} us/inst)",
-            f"manifest sha256: {self.manifest_digest}",
-        ]
-        return "\n".join(lines)
-
-
-class HotFunction:
-    """One row of a profile: a function and its aggregate costs."""
-
-    __slots__ = ("name", "ncalls", "tottime", "cumtime")
-
-    def __init__(self, name: str, ncalls: int, tottime: float,
-                 cumtime: float):
-        self.name = name
-        self.ncalls = ncalls
-        self.tottime = tottime
-        self.cumtime = cumtime
-
-
-class ProfileReport:
-    """cProfile summary of one simulation sweep."""
-
-    def __init__(self, functions: List[HotFunction], total_seconds: float,
-                 total_instructions: int):
-        self.functions = functions
-        self.total_seconds = total_seconds
-        self.total_instructions = total_instructions
-
-    def top(self, n: int) -> List[HotFunction]:
-        return self.functions[:n]
-
-    def format(self, top_n: int = 15) -> str:
-        insts = self.total_instructions
-        usec = 1e6 * self.total_seconds / insts if insts else 0.0
-        lines = [
-            f"profiled {insts} simulated insts in "
-            f"{self.total_seconds:.3f}s ({usec:.2f} us/inst under "
-            f"cProfile)",
-            "",
-            f"{'ncalls':>9} {'tottime':>8} {'cumtime':>8}  function",
-        ]
-        for fn in self.top(top_n):
-            lines.append(f"{fn.ncalls:>9d} {fn.tottime:>8.3f} "
-                         f"{fn.cumtime:>8.3f}  {fn.name}")
-        return "\n".join(lines)
 
 
 def manifest_digest(manifest: Iterable[dict]) -> str:
@@ -165,331 +34,3 @@ def manifest_digest(manifest: Iterable[dict]) -> str:
     ]
     text = json.dumps(canonical, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _grid(benchmarks: Sequence[str],
-          configs: Sequence[ProcessorConfig]) -> List[Tuple[str,
-                                                            ProcessorConfig]]:
-    return [(b, c) for b in benchmarks for c in configs]
-
-
-def measure_throughput(benchmarks: Sequence[str],
-                       configs: Sequence[ProcessorConfig],
-                       scale: int = 4000,
-                       runner: Optional[ExperimentRunner] = None
-                       ) -> ThroughputReport:
-    """Time every grid cell, single-process and always cache-bypassed.
-
-    Caching and worker pools are disabled by default so the numbers
-    measure the simulator itself, not the engine's memoization.  When a
-    caller supplies its own cache-enabled runner, the cache is bypassed
-    for the duration of the timed loop (and restored afterwards): a
-    cell served from ``.repro_cache/`` would otherwise report the wall
-    time of a JSON read as simulated instructions per second.  The
-    report asserts that zero timed cells were cache hits.
-    """
-    if runner is None:
-        runner = ExperimentRunner(scale=scale, jobs=1, use_cache=False)
-    samples = []
-    manifest_start = len(runner.manifest)
-    saved_cache = runner.cache
-    runner.cache = None
-    try:
-        for benchmark, config in _grid(benchmarks, configs):
-            start = time.perf_counter()
-            result = runner.run(benchmark, config)
-            wall = time.perf_counter() - start
-            samples.append(ThroughputSample(
-                benchmark, config.name, result.instructions,
-                result.cycles, wall))
-    finally:
-        runner.cache = saved_cache
-    timed = runner.manifest[manifest_start:]
-    cache_hits = sum(1 for entry in timed if entry["cache_hit"])
-    assert cache_hits == 0, (
-        f"{cache_hits} timed cell(s) were served from the result "
-        f"cache; throughput numbers would measure cache lookups")
-    return ThroughputReport(samples, runner.scale,
-                            manifest_digest(runner.manifest),
-                            cache_hits=cache_hits)
-
-
-class SamplingSample:
-    """Sampled-vs-full comparison of one (benchmark, config) cell."""
-
-    __slots__ = ("benchmark", "config_name", "total_instructions",
-                 "full_ipc", "full_wall", "sampled_ipc", "sampled_ci",
-                 "sampled_wall", "intervals")
-
-    def __init__(self, benchmark: str, config_name: str,
-                 total_instructions: int, full_ipc: float,
-                 full_wall: float, sampled_ipc: float, sampled_ci: float,
-                 sampled_wall: float, intervals: int):
-        self.benchmark = benchmark
-        self.config_name = config_name
-        self.total_instructions = total_instructions
-        self.full_ipc = full_ipc
-        self.full_wall = full_wall
-        self.sampled_ipc = sampled_ipc
-        self.sampled_ci = sampled_ci
-        self.sampled_wall = sampled_wall
-        self.intervals = intervals
-
-    @property
-    def speedup(self) -> float:
-        return self.full_wall / self.sampled_wall \
-            if self.sampled_wall else 0.0
-
-    @property
-    def ipc_error(self) -> float:
-        return abs(self.sampled_ipc - self.full_ipc)
-
-    @property
-    def within_ci(self) -> bool:
-        """True iff the full-run IPC lies inside the sampled CI."""
-        return self.ipc_error <= self.sampled_ci
-
-
-class SamplingReport:
-    """Aggregate of one sampled-vs-full validation sweep."""
-
-    def __init__(self, samples: List[SamplingSample], scale: int,
-                 warmup_insts: int, interval_insts: int):
-        self.samples = samples
-        self.scale = scale
-        self.warmup_insts = warmup_insts
-        self.interval_insts = interval_insts
-
-    @property
-    def all_within_ci(self) -> bool:
-        return all(s.within_ci for s in self.samples)
-
-    @property
-    def min_speedup(self) -> float:
-        return min((s.speedup for s in self.samples), default=0.0)
-
-    def format(self) -> str:
-        lines = [
-            f"{'benchmark':<10} {'insts':>9} {'full IPC':>8} "
-            f"{'sampled':>8} {'+/-CI':>7} {'err':>7} {'K':>3} "
-            f"{'full(s)':>8} {'smpl(s)':>8} {'speedup':>8} {'ok':>3}",
-        ]
-        for s in self.samples:
-            lines.append(
-                f"{s.benchmark:<10} {s.total_instructions:>9d} "
-                f"{s.full_ipc:>8.4f} {s.sampled_ipc:>8.4f} "
-                f"{s.sampled_ci:>7.4f} {s.ipc_error:>7.4f} "
-                f"{s.intervals:>3d} {s.full_wall:>8.2f} "
-                f"{s.sampled_wall:>8.2f} {s.speedup:>7.1f}x "
-                f"{'ok' if s.within_ci else 'MISS':>4}")
-        lines += [
-            "",
-            f"warm-up {self.warmup_insts} + interval "
-            f"{self.interval_insts} insts per window; min speedup "
-            f"{self.min_speedup:.1f}x; "
-            f"{'every' if self.all_within_ci else 'NOT every'} sampled "
-            f"IPC within its reported CI of the full-run value",
-        ]
-        return "\n".join(lines)
-
-
-def measure_sampling(benchmarks: Sequence[str], config: ProcessorConfig,
-                     scale: int, intervals: int = 10,
-                     warmup_insts: int = 1_000,
-                     interval_insts: int = 5_000) -> SamplingReport:
-    """Validate sampled mode against full detailed simulation.
-
-    For each benchmark at ``scale``, runs the full detailed simulation
-    and a sampled run (both timed, both uncached so wall times measure
-    simulation), and reports per-benchmark speedup plus whether the
-    sampled IPC's confidence interval covers the full-run IPC.
-    """
-    runner = ExperimentRunner(scale=scale, jobs=1, use_cache=False)
-    samples = []
-    for benchmark in benchmarks:
-        start = time.perf_counter()
-        sampled = runner.run_sampled(
-            benchmark, config, intervals=intervals,
-            warmup_insts=warmup_insts, interval_insts=interval_insts)
-        sampled_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        full = runner.run(benchmark, config)
-        full_wall = time.perf_counter() - start
-        info = sampled.sampling or {}
-        samples.append(SamplingSample(
-            benchmark, config.name,
-            total_instructions=info.get("total_instructions",
-                                        full.instructions),
-            full_ipc=full.ipc, full_wall=full_wall,
-            sampled_ipc=sampled.ipc,
-            sampled_ci=info.get("ipc_ci95", 0.0),
-            sampled_wall=sampled_wall,
-            intervals=len(info.get("intervals", []))))
-    return SamplingReport(samples, scale, warmup_insts, interval_insts)
-
-
-class FastForwardSample:
-    """Timing of one benchmark through both fast-forward engines."""
-
-    __slots__ = ("benchmark", "warm", "instructions", "reference_wall",
-                 "engine_wall", "bit_exact")
-
-    def __init__(self, benchmark: str, warm: bool, instructions: int,
-                 reference_wall: float, engine_wall: float,
-                 bit_exact: bool):
-        self.benchmark = benchmark
-        self.warm = warm
-        self.instructions = instructions
-        self.reference_wall = reference_wall
-        self.engine_wall = engine_wall
-        self.bit_exact = bit_exact
-
-    @property
-    def speedup(self) -> float:
-        return self.reference_wall / self.engine_wall \
-            if self.engine_wall else 0.0
-
-    @property
-    def engine_insts_per_sec(self) -> float:
-        return self.instructions / self.engine_wall \
-            if self.engine_wall else 0.0
-
-    @property
-    def reference_insts_per_sec(self) -> float:
-        return self.instructions / self.reference_wall \
-            if self.reference_wall else 0.0
-
-
-class FastForwardReport:
-    """Aggregate of one batch-engine-vs-reference validation sweep."""
-
-    def __init__(self, samples: List[FastForwardSample], scale: int):
-        self.samples = samples
-        self.scale = scale
-
-    @property
-    def all_bit_exact(self) -> bool:
-        return all(s.bit_exact for s in self.samples)
-
-    @property
-    def min_speedup(self) -> float:
-        return min((s.speedup for s in self.samples), default=0.0)
-
-    def format(self) -> str:
-        lines = [
-            f"{'benchmark':<10} {'warm':>5} {'insts':>9} {'ref(s)':>8} "
-            f"{'eng(s)':>8} {'ref Ki/s':>9} {'eng Ki/s':>9} "
-            f"{'speedup':>8} {'exact':>5}",
-        ]
-        for s in self.samples:
-            lines.append(
-                f"{s.benchmark:<10} {'yes' if s.warm else 'no':>5} "
-                f"{s.instructions:>9d} {s.reference_wall:>8.3f} "
-                f"{s.engine_wall:>8.3f} "
-                f"{s.reference_insts_per_sec / 1e3:>9.0f} "
-                f"{s.engine_insts_per_sec / 1e3:>9.0f} "
-                f"{s.speedup:>7.1f}x "
-                f"{'ok' if s.bit_exact else 'DIFF':>5}")
-        lines += [
-            "",
-            f"min speedup {self.min_speedup:.1f}x; "
-            f"{'every' if self.all_bit_exact else 'NOT every'} cell "
-            f"bit-exact vs the per-instruction reference engine",
-        ]
-        return "\n".join(lines)
-
-
-def _fastforward_state(interp, bpred, hierarchy) -> tuple:
-    """Full architected + warm state of one fast-forward pass."""
-    return (list(interp.regs), interp.pc, interp.instructions_retired,
-            interp.halted, interp.memory.digest(),
-            bpred.export_state() if bpred is not None else None,
-            hierarchy.export_state() if hierarchy is not None else None)
-
-
-def measure_fastforward(benchmarks: Sequence[str], scale: int,
-                        count: Optional[int] = None,
-                        warm_modes: Sequence[bool] = (False, True),
-                        limit: int = 5_000_000) -> FastForwardReport:
-    """Validate the batch-dispatch fast-forward engine for speed and
-    bit-exactness.
-
-    For each benchmark at ``scale`` and each warm mode, runs ``count``
-    instructions (default: to the halt, capped at ``limit``) through
-    the per-instruction reference engine and the predecoded
-    batch-dispatch engine, timing both, and compares the complete final
-    state -- registers, pc, retire count, memory digest, and the warm
-    bpred/cache capsules.  Predecode is primed outside the timed
-    region: it is a one-time, content-cached cost shared by every
-    engine over the program's lifetime.
-    """
-    from .branch.gshare import GsharePredictor
-    from .isa.interp import Interpreter
-    from .memory.cache import paper_hierarchy
-    from .workloads import suites
-
-    budget = limit if count is None else count
-    samples = []
-    for benchmark in benchmarks:
-        program = suites.build(benchmark, scale)
-        program.predecoded()
-        for warm in warm_modes:
-            reference = Interpreter(program)
-            r_bpred = GsharePredictor() if warm else None
-            r_hier = paper_hierarchy() if warm else None
-            start = time.perf_counter()
-            r_executed = reference.fast_forward_reference(
-                budget, r_bpred, r_hier)
-            reference_wall = time.perf_counter() - start
-
-            engine = Interpreter(program)
-            e_bpred = GsharePredictor() if warm else None
-            e_hier = paper_hierarchy() if warm else None
-            start = time.perf_counter()
-            e_executed = engine.fast_forward(budget, e_bpred, e_hier)
-            engine_wall = time.perf_counter() - start
-
-            bit_exact = (
-                e_executed == r_executed
-                and _fastforward_state(engine, e_bpred, e_hier)
-                == _fastforward_state(reference, r_bpred, r_hier))
-            samples.append(FastForwardSample(
-                benchmark, warm, e_executed,
-                reference_wall, engine_wall, bit_exact))
-    return FastForwardReport(samples, scale)
-
-
-def profile_suite(benchmarks: Sequence[str],
-                  configs: Sequence[ProcessorConfig],
-                  scale: int = 4000,
-                  runner: Optional[ExperimentRunner] = None
-                  ) -> ProfileReport:
-    """Run the grid under cProfile and rank functions by cumulative time."""
-    if runner is None:
-        runner = ExperimentRunner(scale=scale, jobs=1, use_cache=False)
-    cells = _grid(benchmarks, configs)
-    profile = cProfile.Profile()
-    # Same cache bypass as measure_throughput: profiling a JSON read
-    # says nothing about the simulator's hot functions.
-    saved_cache = runner.cache
-    runner.cache = None
-    start = time.perf_counter()
-    profile.enable()
-    try:
-        results = [runner.run(benchmark, config)
-                   for benchmark, config in cells]
-    finally:
-        profile.disable()
-        runner.cache = saved_cache
-    total_seconds = time.perf_counter() - start
-    total_instructions = sum(r.instructions for r in results)
-
-    stats = pstats.Stats(profile)
-    functions = []
-    for (filename, lineno, funcname), (_, ncalls, tottime, cumtime, _) \
-            in stats.stats.items():  # type: ignore[attr-defined]
-        short = filename.rsplit("/", 1)[-1]
-        functions.append(HotFunction(
-            f"{short}:{lineno}({funcname})", ncalls, tottime, cumtime))
-    functions.sort(key=lambda fn: fn.cumtime, reverse=True)
-    return ProfileReport(functions, total_seconds, total_instructions)

@@ -193,6 +193,16 @@ class TestErrorPaths:
         assert exit_info.value.code == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["0", "-5"])
+    def test_bad_scale_is_a_usage_error_on_run(self, tmp_path, capsys,
+                                               scale):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "gzip", "--scale", scale,
+                  "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "scale must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestSuiteCommand:
     """``repro suite``: the fault-tolerant, resumable grid runner."""
@@ -242,9 +252,12 @@ class TestSuiteCommand:
     @pytest.mark.parametrize("flags", [("--timeout", "-1"),
                                        ("--timeout", "0"),
                                        ("--timeout", "nan"),
-                                       ("--jobs", "0")],
+                                       ("--jobs", "0"),
+                                       ("--scale", "0"),
+                                       ("--scale", "-5")],
                              ids=["timeout-negative", "timeout-zero",
-                                  "timeout-nan", "jobs-zero"])
+                                  "timeout-nan", "jobs-zero",
+                                  "scale-zero", "scale-negative"])
     def test_bad_engine_settings_are_usage_errors(self, tmp_path, capsys,
                                                   flags):
         with pytest.raises(SystemExit) as exit_info:

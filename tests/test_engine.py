@@ -314,6 +314,13 @@ class TestEngineSettings:
             runner.run_suite(["gap"], configs(), cell_timeout=timeout)
         assert not runner.manifest
 
+    @pytest.mark.parametrize("scale", [0, -5])
+    def test_bad_scale_rejected(self, scale):
+        """The kernels clamp their loop counts to >= 1, so a budget
+        below 1 would silently simulate a degenerate program."""
+        with pytest.raises(ValueError, match="scale"):
+            ExperimentRunner(scale=scale, use_cache=False)
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_bad_jobs_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs"):

@@ -278,18 +278,24 @@ class TestBlockDispatchEdges:
             (stepped.pc, stepped.regs, stepped.halted)
 
     def test_warm_capsule_identical_to_reference_on_kernels(self):
-        """Line-crossing-only I-cache touches leave the same tag state
-        as the reference's per-instruction touches."""
-        for name in ("gzip", "mcf"):
+        """On real kernels run to the halt, cold and warm, the engine
+        ends in the reference's full state; warm, its line-crossing-only
+        I-cache touches leave the same tag state as the reference's
+        per-instruction touches."""
+        for name in ("gzip", "mcf", "equake"):
             program = build(name, scale=3_000)
-            engine = Interpreter(program)
-            e_bpred, e_hier = GsharePredictor(), paper_hierarchy()
-            engine.fast_forward(50_000, e_bpred, e_hier)
-            reference = Interpreter(program)
-            r_bpred, r_hier = GsharePredictor(), paper_hierarchy()
-            reference.fast_forward_reference(50_000, r_bpred, r_hier)
-            assert _state(engine, e_bpred, e_hier) == \
-                _state(reference, r_bpred, r_hier), name
+            for warm in (False, True):
+                engine = Interpreter(program)
+                e_bpred = GsharePredictor() if warm else None
+                e_hier = paper_hierarchy() if warm else None
+                engine.fast_forward(50_000, e_bpred, e_hier)
+                reference = Interpreter(program)
+                r_bpred = GsharePredictor() if warm else None
+                r_hier = paper_hierarchy() if warm else None
+                reference.fast_forward_reference(50_000, r_bpred, r_hier)
+                assert engine.halted, name
+                assert _state(engine, e_bpred, e_hier) == \
+                    _state(reference, r_bpred, r_hier), (name, warm)
 
 
 class TestPredecodedProgramShape:

@@ -27,6 +27,15 @@ from repro.workloads import suites
 #: Three kernels with different phase structure for the tolerance test.
 TOLERANCE_KERNELS = ("gzip", "mcf", "equake")
 SCALE = 30_000
+#: Tolerance-test cells: each kernel on the paper's baseline, then on
+#: baseline-lsq.  With warm capsules even a short warm-up suffices on
+#: the cache-sensitive baseline-lsq config.
+ACCURACY_CELLS = [
+    *(pytest.param(kernel, baseline_sfc_mdt_config, id=kernel)
+      for kernel in TOLERANCE_KERNELS),
+    *(pytest.param(kernel, baseline_lsq_config, id=f"{kernel}-lsq")
+      for kernel in TOLERANCE_KERNELS),
+]
 
 
 def _full_ipc(benchmark, config, scale=SCALE):
@@ -39,15 +48,15 @@ def _full_ipc(benchmark, config, scale=SCALE):
 
 
 class TestSampledAccuracy:
-    @pytest.mark.parametrize("kernel", TOLERANCE_KERNELS)
-    def test_sampled_ipc_within_ci_of_full(self, kernel):
-        config = baseline_sfc_mdt_config()
+    @pytest.mark.parametrize("kernel, make_config", ACCURACY_CELLS)
+    def test_sampled_ipc_within_ci_of_full(self, kernel, make_config):
+        config = make_config()
         program = suites.build(kernel, SCALE)
         sampled = sample_run(program, config, intervals=8,
                              warmup_insts=500, interval_insts=2_000)
         full = _full_ipc(kernel, config)
         assert abs(sampled.ipc_mean - full) <= sampled.ipc_ci95, (
-            f"{kernel}: sampled {sampled.ipc_mean:.4f} +/- "
+            f"{kernel}/{config.name}: sampled {sampled.ipc_mean:.4f} +/- "
             f"{sampled.ipc_ci95:.4f} does not cover full {full:.4f}")
 
     def test_detailed_fraction_is_small(self):
@@ -58,17 +67,6 @@ class TestSampledAccuracy:
         assert sampled.total_instructions > 30_000
         assert sampled.detailed_instructions < \
             sampled.total_instructions // 2
-
-    def test_warm_capsules_cover_cache_sensitive_config(self):
-        """With warm capsules even a short warm-up suffices on the
-        cache-sensitive baseline-lsq config."""
-        config = baseline_lsq_config()
-        program = suites.build("gzip", SCALE)
-        full = _full_ipc("gzip", config)
-        sampled = sample_run(program, config, intervals=8,
-                             warmup_insts=500, interval_insts=2_000,
-                             warm=True)
-        assert abs(sampled.ipc_mean - full) <= sampled.ipc_ci95
 
     def test_cold_short_warmup_underpredicts(self):
         """Regression oracle for the cold-start bias that warm capsules
