@@ -92,6 +92,7 @@ from .harness.experiment import (ExperimentRunner, check_jobs,
                                  check_scale, check_timeout)
 from .obs.runrecord import SCHEMA_VERSION
 from .stats.report import format_report
+from .verify.fuzzer import check_iterations, check_seconds
 from .workloads import (ALL_BENCHMARKS, RISCV_BENCHMARKS,
                         litmus_benchmark_names, suite as workload_suite,
                         suite_names)
@@ -107,6 +108,15 @@ def _checked(convert: Callable, check: Callable) -> Callable:
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
+
+
+def _at_least(minimum: int) -> Callable[[int], int]:
+    """A check for ``_checked`` rejecting values below ``minimum``."""
+    def check(value: int) -> int:
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value!r}")
+        return value
+    return check
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -182,40 +192,48 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=_checked(int, check_scale),
                      default=20_000,
                      help="dynamic instruction budget (default 20000)")
-    run.add_argument("--cores", type=int, default=1, metavar="N",
+    run.add_argument("--cores", type=_checked(int, _at_least(1)),
+                     default=1, metavar="N",
                      help="simulate an N-core system (default 1: the "
                           "plain single-core pipeline)")
     run.add_argument("--memory-mode", default=None,
                      choices=("shared", "private"),
                      help="multicore memory mode (default: shared for "
                           "litmus tests, private for benchmarks)")
-    run.add_argument("--epoch-cycles", type=int, default=None,
+    run.add_argument("--epoch-cycles",
+                     type=_checked(int, _at_least(1)), default=None,
                      metavar="N",
                      help="sample a pipetrace epoch snapshot every N "
                           "cycles (requires --trace-out)")
     run.add_argument("--trace-out", default=None, metavar="FILE",
                      help="write epoch snapshots as JSON Lines to FILE")
-    run.add_argument("--sample-intervals", type=int, default=None,
+    run.add_argument("--sample-intervals",
+                     type=_checked(int, _at_least(1)), default=None,
                      metavar="K",
                      help="sampled mode: fast-forward via checkpoints "
                           "and measure K detailed intervals instead of "
                           "simulating every instruction (reports IPC "
                           "mean with a confidence interval)")
-    run.add_argument("--warmup-insts", type=int, default=1_000,
+    run.add_argument("--warmup-insts",
+                     type=_checked(int, _at_least(0)), default=1_000,
                      metavar="W",
                      help="sampled mode: detailed warm-up instructions "
                           "per interval, counters discarded "
                           "(default 1000)")
-    run.add_argument("--interval-insts", type=int, default=5_000,
+    run.add_argument("--interval-insts",
+                     type=_checked(int, _at_least(1)), default=5_000,
                      metavar="L",
                      help="sampled mode: measured instructions per "
                           "interval (default 5000)")
-    run.add_argument("--checkpoint-every", type=int, default=None,
+    run.add_argument("--checkpoint-every",
+                     type=_checked(int, _at_least(1)), default=None,
                      metavar="C",
                      help="sampled mode: capture a checkpoint every C "
                           "fast-forwarded instructions (default: one "
                           "window, warm-up + interval)")
-    run.add_argument("--horizon", type=int, default=None, metavar="N",
+    run.add_argument("--horizon",
+                     type=_checked(int, _at_least(1)), default=None,
+                     metavar="N",
                      help="sampled mode: sample only the first N "
                           "retired instructions; checkpoint trains are "
                           "reused across horizons (prefix) or extended "
@@ -288,11 +306,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz", help="differentially fuzz the memory subsystems "
                      "against the interpreter oracle")
-    fuzz.add_argument("--iterations", type=int, default=None,
+    fuzz.add_argument("--iterations",
+                      type=_checked(int, check_iterations), default=None,
                       metavar="N",
                       help="number of random programs to check "
                            "(default 100 when --seconds is not given)")
-    fuzz.add_argument("--seconds", type=float, default=None,
+    fuzz.add_argument("--seconds",
+                      type=_checked(float, check_seconds), default=None,
                       metavar="S",
                       help="wall-clock budget; stops at whichever of "
                            "--iterations/--seconds is hit first")

@@ -45,6 +45,7 @@ from typing import List, Optional, Tuple
 
 from ..obs.metrics import declare_metric
 from ..stats.counters import Counters
+from .setassoc import has_room
 from .violations import ANTI_DEP, OUTPUT_DEP, TRUE_DEP, Violation
 
 # -- declared metrics (metadata only; see repro.obs.metrics) -----------------
@@ -147,8 +148,12 @@ class MemoryDisambiguationTable:
         self._tagged = config.tagged
         self._assoc = config.assoc
         self._counted = config.counted_load_recovery
-        self._sets: List[List[_MDTEntry]] = [
-            [] for _ in range(config.num_sets)]
+        # A set's way list is created by its first fill; ``None`` is an
+        # untouched set.  A run touches only the sets its accesses map
+        # to, and building all of them for every Core dominated short
+        # runs (see DESIGN.md, "Tables built on first touch").
+        self._sets: List[Optional[List[_MDTEntry]]] = \
+            [None] * config.num_sets
         self.eviction_events = 0
         # Interned handles for the unconditional per-access counters
         # (rare events -- conflicts, violations -- stay on incr()).
@@ -170,7 +175,12 @@ class MemoryDisambiguationTable:
         set conflicts (``conflicted`` True) or when nothing is allocated and
         ``allocate`` is False.
         """
-        ways = self._sets[granule & self._set_mask]
+        index = granule & self._set_mask
+        ways = self._sets[index]
+        if ways is None:
+            if not allocate:
+                return None, False
+            ways = self._sets[index] = []
         if not self._tagged:
             # Untagged MDT: one shared entry per set; aliasing is accepted.
             if ways:
@@ -201,50 +211,14 @@ class MemoryDisambiguationTable:
         anything, so a conflicting access (which the memory unit will
         replay) leaves the table untouched.  Returns None on conflict.
         """
-        sets = self._sets
-        set_mask = self._set_mask
-        counted = self._counted
-        if not self._tagged:
-            entries = []
-            for granule in range(first, last + 1):
-                ways = sets[granule & set_mask]
-                if ways:
-                    entries.append(ways[0])
-                else:
-                    entry = _MDTEntry(granule, counted)
-                    ways.append(entry)
-                    entries.append(entry)
-            return entries
-        assoc = self._assoc
-        # Probe phase: count the allocations each set needs; scrub and
-        # bail (all-or-nothing) if any set cannot take them.
-        pending: dict = {}
-        for granule in range(first, last + 1):
-            ways = sets[granule & set_mask]
-            for entry in ways:
-                if entry.tag == granule:
-                    break
-            else:
-                index = granule & set_mask
-                needed = pending.get(index, 0) + 1
-                if len(ways) + needed > assoc:
-                    self._scrub_set(ways, watermark)
-                    if len(ways) + needed > assoc:
-                        return None
-                pending[index] = needed
-        # Commit phase: every allocation is now guaranteed to fit.
-        entries = []
-        for granule in range(first, last + 1):
-            ways = sets[granule & set_mask]
-            for entry in ways:
-                if entry.tag == granule:
-                    entries.append(entry)
-                    break
-            else:
-                entry = _MDTEntry(granule, counted)
-                ways.append(entry)
-                entries.append(entry)
-        return entries
+        if self._tagged and not has_room(
+                self._sets, self._set_mask, self._assoc, first, last,
+                self._scrub_set, watermark):
+            return None
+        # Every allocation now fits, so no lookup scrubs or conflicts.
+        lookup = self._lookup
+        return [lookup(granule, watermark, True)[0]
+                for granule in range(first, last + 1)]
 
     def _scrub_set(self, ways: List[_MDTEntry], watermark: int) -> None:
         alive = [e for e in ways
@@ -389,6 +363,8 @@ class MemoryDisambiguationTable:
         last = (addr + size - 1) >> shift
         for granule in range(first, last + 1):
             ways = sets[granule & set_mask]
+            if ways is None:
+                continue
             for i, entry in enumerate(ways):
                 if tagged and entry.tag != granule:
                     continue
@@ -413,6 +389,8 @@ class MemoryDisambiguationTable:
         last = (addr + size - 1) >> shift
         for granule in range(first, last + 1):
             ways = sets[granule & set_mask]
+            if ways is None:
+                continue
             for i, entry in enumerate(ways):
                 if tagged and entry.tag != granule:
                     continue
@@ -464,4 +442,4 @@ class MemoryDisambiguationTable:
     # -- introspection -----------------------------------------------------------------
 
     def occupancy(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        return sum(len(ways) for ways in self._sets if ways)

@@ -44,6 +44,7 @@ from typing import List, Optional, Tuple
 
 from ..obs.metrics import declare_metric
 from ..stats.counters import Counters
+from .setassoc import has_room
 
 # -- declared metrics (metadata only; see repro.obs.metrics) -----------------
 for _name, _unit, _desc in (
@@ -204,27 +205,28 @@ class StoreForwardingCache:
 
         Scrubs dead ways first; returns False on a set conflict, in which
         case the memory unit replays the store (Section 2.2's structural-
-        conflict rule applies to the SFC as well).
+        conflict rule applies to the SFC as well).  A store that straddles
+        two words needs room for both at once: when they share a set, that
+        set must take two new entries, not one.
         """
         sets = self._sets
-        set_mask = self._set_mask
         assoc = self._assoc
         word = addr >> LINE_SHIFT
         last_word = (addr + size - 1) >> LINE_SHIFT
-        while True:
-            ways = sets[word & set_mask]
+        if word == last_word:
+            ways = sets[word & self._set_mask]
             for entry in ways:
                 if entry.tag == word:
-                    break
-            else:
-                if len(ways) >= assoc:
-                    self._scrub_set(ways, watermark)
-                if len(ways) >= assoc:
-                    self.counters.incr("sfc_set_conflicts")
-                    return False
-            if word == last_word:
+                    return True
+            if len(ways) >= assoc:
+                self._scrub_set(ways, watermark)
+            if len(ways) < assoc:
                 return True
-            word += 1
+        elif has_room(sets, self._set_mask, assoc, word, last_word,
+                      self._scrub_set, watermark):
+            return True
+        self.counters.incr("sfc_set_conflicts")
+        return False
 
     def store_write(self, addr: int, size: int, value: int, seq: int,
                     watermark: int = 0) -> None:

@@ -9,7 +9,7 @@ SFC/MDT), as the paper's methodology requires.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..obs.metrics import GAUGE, RATE, declare_metric
 
@@ -79,8 +79,9 @@ class Cache:
         self._set_mask = config.num_sets - 1
         if config.num_sets & self._set_mask:
             raise ValueError("number of sets must be a power of two")
-        # Each set is an LRU-ordered list of line tags (MRU last).
-        self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
+        # Each set is an LRU-ordered list of line tags (MRU last), created
+        # by the set's first fill; ``None`` is an untouched set.
+        self._sets: List[Optional[List[int]]] = [None] * config.num_sets
         self.accesses = 0
         self.misses = 0
 
@@ -88,11 +89,14 @@ class Cache:
         """Probe the cache for ``addr``; fill on miss.  Returns hit?"""
         self.accesses += 1
         line = addr >> self._line_shift
-        ways = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        ways = self._sets[index]
         if ways and ways[-1] == line:
             # Already MRU (sequential fetch / repeated access): the LRU
             # reorder would be a no-op, skip the remove/append churn.
             return True
+        if ways is None:
+            ways = self._sets[index] = []
         if line in ways:
             ways.remove(line)
             ways.append(line)
@@ -106,7 +110,8 @@ class Cache:
     def flush(self) -> None:
         """Invalidate every line (statistics are preserved)."""
         for ways in self._sets:
-            ways.clear()
+            if ways:
+                ways.clear()
 
     # -- warm-state capsules -------------------------------------------------
 
@@ -115,7 +120,7 @@ class Cache:
         checkpoint warm capsule.  Access statistics are excluded: a
         restored cache starts counting from zero so a sampled interval's
         miss rates cover only the interval itself."""
-        return [list(ways) for ways in self._sets]
+        return [list(ways or ()) for ways in self._sets]
 
     def import_lines(self, sets: List[List[int]]) -> None:
         """Restore tag arrays from :meth:`export_lines` output."""
@@ -125,7 +130,7 @@ class Cache:
                 f"{len(self._sets)} (geometry mismatch)")
         assoc = self.config.assoc
         for index, ways in enumerate(sets):
-            self._sets[index] = list(ways)[-assoc:]
+            self._sets[index] = list(ways)[-assoc:] or None
 
     @property
     def hits(self) -> int:

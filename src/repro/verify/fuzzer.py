@@ -31,8 +31,9 @@ a replayable JSON case (:mod:`repro.verify.corpus`).
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import registry
 from ..harness.configs import fuzz_config_matrix
@@ -50,6 +51,26 @@ TRACE_LIMIT = 500_000
 #: Counters whose values must be identical across every configuration
 #: (they count architectural events, not microarchitectural ones).
 _ARCHITECTURAL_COUNTERS = ("retired_loads", "retired_stores")
+
+
+def check_iterations(iterations: Optional[int]) -> Optional[int]:
+    """``iterations`` if it is None (no program budget) or an integer
+    >= 1, else ``ValueError``."""
+    if iterations is not None and not (isinstance(iterations, int)
+                                       and iterations >= 1):
+        raise ValueError(f"iterations must be an integer >= 1, "
+                         f"got {iterations!r}")
+    return iterations
+
+
+def check_seconds(seconds: Optional[float]) -> Optional[float]:
+    """``seconds`` if it is None (no time budget) or a finite number of
+    seconds > 0, else ``ValueError``."""
+    if seconds is not None and not (math.isfinite(seconds)
+                                    and seconds > 0):
+        raise ValueError(f"seconds must be a finite number > 0, "
+                         f"got {seconds!r}")
+    return seconds
 
 
 class FuzzMismatch:
@@ -180,13 +201,19 @@ class DifferentialFuzzer:
     def check_program(self, program: Program,
                       seed: int = -1) -> List[FuzzMismatch]:
         """Run one program through the full differential check."""
+        return self._check(program, seed)[0]
+
+    def _check(self, program: Program,
+               seed: int) -> Tuple[List[FuzzMismatch], int]:
+        """:meth:`check_program`'s mismatches and the length of the
+        oracle's trace (0 when the oracle does not halt)."""
         mismatches: List[FuzzMismatch] = []
         try:
             interp = Interpreter(program)
             trace = interp.run(self.max_instructions)
         except ExecutionLimitExceeded as exc:
             return [FuzzMismatch(seed, "oracle-error", "",
-                                 f"interpreter did not halt: {exc}")]
+                                 f"interpreter did not halt: {exc}")], 0
         oracle_digest = interp.memory.digest()
         oracle_loads = sum(1 for r in trace if r.op in LOAD_OPS)
         oracle_stores = sum(1 for r in trace if r.store_addr is not None)
@@ -229,7 +256,7 @@ class DifferentialFuzzer:
             results[config.name] = result
 
         mismatches.extend(self._cross_config_invariants(seed, results))
-        return mismatches
+        return mismatches, len(trace)
 
     def _cross_config_invariants(self, seed: int,
                                  results) -> List[FuzzMismatch]:
@@ -275,10 +302,14 @@ class DifferentialFuzzer:
         ``seconds`` budget expires; with both set, whichever limit is
         hit first stops the campaign).
 
-        Every failing seed is shrunk to a minimal program (unless
-        ``minimize=False``) and, when ``corpus_dir`` is given, written
-        there as a replayable JSON crash case.
+        ``iterations`` must be an integer >= 1 and ``seconds`` a finite
+        number > 0 (``ValueError`` otherwise).  Every failing seed is
+        shrunk to a minimal program (unless ``minimize=False``) and, when
+        ``corpus_dir`` is given, written there as a replayable JSON crash
+        case.  The report counts the instructions the oracle retired.
         """
+        check_iterations(iterations)
+        check_seconds(seconds)
         if iterations is None and seconds is None:
             iterations = 100
         report = FuzzReport(seed, [c.name for c in self.configs])
@@ -291,9 +322,9 @@ class DifferentialFuzzer:
                     time.perf_counter() - started >= seconds:
                 break
             program = self.builder(current)
-            failures = self.check_program(program, current)
+            failures, retired = self._check(program, current)
             report.iterations += 1
-            report.instructions += len(program.instructions)
+            report.instructions += retired
             if failures:
                 report.failures.extend(failures)
                 if corpus_dir is not None:

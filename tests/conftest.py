@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.harness.configs import (
@@ -23,6 +25,17 @@ def assemble(build_fn, name="test"):
     a = Assembler()
     build_fn(a)
     return a.build(name=name)
+
+
+def tracked_objects_added(build) -> int:
+    """How many objects the cycle collector tracks after ``build()``
+    that it did not before (the result is kept alive while counting)."""
+    gc.collect()
+    before = len(gc.get_objects())
+    built = build()
+    added = len(gc.get_objects()) - before
+    del built
+    return added
 
 
 def store_load_program(a: Assembler) -> None:

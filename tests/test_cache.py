@@ -3,6 +3,7 @@
 import pytest
 
 from repro.memory import Cache, CacheConfig, paper_hierarchy
+from tests.conftest import tracked_objects_added
 
 
 def small_cache(assoc=2, sets=4, line=16):
@@ -72,6 +73,26 @@ class TestCacheBehaviour:
         cache.lookup(0x100)
         cache.lookup(0x100)
         assert cache.miss_rate == 0.5
+
+
+class TestFirstTouch:
+    def test_construction_builds_no_sets(self):
+        config = CacheConfig("t", size_bytes=8192 * 2 * 64, assoc=2,
+                             line_bytes=64, hit_latency=1, miss_penalty=10)
+        assert config.num_sets == 8192
+        assert tracked_objects_added(lambda: Cache(config)) < 8
+
+    def test_export_keeps_one_list_per_set(self):
+        """Warm capsules stay byte-identical: an untouched set exports
+        as an empty list."""
+        h = paper_hierarchy()
+        state = h.export_state()
+        assert {level: len(sets) for level, sets in state.items()} == \
+            {"l1i": 32, "l1d": 32, "l2": 512}
+        assert all(ways == [] for sets in state.values() for ways in sets)
+        h.data_latency(0x100)
+        l1d = h.export_state()["l1d"]
+        assert sum(map(len, l1d)) == 1 and len(l1d) == 32
 
 
 class TestHierarchy:

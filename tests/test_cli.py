@@ -203,6 +203,28 @@ class TestErrorPaths:
         assert "scale must be >= 1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "gzip", "--sample-intervals", "0"],
+        ["run", "gzip", "--cores", "0"],
+        ["run", "gzip", "--epoch-cycles", "0"],
+        ["run", "gzip", "--warmup-insts", "-5"],
+        ["run", "gzip", "--checkpoint-every", "0"],
+        ["run", "gzip", "--horizon", "-1"],
+        ["run", "gzip", "--interval-insts", "0"],
+        ["fuzz", "--seconds", "nan"],
+        ["fuzz", "--seconds", "inf"],
+        ["fuzz", "--seconds", "-5"],
+        ["fuzz", "--iterations", "0"],
+        ["fuzz", "--iterations", "-3"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_bad_numeric_flag_is_a_usage_error(self, tmp_path, capsys,
+                                               argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(tmp_path / "out.json")])
+        assert exit_info.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestSuiteCommand:
     """``repro suite``: the fault-tolerant, resumable grid runner."""

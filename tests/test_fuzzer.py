@@ -19,6 +19,7 @@ from repro.harness.configs import (
     baseline_sfc_mdt_config,
     fuzz_config_matrix,
 )
+from repro.isa.interp import Interpreter
 from repro.verify import (
     CASE_SCHEMA_VERSION,
     CorpusError,
@@ -82,6 +83,24 @@ class TestCleanCampaign:
         assert isinstance(payload["schema_version"], int)
         assert payload["ok"] is True
         json.dumps(payload)     # JSON-serializable end to end
+
+    def test_report_counts_oracle_retired_instructions(self):
+        fuzzer = DifferentialFuzzer(configs=[baseline_lsq_config()])
+        report = fuzzer.run(iterations=3, seed=0)
+        assert report.instructions == sum(
+            len(Interpreter(fuzzer.builder(seed)).run(
+                fuzzer.max_instructions)) for seed in range(3))
+
+    @pytest.mark.parametrize("budget", [{"iterations": 0},
+                                        {"iterations": -3},
+                                        {"seconds": float("nan")},
+                                        {"seconds": float("inf")},
+                                        {"seconds": -5.0}],
+                             ids=lambda budget: str(budget))
+    def test_bad_budget_rejected(self, budget):
+        fuzzer = DifferentialFuzzer(configs=[baseline_lsq_config()])
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            fuzzer.run(seed=0, **budget)
 
     def test_seconds_budget_stops_campaign(self):
         fuzzer = DifferentialFuzzer(configs=[baseline_lsq_config()])
@@ -158,7 +177,8 @@ class TestFaultInjection:
 
 @pytest.mark.fuzz
 class TestNightlyCampaign:
-    """Long campaign; tier-1 skips this (run with ``-m fuzz``)."""
+    """Long campaign; tier-1 skips it and CI runs it in its own step
+    (``-m fuzz``)."""
 
     def test_five_hundred_seeds_clean(self):
         report = DifferentialFuzzer().run(iterations=500, seed=0)

@@ -11,6 +11,7 @@ from repro.core import (
     OUTPUT_DEP,
     TRUE_DEP,
 )
+from tests.conftest import tracked_objects_added
 
 
 def make_mdt(num_sets=16, assoc=2, granularity=8, tagged=True,
@@ -18,6 +19,31 @@ def make_mdt(num_sets=16, assoc=2, granularity=8, tagged=True,
     return MemoryDisambiguationTable(
         MDTConfig(num_sets=num_sets, assoc=assoc, granularity=granularity,
                   tagged=tagged, counted_load_recovery=counted))
+
+
+def touched_sets(mdt):
+    """Sets that hold a way list (untouched sets are None)."""
+    return sum(ways is not None for ways in mdt._sets)
+
+
+class TestFirstTouch:
+    def test_construction_builds_no_sets(self):
+        added = tracked_objects_added(
+            lambda: MemoryDisambiguationTable(MDTConfig(num_sets=1 << 16)))
+        assert added < 16
+
+    @pytest.mark.parametrize("kwargs", [{}, {"tagged": False},
+                                        {"counted": True}],
+                             ids=["tagged", "untagged", "counted"])
+    def test_untouched_addresses_create_no_set(self, kwargs):
+        mdt = make_mdt(**kwargs)
+        assert mdt.check_store(0x100, 8, seq=5, pc=0x10) == []
+        # A ROB-head-bypassed access retires without having recorded
+        # itself; 0x104 spans two granules.
+        mdt.on_load_retire(0x104, 8, seq=6)
+        mdt.on_store_retire(0x204, 8, seq=7)
+        assert mdt.occupancy() == 0
+        assert touched_sets(mdt) == 0
 
 
 class TestProtocolBasics:
@@ -326,6 +352,21 @@ class TestMultiGranuleAtomicity:
         result = mdt.access_load(0x104, 8, seq=2, pc=0x14, watermark=0)
         assert result.status == MDT_CONFLICT
         assert mdt.occupancy() == before
+
+    @pytest.mark.parametrize("preload", [None, 0x100],
+                             ids=["untouched", "own-way-dead"])
+    def test_spanning_access_needs_two_ways_in_one_way_set(self, preload):
+        """In a 1x1 table a spanning access always replays.  When the
+        first granule's own way is dead, the scrub drops it and then
+        both granules need a way; an untouched set stays untouched."""
+        mdt = make_mdt(num_sets=1, assoc=1)
+        if preload is not None:
+            mdt.access_load(preload, 8, seq=1, pc=0x10, watermark=0)
+        # Spans granules 0x20 and 0x21; seq 1 is dead at watermark 5.
+        result = mdt.access_load(0x104, 8, seq=20, pc=0x14, watermark=5)
+        assert result.status == MDT_CONFLICT
+        assert mdt.occupancy() == 0
+        assert touched_sets(mdt) == (preload is not None)
 
     def test_conflicting_access_replays_cleanly(self):
         """Replay after the blocker retires behaves as a first access."""

@@ -1,13 +1,20 @@
 """Unit tests for the Store Forwarding Cache (paper Section 2.3)."""
 
+import pytest
+
 from repro.core import (
+    REPLAY,
     SFC_CORRUPT,
     SFC_HIT,
     SFC_MISS,
     SFC_PARTIAL,
+    MDTConfig,
     SFCConfig,
+    SfcMdtSubsystem,
     StoreForwardingCache,
 )
+from repro.memory import MainMemory, paper_hierarchy
+from repro.stats.counters import Counters
 
 LIVE = 10 ** 9      # watermark far below any test sequence number
 
@@ -97,6 +104,30 @@ class TestAllocationAndConflicts:
             assert sfc.probe_store(0x1000 * (i + 1), 8, watermark=0)
             sfc.store_write(0x1000 * (i + 1), 8, i, seq=i + 1)
         assert not sfc.probe_store(0x9000, 8, watermark=0)
+
+    @pytest.mark.parametrize("assoc, preload", [
+        (1, ()),
+        (2, ((0x3000, 10),)),
+        # Word 0x200's own entry is dead: the scrub drops it, and then
+        # both words need a way.
+        (2, ((0x3000, 10), (0x1000, 1))),
+    ], ids=["1x1", "1x2-one-live", "1x2-own-word-dead"])
+    def test_straddling_store_needs_a_way_per_word(self, assoc, preload):
+        """Both words of a straddling store share the one set, so the
+        store replays unless the set can take two new entries."""
+        sub = SfcMdtSubsystem(SFCConfig(num_sets=1, assoc=assoc),
+                              MDTConfig(), MainMemory(), paper_hierarchy(),
+                              Counters())
+        for addr, seq in preload:
+            sub.sfc.store_write(addr, 8, seq, seq=seq)
+        sub.dispatch_store(20, 0x100)
+        # 0x1004..0x100b covers words 0x200 and 0x201; seq 1 is dead at
+        # watermark 5, seq 10 is live.
+        outcome = sub.execute_store(20, 0x100, 0x1004, 8,
+                                    0x1122334455667788, watermark=5)
+        assert outcome.status == REPLAY
+        assert sub.sfc.counters.get("sfc_set_conflicts") == 1
+        assert sub.sfc.occupancy() <= assoc
 
     def test_store_write_recycles_dead_entry_state(self):
         sfc = make_sfc()
