@@ -15,7 +15,8 @@ or ``repro.harness`` internals:
 * :func:`run_litmus` -- a litmus campaign over the shared-memory
   machine, every observed outcome judged by the operational-model
   oracle (:class:`~repro.verify.litmus_oracle.LitmusReport`);
-* :func:`compare` -- one benchmark under several configurations;
+* :func:`compare` -- one benchmark under several configurations ->
+  one RunRecord per configuration, failed cells included;
 * :func:`run_suite` -- a resumable (benchmark x configuration) grid
   -> RunRecords, including structured failure entries for cells that
   raised, timed out, or lost their worker;
@@ -51,8 +52,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .harness import configs as config_presets
-from .harness import figures
+from .harness import experiment, figures
 from .harness.experiment import DEFAULT_SCALE, ExperimentRunner
+from .isa.interp import run_program
 from .obs.runrecord import RunRecord
 from .pipeline.config import ProcessorConfig, SystemConfig
 from .pipeline.pipetrace import PipeTracer, trace_run
@@ -170,10 +172,11 @@ def simulate_sampled(benchmark: str,
     carries ``ipc_ci95`` (confidence half-width), the interval table,
     and the fast-forward/detailed instruction split.  ``horizon``
     restricts sampling to the first N retired instructions; checkpoint
-    trains are shared across horizons (a longer train serves shorter
-    requests as a prefix, a shorter one is extended in place).  See
-    DESIGN.md "Sampling methodology" for the error model and when exact
-    mode is required instead.
+    trains are shared across the configs and horizons of one scale (a
+    longer train serves shorter requests as a prefix, a shorter one is
+    extended in place), not across scales, since each scale builds a
+    different program.  See DESIGN.md "Sampling methodology" for the
+    error model and when exact mode is required instead.
     """
     engine = _runner(scale, runner, **runner_kwargs)
     return engine.run_sampled(
@@ -240,15 +243,19 @@ def compare(benchmark: str,
             scale: int = DEFAULT_SCALE,
             runner: Optional[ExperimentRunner] = None,
             **runner_kwargs) -> List[RunRecord]:
-    """One benchmark under several configurations, as RunRecords
-    (grid-parallel and cache-aware through the experiment engine)."""
+    """One benchmark under several configurations (grid-parallel and
+    cache-aware through the experiment engine): one RunRecord per
+    requested configuration, in request order, including structured
+    failure entries (``status`` failed/timeout, ``error``) for cells
+    that failed."""
     engine = _runner(scale, runner, **runner_kwargs)
     resolved = [resolve_config(config) for config in configs]
-    grid = engine.run_suite([benchmark], resolved)
-    by_name = {record.config_name: record for record in engine.records()
-               if record.benchmark == benchmark}
-    return [by_name[config.name] for config in resolved if
-            (benchmark, config.name) in grid]
+    start = len(engine.manifest)
+    engine.run_suite([benchmark], resolved)
+    by_name = {entry["config_name"]: entry
+               for entry in engine.manifest[start:]}
+    return [RunRecord.from_dict(by_name[config.name])
+            for config in resolved]
 
 
 def run_suite(benchmarks: Optional[Sequence[str]] = None,
@@ -388,10 +395,13 @@ def trace(benchmark: str, config: ConfigLike = "baseline-sfc-mdt",
     Builds the workload, attaches a :class:`PipeTracer` (optionally with
     a bounded ring buffer and per-``epoch_cycles`` snapshots), runs to
     completion, and returns the tracer.  ``tracer.epochs_jsonl()`` /
-    ``tracer.write_epochs(path)`` export the epoch time series.
+    ``tracer.write_epochs(path)`` export the epoch time series.  The
+    golden trace gets the experiment engine's instruction budget
+    (``TRACE_LIMIT``), so any workload :func:`simulate` runs traces too.
     """
     program = suites.build(benchmark, scale)
-    processor = Processor(program, resolve_config(config))
+    trace = run_program(program, experiment.TRACE_LIMIT)
+    processor = Processor(program, resolve_config(config), trace=trace)
     return trace_run(processor, max_instructions=max_instructions,
                      ring_size=ring_size, epoch_cycles=epoch_cycles)
 

@@ -1,19 +1,18 @@
 """Checkpointed fast-forward and interval sampling.
 
 See :mod:`repro.checkpoint.arch` for architectural checkpoints,
-:mod:`repro.checkpoint.store` for the content-addressed on-disk store,
-and :mod:`repro.checkpoint.sampling` for the SMARTS-style interval
-sampler built on top of them.
+:mod:`repro.checkpoint.store` for train keys, encoding and the
+in-process memo, and :mod:`repro.checkpoint.sampling` for the
+SMARTS-style interval sampler built on top of them.
 """
 
-from .arch import CHECKPOINT_FORMAT, ArchCheckpoint
-from .sampling import (SampledResult, SamplingError, capture_train,
-                       ensure_train, sample_run, select_checkpoints,
-                       simulate_interval)
+from .arch import ArchCheckpoint
+from .sampling import (SampledResult, SamplingError, ensure_train,
+                       sample_run, select_checkpoints, simulate_interval)
 from .store import CheckpointStore, train_key
 
 __all__ = [
-    "ArchCheckpoint", "CHECKPOINT_FORMAT", "CheckpointStore",
-    "SampledResult", "SamplingError", "capture_train", "ensure_train",
-    "sample_run", "select_checkpoints", "simulate_interval", "train_key",
+    "ArchCheckpoint", "CheckpointStore", "SampledResult", "SamplingError",
+    "ensure_train", "sample_run", "select_checkpoints", "simulate_interval",
+    "train_key",
 ]

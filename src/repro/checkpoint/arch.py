@@ -26,14 +26,6 @@ from ..isa.interp import Interpreter
 from ..isa.program import Program
 from ..memory.main_memory import MainMemory
 
-#: Bump when the serialized checkpoint layout changes; old entries in a
-#: :class:`~repro.checkpoint.store.CheckpointStore` become unreadable.
-#: Format 2 added the train-level ``complete``/``stride`` fields that
-#: cross-scale prefix reuse depends on; because ``train_key`` folds the
-#: format in, v1 trains simply never match a v2 key (explicit
-#: compatibility handling -- no in-place migration).
-CHECKPOINT_FORMAT = 2
-
 
 class ArchCheckpoint:
     """Serializable snapshot of architectural state at one retire point.

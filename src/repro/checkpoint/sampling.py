@@ -120,38 +120,46 @@ class SampledResult:
 
 def _warm_capsule(bpred: Optional[GsharePredictor],
                   hierarchy) -> Optional[dict]:
-    if bpred is None and hierarchy is None:
+    if bpred is None:
         return None
-    capsule: dict = {}
-    if bpred is not None:
-        capsule["bpred"] = bpred.export_state()
-    if hierarchy is not None:
-        capsule["caches"] = hierarchy.export_state()
-    return capsule
+    return {"bpred": bpred.export_state(),
+            "caches": hierarchy.export_state()}
 
 
-def _advance_capture(program: Program, interp: Interpreter,
-                     checkpoints: List[ArchCheckpoint], stride: int,
-                     bpred, hierarchy, horizon: Optional[int],
+def _advance_capture(program: Program, checkpoints: List[ArchCheckpoint],
+                     stride: int, warm: bool, horizon: Optional[int],
                      limit: int, max_checkpoints: int):
-    """Drive a (fresh or resumed) capture forward.
+    """Capture a train from where ``checkpoints`` ends: from reset with
+    a position-0 checkpoint when it is empty, else from its last
+    checkpoint (architectural state from the page delta, predictor and
+    cache training from the warm capsule, which restores them exactly).
 
-    Fast-forwards ``interp`` in ``stride``-sized chunks, appending a
-    checkpoint at every chunk boundary, until the program halts or --
-    when ``horizon`` is given -- the first boundary at or past
-    ``horizon``.  Thinning (drop every other checkpoint, double the
-    stride) keeps the train under ``max_checkpoints`` while always
-    preserving the *last* checkpoint, so an incomplete train can later
-    be resumed from exactly the position its ``total_instructions``
-    reports.
+    Fast-forwards in ``stride``-sized chunks, appending a checkpoint at
+    every chunk boundary, until the program halts or -- when ``horizon``
+    is given -- the first boundary at or past ``horizon``.  Thinning
+    (drop every other checkpoint, double the stride) keeps the train
+    under ``max_checkpoints`` while always preserving the *last*
+    checkpoint, so an incomplete train can later be resumed from
+    exactly the position its ``total_instructions`` reports.
 
     Returns ``(checkpoints, total_instructions, complete, stride)``.
     The whole advance is a deterministic function of its starting state,
     which is what makes in-place extension bit-identical to a fresh
     capture at the longer horizon.
     """
+    resume = checkpoints[-1] if checkpoints else None
+    interp = resume.resume_interpreter(program) if resume \
+        else Interpreter(program)
+    bpred = GsharePredictor() if warm else None
+    hierarchy = paper_hierarchy() if warm else None
+    if warm and resume is not None:
+        bpred.import_state(resume.warm["bpred"])
+        hierarchy.import_state(resume.warm["caches"])
     base_image = MainMemory()
     base_image.load_segments(program.data)
+    if resume is None:
+        checkpoints.append(ArchCheckpoint.capture(
+            interp, base_image, warm=_warm_capsule(bpred, hierarchy)))
     while not interp.halted:
         position = interp.instructions_retired
         if horizon is not None and position >= horizon:
@@ -179,119 +187,54 @@ def _advance_capture(program: Program, interp: Interpreter,
     return checkpoints, interp.instructions_retired, True, stride
 
 
-def capture_train(program: Program, every: int, warm: bool = True,
-                  limit: int = 5_000_000,
-                  max_checkpoints: int = MAX_TRAIN_CHECKPOINTS,
-                  horizon: Optional[int] = None):
-    """One fast-forward pass over ``program``, checkpointing every
-    ``every`` retired instructions.
-
-    Returns ``(checkpoints, total_instructions)``.  The train always
-    starts with a position-0 checkpoint and is thinned (every other
-    checkpoint dropped, stride doubled) whenever it exceeds
-    ``max_checkpoints``, so long programs stay bounded in memory and on
-    disk.  ``horizon`` stops the capture at the first checkpoint
-    boundary at or past that many retired instructions instead of
-    running to halt (see :func:`ensure_train` for the reuse protocol
-    built on this).
-    """
-    if every < 1:
-        raise ValueError(f"checkpoint interval must be >= 1, got {every}")
-    interp = Interpreter(program)
-    base_image = MainMemory()
-    base_image.load_segments(program.data)
-    bpred = GsharePredictor() if warm else None
-    hierarchy = paper_hierarchy() if warm else None
-    checkpoints = [ArchCheckpoint.capture(
-        interp, base_image, warm=_warm_capsule(bpred, hierarchy))]
-    checkpoints, total, _complete, _stride = _advance_capture(
-        program, interp, checkpoints, every, bpred, hierarchy,
-        horizon, limit, max_checkpoints)
-    return checkpoints, total
-
-
-def _resume_warm_state(checkpoint: ArchCheckpoint, warm: bool):
-    """Rebuild the (bpred, hierarchy) training pair a capture had when it
-    captured ``checkpoint``.  Capsules restore predictor counters and
-    cache tag arrays exactly, so training resumed from them is
-    bit-identical to training that never stopped."""
-    if not warm:
-        return None, None
-    bpred = GsharePredictor()
-    hierarchy = paper_hierarchy()
-    capsule = checkpoint.warm or {}
-    if "bpred" in capsule:
-        bpred.import_state(capsule["bpred"])
-    if "caches" in capsule:
-        hierarchy.import_state(capsule["caches"])
-    return bpred, hierarchy
-
-
 def ensure_train(program: Program, every: int, warm: bool = True, *,
                  horizon: Optional[int] = None, store=None,
                  limit: int = 5_000_000,
                  max_checkpoints: int = MAX_TRAIN_CHECKPOINTS) -> dict:
-    """Return a train payload covering ``horizon`` retired instructions
-    (the full run when None), reusing or extending any persisted train.
+    """Return a train covering ``horizon`` retired instructions (the
+    full run when None), reusing or extending any train in ``store`` (a
+    :class:`~repro.checkpoint.store.CheckpointStore`, or None).
 
-    The cross-scale reuse protocol:
+    The reuse protocol across horizons:
 
     * :func:`~repro.checkpoint.store.train_key` deliberately excludes
       the horizon, so every request for the same ``(program, every,
-      warm)`` triple shares one stored train regardless of scale;
+      warm)`` triple shares one stored train (each scale builds its
+      own program, so trains are not shared across scales);
     * a stored train that is ``complete`` (ran to halt) or already
       reaches ``horizon`` is served as-is -- a train captured at a
       longer horizon satisfies any shorter request as a position
       prefix;
     * a shorter stored train is **extended in place**: capture resumes
-      from its last checkpoint (architectural state from the page
-      delta, predictor/cache training from the warm capsule), runs
-      forward to the new horizon, and atomically replaces the stored
-      train.  Extension is bit-identical to a fresh capture at the
-      longer horizon, so mixing scales never recaptures and never
-      changes results.
+      from its last checkpoint, runs forward to the new horizon, and
+      replaces the stored train.  Extension is bit-identical to a fresh
+      capture at the longer horizon, so mixing horizons never
+      recaptures and never changes results.
 
     Returns ``{"checkpoints", "total_instructions", "complete",
-    "stride"}``.
+    "stride"}``, starting with a position-0 checkpoint.
     """
     if every < 1:
         raise ValueError(f"checkpoint interval must be >= 1, got {every}")
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    key = train_key(program.digest(), every, warm) \
-        if store is not None else None
+    key = train_key(program.digest(), every, warm)
     train = store.load(key) if store is not None else None
-    if train is not None:
-        if train["complete"] or (horizon is not None
-                                 and train["total_instructions"] >= horizon):
-            return train
-        # Extend in place from the last checkpoint.
-        checkpoints = list(train["checkpoints"])
-        stride = train["stride"]
-        if stride <= 0:  # legacy/unknown: infer from positions
-            stride = (checkpoints[1].retired - checkpoints[0].retired
-                      if len(checkpoints) > 1 else every)
-        last = checkpoints[-1]
-        interp = last.resume_interpreter(program)
-        bpred, hierarchy = _resume_warm_state(last, warm)
+    if train is None:
+        checkpoints, stride = [], every
+    elif train["complete"] or (horizon is not None
+                               and train["total_instructions"] >= horizon):
+        return train
     else:
-        interp = Interpreter(program)
-        bpred = GsharePredictor() if warm else None
-        hierarchy = paper_hierarchy() if warm else None
-        base_image = MainMemory()
-        base_image.load_segments(program.data)
-        checkpoints = [ArchCheckpoint.capture(
-            interp, base_image, warm=_warm_capsule(bpred, hierarchy))]
-        stride = every
+        checkpoints, stride = list(train["checkpoints"]), train["stride"]
     checkpoints, total, complete, stride = _advance_capture(
-        program, interp, checkpoints, stride, bpred, hierarchy,
-        horizon, limit, max_checkpoints)
-    payload = {"checkpoints": checkpoints, "total_instructions": total,
-               "complete": complete, "stride": stride}
-    if store is not None and key is not None:
-        store.store(key, checkpoints, total, complete=complete,
-                    stride=stride)
-    return payload
+        program, checkpoints, stride, warm, horizon, limit,
+        max_checkpoints)
+    train = {"checkpoints": checkpoints, "total_instructions": total,
+             "complete": complete, "stride": stride}
+    if store is not None:
+        store.store(key, train)
+    return train
 
 
 def select_checkpoints(checkpoints: List[ArchCheckpoint], total: int,
@@ -377,11 +320,11 @@ def sample_run(program: Program, config: ProcessorConfig, *,
     """Sampled detailed simulation of ``program`` under ``config``.
 
     When a :class:`~repro.checkpoint.store.CheckpointStore` is supplied
-    the checkpoint train is persisted content-addressed, so grid cells
+    the checkpoint train is kept content-addressed, so grid cells
     sharing a benchmark (any config) fast-forward once -- and, with
-    ``horizon``, once across *scales*: a longer stored train serves any
-    shorter horizon as a prefix, a shorter one is extended in place
-    (see :func:`ensure_train`).
+    ``horizon``, once across the horizons of one scale: a longer stored
+    train serves any shorter horizon as a prefix, a shorter one is
+    extended in place (see :func:`ensure_train`).
 
     ``horizon`` restricts sampling to the first ``horizon`` retired
     instructions instead of the whole run.  Accounting is clamped to

@@ -1,55 +1,66 @@
-"""Content-addressed on-disk checkpoint store.
+"""Checkpoint trains: their cache key, their encoding, and a memo.
 
-Checkpoint trains live under ``<cache-dir>/checkpoints/`` (by default
-inside the same ``.repro_cache/`` the result cache uses), keyed by a
-hash of the program content digest and the capture parameters.  Grid
-cells that share a benchmark therefore fast-forward once: the first
-cell captures and persists the train, every later cell -- in the same
+A train is one entry of the experiment engine's result cache
+(:class:`~repro.harness.experiment.ResultCache`), keyed by
+:func:`train_key`, so the cache's format stamp, temp sweep and gc cover
+trains too.  Grid cells that share a benchmark fast-forward once: the
+first captures and stores the train, every later cell -- in the same
 process or a later one -- restores it.
-
-Writes are atomic (collision-proof temp + rename), mirroring
-:class:`~repro.harness.experiment.ResultCache`, so concurrent runners
-sharing a cache directory only ever observe complete trains.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, Optional
 
-from .arch import CHECKPOINT_FORMAT, ArchCheckpoint
+from .arch import ArchCheckpoint
 
 
 def train_key(program_digest: str, every: int, warm: bool) -> str:
     """Content hash identifying one checkpoint train.
 
     Covers the program's content digest (not its name -- two identically
-    built programs share a train), the capture interval, whether warm
-    capsules were collected, and the serialization format version.
+    built programs share a train), the capture interval, and whether warm
+    capsules were collected.
     """
     canonical = json.dumps(
-        {"format": CHECKPOINT_FORMAT, "program": program_digest,
-         "every": every, "warm": warm},
+        {"program": program_digest, "every": every, "warm": warm},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _decode(payload: Optional[dict]) -> Optional[dict]:
+    """The train in a cache entry; None for no entry or a bad one."""
+    if payload is None:
+        return None
+    try:
+        train = {"checkpoints": [ArchCheckpoint.from_dict(entry)
+                                 for entry in payload["checkpoints"]],
+                 "total_instructions": int(payload["total_instructions"]),
+                 "complete": bool(payload["complete"]),
+                 "stride": int(payload["stride"])}
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    if not train["checkpoints"] or train["stride"] < 1:
+        return None
+    return train
+
+
 class CheckpointStore:
-    """One-JSON-file-per-train store under a directory."""
+    """Checkpoint trains, memoized in-process over an optional cache:
+    anything with ``load(key)`` and ``store(key, payload)``, such as the
+    engine's result cache.  A cached train is decoded at most once per
+    process."""
 
-    def __init__(self, directory: Union[str, Path]):
-        self.directory = Path(directory)
-
-    def path(self, key: str) -> Path:
-        return self.directory / f"{key}.ckpt.json"
+    def __init__(self, cache=None):
+        self.cache = cache
+        self._memo: Dict[str, dict] = {}
 
     def load(self, key: str) -> Optional[dict]:
-        """Load a train payload: ``{"total_instructions": int,
-        "checkpoints": [ArchCheckpoint, ...], "complete": bool,
-        "stride": int}``; None on miss/corrupt.
+        """The train under ``key``: ``{"checkpoints": [ArchCheckpoint,
+        ...], "total_instructions": int, "complete": bool, "stride":
+        int}``; None on a miss or an entry that does not decode.
 
         ``complete`` is True when the capture ran the program to halt;
         an incomplete train covers exactly ``total_instructions``
@@ -57,49 +68,23 @@ class CheckpointStore:
         from its last checkpoint (see
         :func:`repro.checkpoint.sampling.ensure_train`).  ``stride`` is
         the capture interval in effect at the end of the train (it grows
-        past ``every`` whenever the train was thinned); 0 means unknown
-        and is re-inferred from checkpoint positions on resume.
+        past ``every`` whenever the train was thinned).
         """
-        try:
-            payload = json.loads(self.path(key).read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) or \
-                payload.get("format") != CHECKPOINT_FORMAT:
-            return None
-        try:
-            checkpoints = [ArchCheckpoint.from_dict(entry)
-                           for entry in payload["checkpoints"]]
-            total = int(payload["total_instructions"])
-            complete = bool(payload.get("complete", True))
-            stride = int(payload.get("stride", 0))
-        except (KeyError, TypeError, ValueError):
-            return None
-        return {"total_instructions": total, "checkpoints": checkpoints,
-                "complete": complete, "stride": stride}
+        train = self._memo.get(key)
+        if train is None and self.cache is not None:
+            train = _decode(self.cache.load(key))
+            if train is not None:
+                self._memo[key] = train
+        return train
 
-    def store(self, key: str, checkpoints: List[ArchCheckpoint],
-              total_instructions: int, complete: bool = True,
-              stride: int = 0) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        final = self.path(key)
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "total_instructions": total_instructions,
-            "complete": bool(complete),
-            "stride": int(stride),
-            "checkpoints": [ckpt.to_dict() for ckpt in checkpoints],
-        }
-        tmp = final.with_name(
-            f"{final.name}.tmp.{os.getpid()}.{os.urandom(6).hex()}")
-        try:
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            tmp.replace(final)
-        except BaseException:
-            # Any mid-write failure -- not just OSError: a TypeError from
-            # an unserializable warm capsule must not leak the temp file.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+    def store(self, key: str, train: dict) -> None:
+        """Keep ``train`` (shaped as :meth:`load` returns it) under
+        ``key``, in the cache and then in the memo."""
+        if self.cache is not None:
+            self.cache.store(key, {
+                "total_instructions": train["total_instructions"],
+                "complete": train["complete"],
+                "stride": train["stride"],
+                "checkpoints": [checkpoint.to_dict()
+                                for checkpoint in train["checkpoints"]]})
+        self._memo[key] = train

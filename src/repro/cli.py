@@ -18,7 +18,9 @@ Subcommands
     named benchmark, golden-trace-checked against the interpreter
     oracle, e.g. ``repro run --riscv examples/hazard.hex``.
 ``compare BENCHMARK``
-    Run one benchmark under several configurations side by side.
+    Run one benchmark under several configurations side by side.  A
+    failed cell's row shows its error; exits nonzero when any cell
+    failed.
 ``figure NAME``
     Regenerate one of the paper's figures/tables.
 ``suite``
@@ -587,20 +589,22 @@ def _cmd_litmus(args) -> int:
 def _cmd_compare(args) -> int:
     records = api.compare(args.benchmark, args.configs,
                           runner=_build_runner(args))
+    failed = any(not record.ok for record in records)
     if args.format == "json":
         _emit(_envelope("compare", benchmark=args.benchmark,
                         scale=args.scale,
                         runs=[record.to_dict() for record in records]),
               args)
-        return 0
+        return 1 if failed else 0
     width = max(len(name) for name in args.configs)
     lines = [f"{args.benchmark} (scale {args.scale})",
              f"{'configuration':<{width}}  {'IPC':>7}  {'cycles':>9}"]
     for name, record in zip(args.configs, records):
-        lines.append(f"{name:<{width}}  {record.ipc:>7.3f}  "
-                     f"{record.cycles:>9d}")
+        row = f"{record.ipc:>7.3f}  {record.cycles:>9d}" if record.ok \
+            else f"{record.status.upper()}: {record.error}"
+        lines.append(f"{name:<{width}}  {row}")
     _emit("\n".join(lines), args)
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_figure(args) -> int:

@@ -33,7 +33,7 @@ from ..obs.metrics import declare_metric
 from ..stats.counters import Counters
 from .lsq import LoadStoreQueue, LSQConfig
 from .registry import register_subsystem
-from .subsystem import DONE, MemorySubsystem, MemOutcome
+from .subsystem import LSQSubsystem
 from .violations import TRUE_DEP, Violation
 
 # -- declared metrics (metadata only; see repro.obs.metrics) -----------------
@@ -43,14 +43,15 @@ declare_metric("retire_replay_violations", subsystem="load_replay",
 
 
 @register_subsystem("load_replay")
-class LoadReplaySubsystem(MemorySubsystem):
-    """LSQ-style forwarding, disambiguation deferred to retirement."""
+class LoadReplaySubsystem(LSQSubsystem):
+    """LSQ-style forwarding, disambiguation deferred to retirement.
+
+    Everything but construction and load retirement is the LSQ's: with
+    ``detect_at_execute=False`` an executing store searches no load
+    queue and so never reports a violation.
+    """
 
     name = "load_replay"
-
-    @classmethod
-    def from_config(cls, config, memory, hierarchy, counters):
-        return cls(config.lsq, memory, hierarchy, counters)
 
     def __init__(self, config: LSQConfig, memory: MainMemory,
                  hierarchy: CacheHierarchy, counters: Counters):
@@ -59,38 +60,6 @@ class LoadReplaySubsystem(MemorySubsystem):
         self.hierarchy = hierarchy
         self.lsq = LoadStoreQueue(config, memory, counters,
                                   detect_at_execute=False)
-
-    # -- dispatch -----------------------------------------------------------
-
-    def can_dispatch_load(self) -> bool:
-        return self.lsq.can_dispatch_load()
-
-    def can_dispatch_store(self) -> bool:
-        return self.lsq.can_dispatch_store()
-
-    def dispatch_load(self, seq: int, pc: int) -> None:
-        self.lsq.dispatch_load(seq, pc)
-
-    def dispatch_store(self, seq: int, pc: int) -> None:
-        self.lsq.dispatch_store(seq, pc)
-
-    # -- execution ------------------------------------------------------------
-
-    def execute_load(self, seq: int, pc: int, addr: int, size: int,
-                     watermark: int, at_rob_head: bool = False) -> MemOutcome:
-        value, forwarded = self.lsq.execute_load(seq, addr, size)
-        cache_latency = self.hierarchy.data_latency(addr)
-        latency = 1 if forwarded else cache_latency
-        return MemOutcome(DONE, value=value, latency=latency)
-
-    def execute_store(self, seq: int, pc: int, addr: int, size: int,
-                      data: int, watermark: int,
-                      at_rob_head: bool = False) -> MemOutcome:
-        # No load-queue search: stores complete without any ordering check.
-        self.lsq.execute_store(seq, addr, size, data)
-        return MemOutcome(DONE, latency=1)
-
-    # -- retirement -------------------------------------------------------------
 
     def retire_load(self, seq: int, addr: int, size: int
                     ) -> Tuple[Optional[int], List[Violation]]:
@@ -104,18 +73,3 @@ class LoadReplaySubsystem(MemorySubsystem):
         self.counters.incr("retire_replay_violations")
         return current, [Violation(TRUE_DEP, flush_after_seq=seq,
                                    producer_pc=None, consumer_pc=None)]
-
-    def retire_store(self, seq: int, addr: int, size: int,
-                     bypassed: bool = False, pc: int = 0
-                     ) -> Tuple[int, int, int, List[Violation]]:
-        addr, size, data = self.lsq.retire_store(seq)
-        return addr, size, data, []
-
-    # -- flush handling -------------------------------------------------------------
-
-    def on_partial_flush(self, flush_after_seq: int,
-                         youngest_seq: int = -1) -> None:
-        self.lsq.flush_after(flush_after_seq)
-
-    def on_full_flush(self) -> None:
-        self.lsq.flush_all()

@@ -17,7 +17,8 @@ One :class:`ExperimentRunner` owns three layers of reuse:
   ``REPRO_CACHE_DIR`` environment variable), keyed by a content hash of
   the benchmark name, the scale, and the full canonical
   ``ProcessorConfig.to_dict()``, so identical cells are never
-  re-simulated across runs, benches, or processes.
+  re-simulated across runs, benches, or processes.  Sampled mode's
+  checkpoint trains are entries of the same cache.
 
 The simulator is fully deterministic, so all three paths (serial,
 parallel, cached) produce identical :class:`SimResult` grids.
@@ -75,6 +76,7 @@ from ..obs.runrecord import (
     STATUS_OK,
     STATUS_TIMEOUT,
     RunRecord,
+    validate_record,
 )
 from ..pipeline.config import ProcessorConfig, SystemConfig
 from ..pipeline.processor import Processor, SimResult
@@ -90,8 +92,9 @@ DEFAULT_SCALE = 20_000
 #: Upper bound on architectural execution (guards against kernel bugs).
 TRACE_LIMIT = 5_000_000
 
-#: Bump whenever the simulator's observable behaviour or the cached
-#: payload layout changes; every existing cache entry is invalidated.
+#: Bump whenever the simulator's observable behaviour or the layout of
+#: a cached payload -- a cell result or a checkpoint train -- changes;
+#: every existing cache entry, of either kind, is invalidated.
 CACHE_FORMAT = 1
 
 #: Default on-disk cache location (relative to the working directory).
@@ -140,7 +143,9 @@ def cache_key(benchmark: str, scale: int, config,
 
 
 class ResultCache:
-    """One-JSON-file-per-result cache under a directory.
+    """One-JSON-file-per-entry cache under a directory: cell results and
+    sampled mode's checkpoint trains (see :mod:`repro.checkpoint.store`),
+    each stamped with ``CACHE_FORMAT``.
 
     Files are written atomically (collision-proof temp file + rename) so
     concurrent runners sharing a cache directory -- even across hosts --
@@ -169,6 +174,8 @@ class ResultCache:
         return payload
 
     def store(self, key: str, payload: dict) -> None:
+        """Write ``payload``, stamped with ``CACHE_FORMAT``, under
+        ``key``."""
         self.directory.mkdir(parents=True, exist_ok=True)
         final = self.path(key)
         # pid alone collides across hosts sharing REPRO_CACHE_DIR; add
@@ -176,9 +183,12 @@ class ResultCache:
         tmp = final.with_name(
             f"{final.name}.tmp.{os.getpid()}.{os.urandom(6).hex()}")
         try:
-            tmp.write_text(json.dumps(payload, sort_keys=True))
+            tmp.write_text(json.dumps({**payload, "format": CACHE_FORMAT},
+                                      sort_keys=True))
             tmp.replace(final)
-        except OSError:
+        except BaseException:
+            # Whatever raised -- an OSError, a TypeError from a value
+            # JSON cannot encode, an interrupt -- leaves no temp file.
             try:
                 tmp.unlink()
             except OSError:
@@ -228,13 +238,7 @@ class ResultCache:
         except OSError:
             return removed
         for entry in entries:
-            try:
-                payload = json.loads(entry.read_text())
-                readable = isinstance(payload, dict) and \
-                    payload.get("format") == CACHE_FORMAT
-            except (OSError, ValueError):
-                readable = False
-            if not readable:
+            if self.load(entry.stem) is None:
                 try:
                     entry.unlink()
                     removed += 1
@@ -243,38 +247,13 @@ class ResultCache:
         return removed
 
 
-class _MemoCheckpointStore:
-    """In-process memo over an optional on-disk
-    :class:`~repro.checkpoint.store.CheckpointStore`.
-
-    Grid cells sharing a benchmark fast-forward once per *process* even
-    with the disk cache disabled, and the disk train is deserialized at
-    most once per process when it is enabled.
-    """
-
-    def __init__(self, inner: Optional[CheckpointStore]):
-        self.inner = inner
-        self._memo: Dict[str, dict] = {}
-
-    def load(self, key: str) -> Optional[dict]:
-        train = self._memo.get(key)
-        if train is not None:
-            return train
-        if self.inner is None:
-            return None
-        train = self.inner.load(key)
-        if train is not None:
-            self._memo[key] = train
-        return train
-
-    def store(self, key: str, checkpoints, total_instructions: int,
-              complete: bool = True, stride: int = 0) -> None:
-        self._memo[key] = {"total_instructions": total_instructions,
-                           "checkpoints": list(checkpoints),
-                           "complete": complete, "stride": stride}
-        if self.inner is not None:
-            self.inner.store(key, checkpoints, total_instructions,
-                             complete=complete, stride=stride)
+def _payload(result, counters: dict, started: float, **extra) -> dict:
+    """The cacheable payload of one simulated cell: ``result``'s totals,
+    its ``counters`` and the wall time since ``started``, plus the
+    ``cores`` or ``sampling`` field its record carries."""
+    return {"program_name": result.program_name, "cycles": result.cycles,
+            "instructions": result.instructions, "counters": counters,
+            "wall_time": time.perf_counter() - started, **extra}
 
 
 def _simulate_cell(program: Program, trace: List[RetireRecord],
@@ -286,29 +265,7 @@ def _simulate_cell(program: Program, trace: List[RetireRecord],
     """
     started = time.perf_counter()
     result = Processor(program, config, trace=trace).run()
-    return {
-        "format": CACHE_FORMAT,
-        "program_name": result.program_name,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "counters": result.counters.as_dict(),
-        "wall_time": time.perf_counter() - started,
-    }
-
-
-def _simulate_system_cell(programs, traces, config: SystemConfig) -> dict:
-    """Simulate one N-core system cell; returns the cacheable payload."""
-    started = time.perf_counter()
-    result = System(programs, config, traces=traces).run()
-    return {
-        "format": CACHE_FORMAT,
-        "program_name": result.program_name,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "counters": dict(result.counters),
-        "wall_time": time.perf_counter() - started,
-        "cores": config.cores,
-    }
+    return _payload(result, result.counters.as_dict(), started)
 
 
 class CellTimeout(Exception):
@@ -386,13 +343,12 @@ class ExperimentRunner:
     """Runs (benchmark x configuration) grids with golden-trace reuse,
     process-pool parallelism, and persistent result caching."""
 
-    def __init__(self, scale: int = DEFAULT_SCALE, verbose: bool = False,
+    def __init__(self, scale: int = DEFAULT_SCALE,
                  jobs: Optional[int] = None,
                  cache_dir: Optional[Union[str, Path]] = None,
                  use_cache: bool = True,
                  cell_timeout: Optional[float] = None):
         self.scale = check_scale(scale)
-        self.verbose = verbose
         self.jobs = check_jobs(jobs if jobs is not None
                                 else (os.cpu_count() or 1))
         #: Per-cell wall-clock timeout in seconds (None disables).
@@ -407,14 +363,16 @@ class ExperimentRunner:
         self.manifest: List[dict] = []
         self._programs: Dict[str, Program] = {}
         self._traces: Dict[str, List[RetireRecord]] = {}
-        #: Checkpoint trains for sampled mode, memoized in-process and
-        #: (when the result cache is enabled) persisted next to it.
-        self._checkpoints = _MemoCheckpointStore(
-            CheckpointStore(self.cache.directory / "checkpoints")
-            if self.cache else None)
         #: Injection point for failure testing: the per-cell worker
         #: function (must stay picklable for ``jobs > 1``).
         self._cell_fn = _simulate_cell
+
+    @functools.cached_property
+    def _trains(self) -> CheckpointStore:
+        """Sampled mode's checkpoint trains, memoized in-process and kept
+        in the result cache when it is enabled; built on the first
+        sampled cell."""
+        return CheckpointStore(self.cache)
 
     # ------------------------------------------------------------ workloads
 
@@ -434,15 +392,8 @@ class ExperimentRunner:
     def run(self, benchmark: str, config: ProcessorConfig) -> SimResult:
         """Simulate one benchmark under one configuration (serial,
         in-process), consulting and filling the result cache."""
-        key = cache_key(benchmark, self.scale, config)
-        payload = self.cache.load(key) if self.cache else None
-        hit = payload is not None
-        if payload is None:
-            payload = _simulate_cell(self.program(benchmark),
-                                     self.trace(benchmark), config)
-            if self.cache:
-                self.cache.store(key, payload)
-        self._record(benchmark, config, payload, key, hit)
+        payload = self._cached(benchmark, config, lambda: _simulate_cell(
+            self.program(benchmark), self.trace(benchmark), config))
         return self._rehydrate(config, payload)
 
     def run_system(self, benchmark: str,
@@ -456,31 +407,32 @@ class ExperimentRunner:
         per-thread programs run over shared memory.  Cells consult and
         fill the same persistent result cache as single-core runs (the
         key hashes the full nested system config)."""
-        key = cache_key(benchmark, self.scale, config)
-        payload = self.cache.load(key) if self.cache else None
-        hit = payload is not None
-        if payload is None:
-            if litmus.is_litmus(benchmark):
-                test = litmus.get_litmus(benchmark)
-                if config.cores != test.cores:
-                    raise ValueError(
-                        f"litmus test {test.name!r} needs exactly "
-                        f"{test.cores} cores, got {config.cores}")
-                if not config.shared_memory:
-                    raise ValueError(
-                        f"litmus test {test.name!r} requires shared "
-                        f"memory mode, got {config.memory_mode!r}")
-                programs = test.programs()
-                traces = None
-            else:
-                programs = [self.program(benchmark)] * config.cores
-                traces = [self.trace(benchmark)] * config.cores
-            payload = _simulate_system_cell(programs, traces, config)
-            if self.cache:
-                self.cache.store(key, payload)
-        self._record(benchmark, config, payload, key, hit,
-                     cores=config.cores)
+        self._cached(benchmark, config,
+                     lambda: self._simulate_system(benchmark, config))
         return self.last_record()
+
+    def _simulate_system(self, benchmark: str,
+                         config: SystemConfig) -> dict:
+        """Simulate one system cell; returns its cacheable payload."""
+        if litmus.is_litmus(benchmark):
+            test = litmus.get_litmus(benchmark)
+            if config.cores != test.cores:
+                raise ValueError(
+                    f"litmus test {test.name!r} needs exactly "
+                    f"{test.cores} cores, got {config.cores}")
+            if not config.shared_memory:
+                raise ValueError(
+                    f"litmus test {test.name!r} requires shared "
+                    f"memory mode, got {config.memory_mode!r}")
+            programs = test.programs()
+            traces = None
+        else:
+            programs = [self.program(benchmark)] * config.cores
+            traces = [self.trace(benchmark)] * config.cores
+        started = time.perf_counter()
+        result = System(programs, config, traces=traces).run()
+        return _payload(result, dict(result.counters), started,
+                        cores=config.cores)
 
     def run_sampled(self, benchmark: str, config: ProcessorConfig, *,
                     intervals: int = 10, warmup_insts: int = 1_000,
@@ -496,11 +448,12 @@ class ExperimentRunner:
         block carries the confidence interval and the interval table.
         Sampled cells get their own cache keys (the sampling parameters
         are folded into the key), so they can never shadow or be
-        shadowed by exact-mode entries, and the checkpoint train is
-        shared content-addressed across every config of a benchmark --
-        and, when ``horizon`` limits the sampled span, across horizons
-        too (prefix reuse / in-place extension, so different scales
-        never recapture).
+        shadowed by exact-mode entries.  The checkpoint train is a
+        content-addressed entry of the same cache, shared by every
+        config of a benchmark at this scale -- and, when ``horizon``
+        limits the sampled span, by every horizon (prefix reuse /
+        in-place extension).  Each scale builds a different program, so
+        trains are not shared across scales.
         """
         params = {"intervals": intervals, "warmup_insts": warmup_insts,
                   "interval_insts": interval_insts,
@@ -510,31 +463,19 @@ class ExperimentRunner:
             # Folded in only when present so pre-existing sampled-cell
             # cache keys stay byte-stable.
             params["horizon"] = horizon
-        key = cache_key(benchmark, self.scale, config, sampling=params)
-        payload = self.cache.load(key) if self.cache else None
-        hit = payload is not None
-        if payload is None:
+
+        def simulate() -> dict:
             program = self.program(benchmark)
             started = time.perf_counter()
             sampled = sample_run(
                 program, config, intervals=intervals,
                 warmup_insts=warmup_insts, interval_insts=interval_insts,
                 checkpoint_every=checkpoint_every, warm=warm,
-                store=self._checkpoints, limit=TRACE_LIMIT,
-                horizon=horizon)
-            payload = {
-                "format": CACHE_FORMAT,
-                "program_name": program.name,
-                "cycles": sampled.cycles,
-                "instructions": sampled.instructions,
-                "counters": dict(sampled.counters),
-                "wall_time": time.perf_counter() - started,
-                "sampling": sampled.sampling_dict(),
-            }
-            if self.cache:
-                self.cache.store(key, payload)
-        self._record(benchmark, config, payload, key, hit,
-                     sampling=payload.get("sampling"))
+                store=self._trains, limit=TRACE_LIMIT, horizon=horizon)
+            return _payload(sampled, dict(sampled.counters), started,
+                            sampling=sampled.sampling_dict())
+
+        self._cached(benchmark, config, simulate, sampling=params)
         return self.last_record()
 
     # ------------------------------------------------------------ grids
@@ -569,10 +510,8 @@ class ExperimentRunner:
         for benchmark in benchmarks:
             for config in configs:
                 key = cache_key(benchmark, self.scale, config)
-                payload = self.cache.load(key) if self.cache else None
+                payload = self._lookup(benchmark, config, key, jobs)
                 if payload is not None:
-                    self._record(benchmark, config, payload, key, True,
-                                 jobs=jobs)
                     results[(benchmark, config.name)] = \
                         self._rehydrate(config, payload)
                 elif key in cells:
@@ -699,6 +638,41 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------ internals
 
+    def _cached(self, benchmark: str, config,
+                simulate: Callable[[], dict],
+                sampling: Optional[dict] = None) -> dict:
+        """One in-process cell through the result cache: the cached
+        payload, else ``simulate()``'s (which is then cached); recorded
+        in the manifest either way."""
+        key = cache_key(benchmark, self.scale, config, sampling=sampling)
+        payload = self._lookup(benchmark, config, key)
+        if payload is None:
+            payload = simulate()
+            if self.cache:
+                self.cache.store(key, payload)
+            self.manifest.append(
+                self._record(benchmark, config, payload, key, False))
+        return payload
+
+    def _lookup(self, benchmark: str, config, key: str,
+                jobs: Optional[int] = None) -> Optional[dict]:
+        """The cached payload of a cell, recorded as a cache hit; None on
+        a miss.  An entry that does not decode into a valid record -- a
+        field missing or of the wrong type -- is a miss too, so the cell
+        re-simulates and overwrites it."""
+        payload = self.cache.load(key) if self.cache else None
+        if payload is None or \
+                not isinstance(payload.get("program_name"), str):
+            return None
+        try:
+            entry = self._record(benchmark, config, payload, key, True,
+                                 jobs)
+            validate_record(entry)
+        except (KeyError, TypeError, ValueError):
+            return None
+        self.manifest.append(entry)
+        return payload
+
     def _finish_cell(self, cell: _Cell, payload: dict,
                      results: Dict[Tuple[str, str], SimResult],
                      jobs: int) -> None:
@@ -707,8 +681,8 @@ class ExperimentRunner:
         if self.cache:
             self.cache.store(cell.key, payload)
         for config in cell.configs:
-            self._record(cell.benchmark, config, payload, cell.key, False,
-                         jobs=jobs)
+            self.manifest.append(self._record(
+                cell.benchmark, config, payload, cell.key, False, jobs))
             results[(cell.benchmark, config.name)] = \
                 self._rehydrate(config, payload)
 
@@ -725,9 +699,6 @@ class ExperimentRunner:
                 status=status, attempts=1, error=error,
                 engine=self._engine_provenance(jobs))
             self.manifest.append(record.to_dict())
-            if self.verbose:
-                print(f"  {cell.benchmark:<10s} {config.name:<28s} "
-                      f"{status.upper()}: {error}")
 
     def _rehydrate(self, config: ProcessorConfig,
                    payload: dict) -> SimResult:
@@ -739,10 +710,11 @@ class ExperimentRunner:
         return {"jobs": self.jobs if jobs is None else jobs,
                 "cache_enabled": self.cache is not None}
 
-    def _record(self, benchmark: str, config,
-                payload: dict, key: str, hit: bool,
-                jobs: Optional[int] = None, cores: int = 1,
-                sampling: Optional[dict] = None) -> None:
+    def _record(self, benchmark: str, config, payload: dict, key: str,
+                hit: bool, jobs: Optional[int] = None) -> dict:
+        """The manifest entry (a RunRecord dict) of one completed cell;
+        its ``cores`` and ``sampling`` fields come from the payload."""
+        sampling = payload.get("sampling")
         cycles = payload["cycles"]
         instructions = payload["instructions"]
         if sampling is not None:
@@ -752,7 +724,7 @@ class ExperimentRunner:
             ipc = sampling["ipc_mean"]
         else:
             ipc = instructions / cycles if cycles else 0.0
-        record = RunRecord(
+        return RunRecord(
             benchmark=benchmark,
             config_name=config.name,
             config=config.to_dict(),
@@ -766,14 +738,8 @@ class ExperimentRunner:
             cache_hit=hit,
             engine=self._engine_provenance(jobs),
             status=STATUS_OK,
-            cores=cores,
-            sampling=sampling)
-        entry = record.to_dict()
-        self.manifest.append(entry)
-        if self.verbose:
-            origin = "cache" if hit else f"{entry['wall_time']:.2f}s"
-            print(f"  {benchmark:<10s} {config.name:<28s} "
-                  f"IPC={entry['ipc']:.3f} [{origin}]")
+            cores=payload.get("cores", 1),
+            sampling=sampling).to_dict()
 
 
 def normalized_ipc(results: Dict[Tuple[str, str], SimResult],

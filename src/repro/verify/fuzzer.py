@@ -162,8 +162,7 @@ class DifferentialFuzzer:
 
     def __init__(self, configs: Optional[Sequence[ProcessorConfig]] = None,
                  builder: Optional[Callable[[int], Program]] = None,
-                 max_instructions: int = TRACE_LIMIT,
-                 check_determinism: bool = True):
+                 max_instructions: int = TRACE_LIMIT):
         if builder is None:
             # The default builder round-robins across every registered
             # program frontend (native generator, RV32 translator, ...),
@@ -194,7 +193,6 @@ class DifferentialFuzzer:
         self.configs = list(configs)
         self.builder = builder
         self.max_instructions = max_instructions
-        self.check_determinism = check_determinism
 
     # ------------------------------------------------------------ one seed
 
@@ -245,14 +243,13 @@ class DifferentialFuzzer:
                     f"retired {counters.get('retired_loads', 0)} loads/"
                     f"{counters.get('retired_stores', 0)} stores, oracle "
                     f"has {oracle_loads}/{oracle_stores}"))
-            if self.check_determinism:
-                rerun = Processor(program, config, trace=trace).run()
-                if rerun.cycles != result.cycles or \
-                        _counters_subset(rerun) != counters:
-                    mismatches.append(FuzzMismatch(
-                        seed, "nondeterminism", config.name,
-                        f"rerun produced {rerun.cycles} cycles vs "
-                        f"{result.cycles}, or differing counters"))
+            rerun = Processor(program, config, trace=trace).run()
+            if rerun.cycles != result.cycles or \
+                    _counters_subset(rerun) != counters:
+                mismatches.append(FuzzMismatch(
+                    seed, "nondeterminism", config.name,
+                    f"rerun produced {rerun.cycles} cycles vs "
+                    f"{result.cycles}, or differing counters"))
             results[config.name] = result
 
         mismatches.extend(self._cross_config_invariants(seed, results))

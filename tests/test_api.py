@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from repro import Processor, api
-from repro.harness import baseline_sfc_mdt_config
+from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
 from repro.obs.runrecord import RunRecord
 from repro.stats.report import format_report
 from repro.workloads import ALL_BENCHMARKS
@@ -57,6 +57,19 @@ class TestCompare:
         assert names[1].startswith("baseline-lsq")
         assert all(r.benchmark == "gap" for r in records)
 
+    def test_failed_cell_keeps_its_place(self):
+        """A failed config gets its own failure record; the surviving
+        cell is not shifted under its name."""
+        failing = baseline_lsq_config(name="too-few-cycles")
+        failing.max_cycles = 10
+        records = api.compare("gap", [failing, "baseline-sfc-mdt"],
+                              scale=1000, **quiet_runner_kwargs())
+        assert [r.config_name for r in records] == \
+            ["too-few-cycles", baseline_sfc_mdt_config().name]
+        assert records[0].status == "failed"
+        assert "10 cycles" in records[0].error
+        assert records[1].ok and records[1].cycles > 0
+
 
 class TestRunFigure:
     def test_figure_smoke(self):
@@ -75,6 +88,25 @@ class TestTrace:
                            epoch_cycles=200)
         assert tracer.epochs
         assert len(tracer.traces) <= 64
+
+    def test_trace_uses_the_engines_instruction_budget(self, monkeypatch):
+        """api.trace accepts and rejects the same programs as the
+        engine's golden trace, whose budget is TRACE_LIMIT."""
+        from repro.harness import experiment
+        from repro.isa.interp import ExecutionLimitExceeded
+
+        def engine_trace():
+            return experiment.ExperimentRunner(
+                scale=1200, use_cache=False).trace("gap")
+
+        length = len(engine_trace())
+        monkeypatch.setattr(experiment, "TRACE_LIMIT", length)
+        assert api.trace("gap", scale=1200, epoch_cycles=200).epochs
+        monkeypatch.setattr(experiment, "TRACE_LIMIT", length - 1)
+        with pytest.raises(ExecutionLimitExceeded):
+            engine_trace()
+        with pytest.raises(ExecutionLimitExceeded):
+            api.trace("gap", scale=1200, epoch_cycles=200)
 
 
 class TestListings:

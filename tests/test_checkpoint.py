@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.checkpoint import (
     ArchCheckpoint,
     CheckpointStore,
-    capture_train,
     ensure_train,
     select_checkpoints,
     train_key,
@@ -29,6 +28,7 @@ from repro.harness.configs import (
     baseline_lsq_config,
     baseline_sfc_mdt_config,
 )
+from repro.harness.experiment import ResultCache
 from repro.isa.interp import Interpreter
 from repro.memory.main_memory import MainMemory
 from repro.pipeline.core import Core
@@ -56,6 +56,18 @@ def _base_image(program):
     memory = MainMemory()
     memory.load_segments(program.data)
     return memory
+
+
+def _capture(program, every, warm, **kwargs):
+    """A fresh train's checkpoints and instruction total."""
+    train = ensure_train(program, every, warm, **kwargs)
+    return train["checkpoints"], train["total_instructions"]
+
+
+def _disk_store(directory):
+    """A train store over a result cache in ``directory``, with an empty
+    memo: every load decodes what the cache holds."""
+    return CheckpointStore(ResultCache(directory))
 
 
 class TestFastForward:
@@ -151,7 +163,7 @@ class TestInterpreterRoundTrip:
         """k at every captured block boundary of a real kernel."""
         program = suites.build("gzip", 2_000)
         trace, golden = _full_run(program)
-        checkpoints, total = capture_train(program, every=500, warm=False)
+        checkpoints, total = _capture(program, 500, False)
         assert total == len(trace)
         assert [c.retired for c in checkpoints] == \
             list(range(0, ((total - 1) // 500) * 500 + 1, 500))
@@ -179,8 +191,7 @@ class TestCoreRestore:
     def test_resumed_core_retires_suffix(self, config_fn):
         program = suites.build("gzip", 3_000)
         trace, golden = _full_run(program)
-        checkpoints, total = capture_train(program, every=1_000,
-                                           warm=True)
+        checkpoints, total = _capture(program, 1_000, True)
         ckpt = checkpoints[2]
         resumed = ckpt.resume_interpreter(program)
         resumed.instructions_retired = 0  # suffix records index from 0
@@ -211,8 +222,8 @@ class TestCoreRestore:
 class TestTrainAndStore:
     def test_thinning_caps_train_length(self):
         program = suites.build("gzip", 3_000)
-        checkpoints, total = capture_train(program, every=10, warm=False,
-                                           max_checkpoints=16)
+        checkpoints, total = _capture(program, 10, False,
+                                      max_checkpoints=16)
         assert len(checkpoints) <= 16
         positions = [c.retired for c in checkpoints]
         assert positions == sorted(positions)
@@ -220,7 +231,7 @@ class TestTrainAndStore:
 
     def test_select_checkpoints_spacing(self):
         program = suites.build("gzip", 2_000)
-        checkpoints, total = capture_train(program, every=200, warm=False)
+        checkpoints, total = _capture(program, 200, False)
         picked = select_checkpoints(checkpoints, total, intervals=4,
                                     window=300)
         assert 1 <= len(picked) <= 4
@@ -230,21 +241,22 @@ class TestTrainAndStore:
 
     def test_select_degenerates_to_start_when_program_short(self):
         program = suites.build("gzip", 2_000)
-        checkpoints, total = capture_train(program, every=500, warm=False)
+        checkpoints, total = _capture(program, 500, False)
         picked = select_checkpoints(checkpoints, total, intervals=3,
                                     window=total + 1)
         assert [c.retired for c in picked] == [0]
 
     def test_store_round_trip(self, tmp_path):
         program = suites.build("gzip", 2_000)
-        checkpoints, total = capture_train(program, every=700, warm=True)
-        store = CheckpointStore(tmp_path)
+        captured = ensure_train(program, 700, True)
+        checkpoints = captured["checkpoints"]
+        store = _disk_store(tmp_path)
         key = train_key(program.digest(), 700, True)
         assert store.load(key) is None
-        store.store(key, checkpoints, total)
-        train = store.load(key)
-        assert train["total_instructions"] == total
-        assert len(train["checkpoints"]) == len(checkpoints)
+        store.store(key, captured)
+        assert store.load(key) is captured  # memoized
+        train = _disk_store(tmp_path).load(key)
+        assert _train_fingerprint(train) == _train_fingerprint(captured)
         reloaded = train["checkpoints"][1]
         assert reloaded.retired == checkpoints[1].retired
         assert reloaded.regs == checkpoints[1].regs
@@ -252,46 +264,53 @@ class TestTrainAndStore:
         assert reloaded.warm == checkpoints[1].warm
 
     def test_store_corrupt_reads_as_miss(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.path("bad").parent.mkdir(parents=True, exist_ok=True)
-        store.path("bad").write_text("{not json")
-        assert store.load("bad") is None
+        cache = ResultCache(tmp_path)
+        cache.store("bad", {"format": 1})
+        cache.path("bad").write_text("{not json")
+        cache.store("partial", {"total_instructions": 5, "stride": 1})
+        cache.store("empty", {"total_instructions": 0, "complete": True,
+                              "stride": 0, "checkpoints": []})
+        store = CheckpointStore(cache)
+        for key in ("bad", "partial", "empty", "missing"):
+            assert store.load(key) is None
 
 
 class TestStoreFaultInjection:
-    """A failed write never leaks a ``*.tmp.*`` file, whatever raised."""
+    """A failed write never leaks a ``*.tmp.*`` file, whatever raised,
+    and keeps nothing in the memo."""
 
     @staticmethod
-    def _checkpoint(program):
+    def _train(program):
         interp = Interpreter(program)
-        return ArchCheckpoint.capture(interp, _base_image(program))
+        checkpoint = ArchCheckpoint.capture(interp, _base_image(program))
+        return {"checkpoints": [checkpoint], "total_instructions": 100,
+                "complete": True, "stride": 100}
 
     def test_unserializable_capsule_cleans_temp(self, tmp_path):
         # Non-OSError mid-write: json.dumps raises TypeError on the
-        # capsule.  Historically this leaked the temp file.
-        program = suites.build("gzip", 2_000)
-        ckpt = self._checkpoint(program)
-        ckpt.warm = {"bpred": object()}
-        store = CheckpointStore(tmp_path)
+        # capsule.
+        train = self._train(suites.build("gzip", 2_000))
+        train["checkpoints"][0].warm = {"bpred": object()}
+        store = _disk_store(tmp_path)
         with pytest.raises(TypeError):
-            store.store("key", [ckpt], 100)
+            store.store("key", train)
         assert list(tmp_path.glob("*.tmp.*")) == []
         assert store.load("key") is None
 
     def test_rename_failure_cleans_temp(self, tmp_path, monkeypatch):
         import pathlib
 
-        program = suites.build("gzip", 2_000)
-        ckpt = self._checkpoint(program)
-        store = CheckpointStore(tmp_path)
+        train = self._train(suites.build("gzip", 2_000))
+        store = _disk_store(tmp_path)
 
         def broken_replace(self, target):
             raise RuntimeError("injected rename failure")
 
         monkeypatch.setattr(pathlib.Path, "replace", broken_replace)
         with pytest.raises(RuntimeError):
-            store.store("key", [ckpt], 100)
+            store.store("key", train)
         assert list(tmp_path.glob("*.tmp.*")) == []
+        assert store.load("key") is None
 
 
 def _train_fingerprint(train):
@@ -305,62 +324,70 @@ def _train_fingerprint(train):
 
 
 class TestEnsureTrain:
-    """Cross-scale checkpoint-train reuse: prefix serve + in-place
-    extension, never a recapture."""
+    """Checkpoint-train reuse across horizons: prefix serve + in-place
+    extension, never a recapture.  Each call gets a fresh memo, so what
+    is reused is what the cache holds."""
 
     @pytest.mark.parametrize("warm", [True, False])
     def test_extension_bit_identical_to_fresh_capture(self, tmp_path,
                                                       warm):
         program = suites.build("gzip", 4_000)
-        grown = CheckpointStore(tmp_path / "grown")
-        fresh = CheckpointStore(tmp_path / "fresh")
+        grown = tmp_path / "grown"
+        fresh = tmp_path / "fresh"
         short = ensure_train(program, 300, warm, horizon=1_000,
-                             store=grown)
+                             store=_disk_store(grown))
         assert not short["complete"]
         assert short["total_instructions"] >= 1_000
         extended = ensure_train(program, 300, warm, horizon=3_000,
-                                store=grown)
+                                store=_disk_store(grown))
         reference = ensure_train(program, 300, warm, horizon=3_000,
-                                 store=fresh)
+                                 store=_disk_store(fresh))
         assert _train_fingerprint(extended) == \
             _train_fingerprint(reference)
         # ... and extending to completion still matches a fresh full run
-        full = ensure_train(program, 300, warm, store=grown)
-        full_ref = ensure_train(program, 300, warm, store=fresh)
+        full = ensure_train(program, 300, warm, store=_disk_store(grown))
+        full_ref = ensure_train(program, 300, warm,
+                                store=_disk_store(fresh))
         assert full["complete"]
         assert _train_fingerprint(full) == _train_fingerprint(full_ref)
 
     def test_longer_train_serves_shorter_horizon_without_rewrite(
             self, tmp_path):
         program = suites.build("gzip", 4_000)
-        store = CheckpointStore(tmp_path)
         long_train = ensure_train(program, 300, True, horizon=3_000,
-                                  store=store)
-        key = train_key(program.digest(), 300, True)
-        mtime = store.path(key).stat().st_mtime_ns
+                                  store=_disk_store(tmp_path))
+        path = ResultCache(tmp_path).path(
+            train_key(program.digest(), 300, True))
+        mtime = path.stat().st_mtime_ns
         short = ensure_train(program, 300, True, horizon=500,
-                             store=store)
+                             store=_disk_store(tmp_path))
         assert _train_fingerprint(short) == \
             _train_fingerprint(long_train)
-        assert store.path(key).stat().st_mtime_ns == mtime
+        assert path.stat().st_mtime_ns == mtime
 
     def test_complete_train_serves_any_horizon(self, tmp_path):
         program = suites.build("gzip", 2_000)
-        store = CheckpointStore(tmp_path)
-        full = ensure_train(program, 300, True, store=store)
+        full = ensure_train(program, 300, True,
+                            store=_disk_store(tmp_path))
         assert full["complete"]
         served = ensure_train(
             program, 300, True,
-            horizon=full["total_instructions"] * 10, store=store)
+            horizon=full["total_instructions"] * 10,
+            store=_disk_store(tmp_path))
         assert _train_fingerprint(served) == _train_fingerprint(full)
+
+    def test_memo_alone_serves_one_process(self):
+        program = suites.build("gzip", 2_000)
+        store = CheckpointStore()
+        first = ensure_train(program, 300, True, store=store)
+        assert ensure_train(program, 300, True, store=store) is first
 
     def test_incomplete_train_positions_resumable(self, tmp_path):
         # The invariant extension depends on: an incomplete train's
         # total_instructions is exactly its last checkpoint's position.
         program = suites.build("gzip", 4_000)
-        store = CheckpointStore(tmp_path)
         train = ensure_train(program, 300, True, horizon=1_500,
-                             store=store)
+                             store=_disk_store(tmp_path))
         assert not train["complete"]
         assert train["checkpoints"][-1].retired == \
             train["total_instructions"]

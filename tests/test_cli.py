@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import Processor
+from repro import Processor, api
 from repro.api import CONFIGS, FIGURES
 from repro.cli import main
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
@@ -62,6 +62,31 @@ class TestCli:
                      "--configs", "baseline-lsq", "baseline-sfc-mdt"]) == 0
         out = capsys.readouterr().out
         assert "baseline-lsq" in out and "baseline-sfc-mdt" in out
+
+    def test_compare_labels_rows_by_their_own_config(self, capsys,
+                                                     monkeypatch):
+        """A failed config's row carries its error, not a surviving
+        config's numbers, and the command exits 1."""
+        def failing():
+            config = baseline_lsq_config()
+            config.max_cycles = 10
+            return config
+
+        monkeypatch.setitem(CONFIGS, "baseline-lsq", failing)
+        argv = ["compare", "gap", "--configs", "baseline-lsq",
+                "baseline-sfc-mdt", "--scale", "1000", "--no-cache",
+                "--jobs", "1"]
+        assert main(argv) == 1
+        rows = {line.split()[0]: line.split()[1:]
+                for line in capsys.readouterr().out.splitlines()[2:]}
+        assert rows["baseline-lsq"][0] == "FAILED:"
+        sfc = api.simulate("gap", "baseline-sfc-mdt", scale=1000,
+                           jobs=1, use_cache=False)
+        assert rows["baseline-sfc-mdt"] == [f"{sfc.ipc:.3f}",
+                                            str(sfc.cycles)]
+        assert main(argv + ["--format", "json"]) == 1
+        runs = json.loads(capsys.readouterr().out)["runs"]
+        assert [run["status"] for run in runs] == ["failed", "ok"]
 
     def test_figure(self, capsys):
         assert main(["figure", "window-scaling", "--scale", "1500"]) == 0

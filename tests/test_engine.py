@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.checkpoint import train_key
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
 from repro.harness.experiment import (
+    CACHE_FORMAT,
     ExperimentRunner,
     ResultCache,
     cache_key,
@@ -25,6 +27,18 @@ SCALE = 1200
 
 def configs():
     return [baseline_lsq_config(), baseline_sfc_mdt_config()]
+
+
+def write_foreign(cache, key, payload):
+    """Write an entry as another build would have: the cache stamps its
+    own ``CACHE_FORMAT`` on everything it stores itself."""
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    cache.path(key).write_text(json.dumps(payload))
+
+
+def age(path, seconds):
+    past = time.time() - seconds
+    os.utime(path, (past, past))
 
 
 def grid_snapshot(results):
@@ -199,7 +213,7 @@ class TestResultCache:
     def test_gc_drops_unreadable_and_foreign_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store("good", {"format": 1, "cycles": 7})
-        cache.store("old", {"format": -1})
+        write_foreign(cache, "old", {"format": -1})
         cache.path("corrupt").write_text("{not json")
         (tmp_path / "x.json.tmp.1.ff").write_text("")
         removed = cache.gc()
@@ -219,8 +233,71 @@ class TestResultCache:
 
     def test_foreign_format_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store("old", {"format": -1, "cycles": 7})
+        write_foreign(cache, "old", {"format": -1, "cycles": 7})
         assert cache.load("old") is None
+
+    def test_store_stamps_cache_format(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store("k", {"cycles": 7, "format": -1})
+        assert json.loads(cache.path("k").read_text()) == \
+            {"cycles": 7, "format": CACHE_FORMAT}
+
+    def test_failed_rename_leaves_no_temp(self, tmp_path, monkeypatch):
+        """Whatever a write raises -- not only OSError -- its temp file
+        goes."""
+        cache = ResultCache(tmp_path)
+
+        def broken_replace(self, target):
+            raise RuntimeError("injected rename failure")
+
+        monkeypatch.setattr(Path, "replace", broken_replace)
+        with pytest.raises(RuntimeError):
+            cache.store("k", {"cycles": 7})
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestTrainEntries:
+    """Sampled mode's checkpoint trains are ordinary entries of the
+    result cache, so its format check, temp sweep and gc cover them."""
+
+    @staticmethod
+    def sampled_train(tmp_path):
+        """Run one small sampled cell; returns the runner and the path
+        of the train entry it stored."""
+        runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
+        record = runner.run_sampled("gzip", baseline_sfc_mdt_config(),
+                                    intervals=2, warmup_insts=100,
+                                    interval_insts=200)
+        key = train_key(runner.program("gzip").digest(),
+                        record.sampling["checkpoint_every"], True)
+        return runner, runner.cache.path(key)
+
+    def test_train_is_a_stamped_entry_next_to_the_cell(self, tmp_path):
+        runner, train = self.sampled_train(tmp_path)
+        assert json.loads(train.read_text())["format"] == CACHE_FORMAT
+        cell = runner.cache.path(runner.manifest[-1]["key"])
+        assert sorted(tmp_path.iterdir()) == sorted([cell, train])
+
+    def test_reopen_sweeps_hour_old_train_temp(self, tmp_path):
+        _, train = self.sampled_train(tmp_path)
+        orphan = train.with_name(train.name + ".tmp.999.ab")
+        orphan.write_text("{")
+        age(orphan, 7200)
+        ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
+        assert not orphan.exists()
+        assert train.exists()
+
+    def test_gc_removes_foreign_train_and_orphan_temp(self, tmp_path):
+        runner, train = self.sampled_train(tmp_path)
+        foreign = json.loads(train.read_text())
+        foreign["format"] = -1
+        train.write_text(json.dumps(foreign))
+        orphan = train.with_name(train.name + ".tmp.999.ab")
+        orphan.write_text("{")
+        age(orphan, 3600)
+        assert runner.cache.gc() == 2
+        assert not train.exists() and not orphan.exists()
+        assert len(list(tmp_path.iterdir())) == 1  # the cell survives
 
 
 class TestEngineGrids:
@@ -257,6 +334,26 @@ class TestEngineGrids:
         runner.run_suite(["gap"], configs())
         hits = [e["cache_hit"] for e in runner.manifest]
         assert hits == [False, True, False]
+
+    def test_malformed_entry_is_resimulated(self, tmp_path):
+        """An entry with the current format but a missing or mistyped
+        field is a miss: the cell re-simulates and overwrites it,
+        through run() and through run_suite()."""
+        runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
+        config = baseline_lsq_config()
+        for benchmark in BENCHMARKS:
+            runner.cache.store(cache_key(benchmark, SCALE, config),
+                               {"format": CACHE_FORMAT, "cycles": "many"})
+        result = runner.run("gap", config)
+        assert result.cycles > 0
+        results = runner.run_suite(BENCHMARKS, [config], jobs=1)
+        assert set(results) == {(b, config.name) for b in BENCHMARKS}
+        assert [(e["benchmark"], e["cache_hit"], e["status"])
+                for e in runner.manifest] == [
+            ("gap", False, "ok"), ("gap", True, "ok"),
+            ("crafty", False, "ok")]
+        assert runner.cache.load(cache_key("crafty", SCALE, config))[
+            "cycles"] == results[("crafty", config.name)].cycles
 
     def test_config_field_change_invalidates_cache(self, tmp_path):
         runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)

@@ -10,6 +10,8 @@ the tree.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import api, perf
@@ -158,6 +160,12 @@ class TestBoundaryAccounting:
             unscoped.total_instructions
 
 
+def _train_entries(cache_dir):
+    """The checkpoint-train entries of a result-cache directory."""
+    return sorted(path for path in cache_dir.glob("*.json")
+                  if "checkpoints" in json.loads(path.read_text()))
+
+
 class TestRunnerIntegration:
     def test_run_sampled_record_shape(self, tmp_path):
         runner = ExperimentRunner(scale=10_000, cache_dir=tmp_path)
@@ -200,12 +208,18 @@ class TestRunnerIntegration:
         runner.run_sampled("gzip", baseline_sfc_mdt_config(),
                            intervals=3, warmup_insts=300,
                            interval_insts=1_000)
-        trains = list((tmp_path / "checkpoints").glob("*.ckpt.json"))
+        trains = _train_entries(tmp_path)
         assert len(trains) == 1
         runner.run_sampled("gzip", baseline_lsq_config(), intervals=3,
                            warmup_insts=300, interval_insts=1_000)
-        assert list((tmp_path / "checkpoints").glob("*.ckpt.json")) \
-            == trains
+        assert _train_entries(tmp_path) == trains
+        # A new process (a fresh runner) restores it from the cache.
+        mtime = trains[0].stat().st_mtime_ns
+        ExperimentRunner(scale=10_000, cache_dir=tmp_path).run_sampled(
+            "gzip", baseline_sfc_mdt_config(), intervals=2,
+            warmup_insts=300, interval_insts=1_000)
+        assert _train_entries(tmp_path) == trains
+        assert trains[0].stat().st_mtime_ns == mtime
 
     def test_train_reused_across_horizons(self, tmp_path):
         """A train captured for one horizon is prefix-served or extended
@@ -216,14 +230,13 @@ class TestRunnerIntegration:
         runner.run_sampled("gzip", config, intervals=3,
                            warmup_insts=300, interval_insts=1_000,
                            horizon=5_000)
-        trains = list((tmp_path / "checkpoints").glob("*.ckpt.json"))
+        trains = _train_entries(tmp_path)
         assert len(trains) == 1
         # Longer horizon: extended in place, still one file.
         runner.run_sampled("gzip", config, intervals=3,
                            warmup_insts=300, interval_insts=1_000,
                            horizon=20_000)
-        assert list((tmp_path / "checkpoints").glob("*.ckpt.json")) \
-            == trains
+        assert _train_entries(tmp_path) == trains
         mtime = trains[0].stat().st_mtime_ns
         # Shorter horizon again: served as a prefix, no rewrite.
         runner.run_sampled("gzip", config, intervals=2,
@@ -322,16 +335,16 @@ class TestApiAndCli:
 
 class TestSystemCheckpointRestore:
     def test_private_mode_restores_from_checkpoints(self):
-        from repro.checkpoint import capture_train
+        from repro.checkpoint import ensure_train
         from repro.pipeline.config import SystemConfig
         from repro.pipeline.system import System
 
         program = suites.build("gzip", 3_000)
         interp = Interpreter(program)
         golden_trace = interp.run(5_000_000)
-        checkpoints, total = capture_train(program, every=1_000,
-                                           warm=True)
-        ckpt = checkpoints[1]
+        train = ensure_train(program, 1_000, True)
+        total = train["total_instructions"]
+        ckpt = train["checkpoints"][1]
         resumed = ckpt.resume_interpreter(program)
         resumed.instructions_retired = 0
         suffix = resumed.run(500_000)
@@ -347,12 +360,12 @@ class TestSystemCheckpointRestore:
             assert core.memory.digest() == interp.memory.digest()
 
     def test_shared_mode_rejects_checkpoints(self):
-        from repro.checkpoint import capture_train
+        from repro.checkpoint import ensure_train
         from repro.pipeline.config import SystemConfig
         from repro.pipeline.system import System
 
         program = suites.build("gzip", 2_000)
-        checkpoints, _ = capture_train(program, every=500, warm=False)
+        checkpoints = ensure_train(program, 500, False)["checkpoints"]
         config = SystemConfig(core=baseline_sfc_mdt_config(), cores=2,
                               memory_mode="shared")
         with pytest.raises(ValueError, match="private"):
