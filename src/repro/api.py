@@ -26,14 +26,14 @@ or ``repro.harness`` internals:
 * :func:`fuzz` -- a differential fuzz campaign cross-checking every
   memory subsystem against the interpreter oracle
   (:class:`~repro.verify.fuzzer.FuzzReport`); seeds round-robin across
-  every registered program frontend (native generator, RV32);
+  the program frontends (native generator, RV32);
 * :func:`simulate_riscv` -- load a real RV32 image (``.hex`` text, raw
   binary, or word list) through the :mod:`repro.isa.riscv` frontend and
   simulate it golden-trace-checked against the interpreter oracle;
-* :func:`run_riscv_conformance` -- execute the committed RV32 corpus on
-  the oracle and on every configuration of the differential matrix,
-  asserting identical final register/memory digests
-  (:class:`~repro.verify.conformance.ConformanceReport`);
+* :func:`run_riscv_conformance` / :func:`replay_corpus` -- put the
+  committed RV32 programs, or a crash corpus, through the fuzzer's
+  differential check on every configuration of the matrix
+  (:class:`~repro.verify.corpus.ReplayReport`);
 * :func:`list_benchmarks` / :func:`list_configs` / :func:`list_figures`
   / :func:`list_suites` / :func:`list_frontends` -- the name spaces the
   other calls accept.
@@ -120,10 +120,10 @@ def list_suites() -> List[str]:
 
 
 def list_frontends() -> List[str]:
-    """Registered program frontends (all fuzzed by default)."""
-    from .verify import frontend_names
+    """Program frontends (every one fuzzed by default)."""
+    from .verify.fuzzer import FRONTENDS
 
-    return frontend_names()
+    return [name for name, _ in FRONTENDS]
 
 
 def list_figures() -> List[str]:
@@ -357,24 +357,22 @@ def simulate_riscv(source, config: ConfigLike = "baseline-sfc-mdt",
         counters=dict(result.counters.as_dict()))
 
 
-def run_riscv_conformance(suite: str = "riscv-conformance",
-                          configs: Optional[Sequence[ConfigLike]] = None):
-    """Run the RV32 conformance sweep; returns a
-    :class:`~repro.verify.conformance.ConformanceReport` whose ``.ok``
-    is True iff every (program, configuration) cell retires to the
-    oracle's exact register and memory digests.
+def run_riscv_conformance(configs: Optional[Sequence[ConfigLike]] = None):
+    """Differentially check every program of the ``riscv-conformance``
+    suite; returns a :class:`~repro.verify.corpus.ReplayReport` whose
+    ``.ok`` is True iff no program shows a mismatch on any
+    configuration.
 
     ``configs=None`` uses the registry-covering differential matrix
     (one configuration per registered memory subsystem); names are
-    resolved through :func:`resolve_config`.  The suite membership is
-    declared in :mod:`repro.workloads.suites` -- no cherry-picking.
+    resolved through :func:`resolve_config`.
     """
     from .verify import run_conformance
 
     resolved = None
     if configs is not None:
         resolved = [resolve_config(config) for config in configs]
-    return run_conformance(suite_name=suite, configs=resolved)
+    return run_conformance(configs=resolved)
 
 
 def replay_corpus(corpus_dir: str):

@@ -35,17 +35,18 @@ Subcommands
     NAME`` runs a declared suite (e.g. ``riscv-conformance``) instead
     of an explicit benchmark list.
 ``conformance``
-    Execute every program of the ``riscv-conformance`` suite on the
-    interpreter oracle and on every configuration of the differential
-    matrix, asserting identical final register/memory digests;
-    ``--manifest FILE`` archives the per-cell RunRecords.  Exits
-    nonzero on any nonconforming cell.
+    Put every program of the ``riscv-conformance`` suite through the
+    differential fuzzer's check on every configuration of the matrix
+    (``--configs`` narrows it).  Exits nonzero on any mismatch.  ``suite
+    --suite riscv-conformance --manifest FILE`` archives the same cells'
+    RunRecords.
 ``fuzz``
     Differentially fuzz every memory subsystem against the in-order
     interpreter oracle (``--iterations``/``--seconds`` budgets,
     ``--seed``); failures are minimized and written to ``--corpus DIR``
     as replayable JSON cases.  ``--replay`` re-checks an existing corpus
-    instead of fuzzing.  Exits nonzero on any mismatch.
+    instead of fuzzing; a ``--corpus`` that is not a directory, or a
+    malformed case in it, exits 2.  Exits 1 on any mismatch.
 ``litmus``
     Run the litmus suite (MP/SB/LB) on the shared-memory multicore
     machine and check every observed outcome against the
@@ -94,6 +95,7 @@ from .harness.experiment import (ExperimentRunner, check_jobs,
                                  check_scale, check_timeout)
 from .obs.runrecord import SCHEMA_VERSION
 from .stats.report import format_report
+from .verify.corpus import CorpusError
 from .verify.fuzzer import check_iterations, check_seconds
 from .workloads import (ALL_BENCHMARKS, RISCV_BENCHMARKS,
                         litmus_benchmark_names, suite as workload_suite,
@@ -337,20 +339,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(fuzz)
 
     conformance = sub.add_parser(
-        "conformance", help="run the RV32 conformance suite on the "
-                            "oracle and every subsystem configuration")
-    conformance.add_argument("--suite", default="riscv-conformance",
-                             dest="suite_name", choices=suite_names(),
-                             help="declared suite to sweep "
-                                  "(default riscv-conformance)")
+        "conformance", help="differentially check the RV32 conformance "
+                            "suite on every subsystem configuration")
     conformance.add_argument("--configs", nargs="+", default=None,
                              choices=sorted(api.CONFIGS),
                              help="run only these presets instead of "
                                   "the registry-covering default "
                                   "matrix")
-    conformance.add_argument("--manifest", default=None, metavar="FILE",
-                             help="also archive the per-cell "
-                                  "RunRecords as a JSON manifest")
     _add_output_flags(conformance)
 
     litmus = sub.add_parser(
@@ -686,25 +681,20 @@ def _cmd_suite(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_conformance(args) -> int:
-    report = api.run_riscv_conformance(suite=args.suite_name,
-                                       configs=args.configs)
-    if args.manifest:
-        from .verify import conformance_records
-
-        path = Path(args.manifest)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(
-            [record.to_dict() for record in conformance_records(report)],
-            sort_keys=True, indent=2) + "\n")
-        print(f"wrote manifest {path}", file=sys.stderr)
+def _emit_replay(kind: str, report, args) -> int:
+    """Print a :class:`~repro.verify.corpus.ReplayReport`; exit 1 on a
+    mismatch."""
     if args.format == "json":
-        _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2),
-              args)
+        _emit(_envelope(kind, **report.to_dict()), args)
     else:
         _emit(report.format(), args)
     return 0 if report.ok else 1
+
+
+def _cmd_conformance(args) -> int:
+    return _emit_replay("conformance",
+                        api.run_riscv_conformance(configs=args.configs),
+                        args)
 
 
 def _cmd_fuzz(args) -> int:
@@ -712,12 +702,16 @@ def _cmd_fuzz(args) -> int:
         if not args.corpus:
             print("--replay requires --corpus DIR", file=sys.stderr)
             return 2
-        report = api.replay_corpus(args.corpus)
-        if args.format == "json":
-            _emit(_envelope("fuzz-replay", **report.to_dict()), args)
-        else:
-            _emit(report.format(), args)
-        return 0 if report.ok else 1
+        if not Path(args.corpus).is_dir():
+            print(f"error: --corpus {args.corpus} is not a directory",
+                  file=sys.stderr)
+            return 2
+        try:
+            report = api.replay_corpus(args.corpus)
+        except CorpusError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return _emit_replay("fuzz-replay", report, args)
     report = api.fuzz(iterations=args.iterations, seconds=args.seconds,
                       seed=args.seed, configs=args.configs,
                       corpus_dir=args.corpus,

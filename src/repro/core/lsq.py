@@ -48,6 +48,10 @@ class LSQConfig:
     __slots__ = ("lq_size", "sq_size")
 
     def __init__(self, lq_size: int = 48, sq_size: int = 32):
+        for field, value in (("lq_size", lq_size), ("sq_size", sq_size)):
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(
+                    f"{field} must be a positive integer, got {value!r}")
         self.lq_size = lq_size
         self.sq_size = sq_size
 

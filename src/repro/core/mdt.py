@@ -78,6 +78,11 @@ class MDTConfig:
     def __init__(self, num_sets: int = 4096, assoc: int = 2,
                  granularity: int = 8, tagged: bool = True,
                  counted_load_recovery: bool = False):
+        for field, value in (("num_sets", num_sets), ("assoc", assoc),
+                             ("granularity", granularity)):
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(
+                    f"{field} must be a positive integer, got {value!r}")
         if num_sets & (num_sets - 1):
             raise ValueError("num_sets must be a power of two")
         if granularity & (granularity - 1):

@@ -106,6 +106,10 @@ class SFCConfig:
     def __init__(self, num_sets: int = 128, assoc: int = 2,
                  corruption_mode: str = CORRUPTION_MASK,
                  flush_endpoint_slots: int = 8):
+        for field, value in (("num_sets", num_sets), ("assoc", assoc)):
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(
+                    f"{field} must be a positive integer, got {value!r}")
         if num_sets & (num_sets - 1):
             raise ValueError("num_sets must be a power of two")
         if corruption_mode not in (CORRUPTION_MASK, CORRUPTION_ENDPOINTS):

@@ -70,7 +70,8 @@ class CoreConfig:
                               fetch_branches_per_cycle),
                              ("rob_size", rob_size),
                              ("sched_size", sched_size),
-                             ("num_fus", num_fus)):
+                             ("num_fus", num_fus),
+                             ("store_fifo_capacity", store_fifo_capacity)):
             if not isinstance(value, int) or value < 1:
                 raise ValueError(
                     f"{field} must be a positive integer, got {value!r}")

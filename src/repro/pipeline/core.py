@@ -348,7 +348,8 @@ class Core:
 
         Only meaningful once the core is quiescent (``done`` or between
         retirement groups): reads each architectural register through the
-        retirement-consistent rename table.  The conformance harness
+        retirement-consistent rename table.  The differential check
+        (:meth:`~repro.verify.fuzzer.DifferentialFuzzer.check_program`)
         compares this against the in-order interpreter's register file.
         """
         rename = self.rename

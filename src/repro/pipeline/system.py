@@ -88,23 +88,11 @@ class System:
     *single-threaded* architectural execution, used for fetch-path
     tracking and the branch oracle; value validation against it is
     enabled only in ``private`` memory mode.
-
-    ``checkpoints`` (one
-    :class:`~repro.checkpoint.arch.ArchCheckpoint` per core, or None
-    entries for cores starting at reset) begins each core's detailed
-    simulation from fast-forwarded architectural state.  Restore is
-    only meaningful in ``private`` memory mode -- checkpoints are
-    captured by the *single-threaded* interpreter, and a shared image
-    stamped from per-core checkpoints would interleave their deltas
-    nondeterministically -- so shared-memory mode rejects it.  Each
-    restored core's ``traces`` entry must be the golden *suffix* from
-    its checkpoint (see :class:`~repro.pipeline.core.Core`).
     """
 
     def __init__(self, programs: Sequence[Program], config: SystemConfig,
                  traces: Optional[Sequence[List[RetireRecord]]] = None,
-                 max_instructions: int = 1_000_000,
-                 checkpoints: Optional[Sequence] = None):
+                 max_instructions: int = 1_000_000):
         programs = list(programs)
         if len(programs) == 1 and config.cores > 1:
             programs = programs * config.cores
@@ -116,16 +104,6 @@ class System:
         if traces is not None and len(traces) != config.cores:
             raise ValueError(
                 f"got {len(traces)} trace(s) for {config.cores} core(s)")
-        if checkpoints is not None:
-            if config.shared_memory:
-                raise ValueError(
-                    "checkpoint restore requires private memory mode: "
-                    "single-threaded checkpoints cannot seed a shared "
-                    "architectural image")
-            if len(checkpoints) != config.cores:
-                raise ValueError(
-                    f"got {len(checkpoints)} checkpoint(s) for "
-                    f"{config.cores} core(s)")
         self.config = config
         self.programs = programs
         self.memsys = MemorySystem(config.cores,
@@ -137,19 +115,11 @@ class System:
         for core_id, program in enumerate(programs):
             trace = traces[core_id] if traces is not None \
                 else run_program(program, max_instructions)
-            ckpt = checkpoints[core_id] if checkpoints is not None \
-                else None
-            memory = self.memsys.memory(core_id)
-            if ckpt is not None:
-                memory.apply_page_delta(ckpt.pages)
             self.cores.append(Core(
                 program, config.core, trace=trace,
-                memory=memory,
+                memory=self.memsys.memory(core_id),
                 hierarchy=self.memsys.hierarchy(core_id),
-                core_id=core_id, validate=not shared, idle_skip=False,
-                start_pc=ckpt.pc if ckpt is not None else 0,
-                start_regs=ckpt.regs if ckpt is not None else None,
-                warm_state=ckpt.warm if ckpt is not None else None))
+                core_id=core_id, validate=not shared, idle_skip=False))
         self.cycle = 0
 
     @property

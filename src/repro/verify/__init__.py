@@ -3,14 +3,19 @@
 The oracle hierarchy (see DESIGN.md):
 
 1. the in-order interpreter (:mod:`repro.isa.interp`) defines
-   architectural truth -- the retirement trace and final memory image;
+   architectural truth -- the retirement trace, final memory image and
+   final register file;
 2. the associative-LSQ baseline pipeline must match it exactly;
 3. every SFC/MDT and load-replay configuration must match both.
 
-:class:`DifferentialFuzzer` stress-tests the full hierarchy on random
-adversarial programs; :func:`shrink_failure` delta-debugs any failure to
-a minimal instruction sequence; :mod:`~repro.verify.corpus` persists
-minimized failures as replayable JSON regression cases.
+:meth:`DifferentialFuzzer.check_program` is the one check of a program
+against that hierarchy.  :class:`DifferentialFuzzer` runs it on random
+adversarial programs from every frontend (native and RV32);
+:func:`shrink_failure` delta-debugs any failure to a minimal instruction
+sequence; :mod:`~repro.verify.corpus` persists minimized failures as
+replayable JSON regression cases, and :func:`replay_corpus` and
+:func:`run_conformance` (the committed RV32 programs) replay programs
+through the same check into one :class:`ReplayReport`.
 
 Multicore shared-memory runs fall outside the interpreter oracle
 (cross-core stores legitimately change load values), so a second
@@ -28,18 +33,7 @@ from .corpus import (
     load_corpus,
     replay_case,
     replay_corpus,
-)
-from .conformance import (
-    ConformanceCell,
-    ConformanceReport,
-    conformance_records,
     run_conformance,
-)
-from .frontends import (
-    frontend_names,
-    get_frontend,
-    interleaved_builder,
-    register_frontend,
 )
 from .fuzzer import DifferentialFuzzer, FuzzMismatch, FuzzReport
 from .litmus_oracle import (
@@ -51,17 +45,8 @@ from .litmus_oracle import (
 )
 from .shrink import shrink_failure
 
-#: The verification backends, by name (see DESIGN.md).
-VERIFICATION_BACKENDS = {
-    "fuzz": DifferentialFuzzer,
-    "litmus": LitmusOracle,
-    "conformance": run_conformance,
-}
-
 __all__ = [
     "CASE_SCHEMA_VERSION",
-    "ConformanceCell",
-    "ConformanceReport",
     "CorpusError",
     "CrashCase",
     "DifferentialFuzzer",
@@ -71,13 +56,7 @@ __all__ = [
     "LitmusReport",
     "LitmusResult",
     "ReplayReport",
-    "VERIFICATION_BACKENDS",
-    "conformance_records",
-    "frontend_names",
-    "get_frontend",
-    "interleaved_builder",
     "load_corpus",
-    "register_frontend",
     "replay_case",
     "replay_corpus",
     "run_conformance",

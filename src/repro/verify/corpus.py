@@ -1,4 +1,4 @@
-"""Replayable crash-case corpus.
+"""Replayable crash-case corpus, and the RV32 conformance suite.
 
 Every failure the fuzzer minimizes is persisted as one JSON document --
 the program *text* (assembly, human-readable in review diffs), the
@@ -11,16 +11,28 @@ Committed cases under ``corpus/`` double as regression tests:
 ``tests/test_corpus.py`` replays each one through the differential
 check and asserts it now passes, and ``repro fuzz --replay`` does the
 same from the command line (CI runs it in the tier-1 lane).
+
+:func:`run_conformance` replays the committed RV32 programs of the
+``riscv-conformance`` suite the same way.  Both return a
+:class:`ReplayReport`, and both judge each program only through
+:meth:`~repro.verify.fuzzer.DifferentialFuzzer.check_program`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
+from ..isa.assembler import AssemblyError
 from ..isa.parser import parse_asm
 from ..isa.program import Program
+from ..pipeline.config import ProcessorConfig
+from ..workloads import suites
+from .fuzzer import DifferentialFuzzer
+
+#: The declared suite of committed RV32 programs.
+CONFORMANCE_SUITE = "riscv-conformance"
 
 #: Bump on any incompatible change to the case document shape.
 CASE_SCHEMA_VERSION = 1
@@ -84,11 +96,17 @@ class CrashCase:
             if not isinstance(payload.get(field), kind):
                 raise CorpusError(f"corpus case field {field!r} must be "
                                   f"a {kind.__name__}")
-        return cls(seed=payload["seed"], kind=payload["kind"],
+        case = cls(seed=payload["seed"], kind=payload["kind"],
                    config_name=payload["config_name"],
                    detail=payload["detail"],
                    program_asm=payload["program_asm"],
                    note=payload.get("note", ""))
+        try:
+            case.program()
+        except (AssemblyError, ValueError) as exc:
+            raise CorpusError(f"corpus case field 'program_asm' does not "
+                              f"assemble: {exc}") from exc
+        return case
 
     def save(self, corpus_dir: Union[str, Path]) -> Path:
         """Write the case into ``corpus_dir`` (created if missing).
@@ -139,7 +157,6 @@ def replay_case(case: CrashCase, fuzzer=None) -> List:
     """Differentially re-check one corpus case; returns the (hopefully
     empty) mismatch list.  Builds a default fuzzer when none is given."""
     if fuzzer is None:
-        from .fuzzer import DifferentialFuzzer
         fuzzer = DifferentialFuzzer()
     return fuzzer.check_program(case.program(), seed=case.seed)
 
@@ -148,21 +165,33 @@ def replay_corpus(corpus_dir: Union[str, Path],
                   fuzzer=None) -> "ReplayReport":
     """Replay every case in ``corpus_dir``; aggregate the outcomes."""
     if fuzzer is None:
-        from .fuzzer import DifferentialFuzzer
         fuzzer = DifferentialFuzzer()
     report = ReplayReport(str(corpus_dir))
     for case in load_corpus(corpus_dir):
-        mismatches = replay_case(case, fuzzer)
-        report.cases.append((case, mismatches))
+        report.cases.append((case.name, replay_case(case, fuzzer)))
+    return report
+
+
+def run_conformance(configs: Optional[Sequence[ProcessorConfig]] = None
+                    ) -> "ReplayReport":
+    """Differentially check every program of the ``riscv-conformance``
+    suite over ``configs`` (default: the registry-covering fuzz
+    matrix)."""
+    fuzzer = DifferentialFuzzer(configs=configs)
+    report = ReplayReport(CONFORMANCE_SUITE)
+    for name in suites.suite(CONFORMANCE_SUITE):
+        program = suites.build(name, scale=0)
+        report.cases.append((name, fuzzer.check_program(program)))
     return report
 
 
 class ReplayReport:
-    """Outcome of replaying a corpus directory."""
+    """Outcome of checking named programs from one ``source`` (a corpus
+    directory or a declared suite): ``(name, mismatches)`` pairs."""
 
-    def __init__(self, corpus_dir: str):
-        self.corpus_dir = corpus_dir
-        self.cases: List = []
+    def __init__(self, source: str):
+        self.source = source
+        self.cases: List[Tuple[str, List]] = []
 
     @property
     def ok(self) -> bool:
@@ -170,26 +199,23 @@ class ReplayReport:
 
     def to_dict(self) -> dict:
         return {
-            "corpus_dir": self.corpus_dir,
+            "source": self.source,
+            "ok": self.ok,
             "cases": [{
-                "name": case.name,
-                "kind": case.kind,
-                "config_name": case.config_name,
+                "name": name,
                 "ok": not mismatches,
                 "mismatches": [m.to_dict() for m in mismatches],
-            } for case, mismatches in self.cases],
-            "ok": self.ok,
+            } for name, mismatches in self.cases],
         }
 
     def format(self) -> str:
-        lines = [f"corpus replay: {len(self.cases)} case(s) from "
-                 f"{self.corpus_dir}"]
-        for case, mismatches in self.cases:
+        lines = [f"replay: {len(self.cases)} case(s) from {self.source}"]
+        for name, mismatches in self.cases:
             status = "ok" if not mismatches else "MISMATCH"
-            lines.append(f"  {case.name}: {status}")
+            lines.append(f"  {name}: {status}")
             for mismatch in mismatches:
                 lines.append(f"    [{mismatch.kind}] "
                              f"{mismatch.config_name}: {mismatch.detail}")
         if not self.cases:
-            lines.append("  (empty corpus)")
+            lines.append("  (no cases)")
         return "\n".join(lines)

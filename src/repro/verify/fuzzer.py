@@ -14,6 +14,9 @@ runs it under every configuration of the differential matrix and checks
   validation (a divergence raises ``SimulationError``);
 * **final memory image** -- the architectural memory after the run must
   hash identically to the interpreter's;
+* **final register file** -- the committed architectural registers must
+  equal the interpreter's, so a recovery fault that leaves a wrong
+  mapping behind is caught even when every retired value was right;
 * **retire counts** -- every configuration retires exactly the trace's
   instruction/load/store counts;
 * **determinism** -- re-running a configuration reproduces cycles and
@@ -24,9 +27,16 @@ runs it under every configuration of the differential matrix and checks
   offending loads, and no run may flush more violations than it
   detects.
 
-A failing iteration is reduced by :mod:`repro.verify.shrink` to a
-minimal instruction sequence and written into a ``corpus/`` directory as
-a replayable JSON case (:mod:`repro.verify.corpus`).
+Seeds round-robin over :data:`FRONTENDS`, the program sources: the
+native generator and the RV32 generator, whose machine words go through
+the RISC-V decoder and translator.
+
+:meth:`DifferentialFuzzer.check_program` is the one differential check:
+the campaign, corpus replay, the RV32 conformance suite and the
+shrinker all judge a program through it.  A failing iteration is
+reduced by :mod:`repro.verify.shrink` to a minimal instruction sequence
+and written into a ``corpus/`` directory as a replayable JSON case
+(:mod:`repro.verify.corpus`).
 """
 
 from __future__ import annotations
@@ -43,10 +53,18 @@ from ..isa.program import Program
 from ..obs.runrecord import KIND_FUZZ, SCHEMA_VERSION
 from ..pipeline.config import ProcessorConfig
 from ..pipeline.processor import Processor, SimulationError
-from . import frontends
+from ..workloads.randprog import fuzz_program
+from ..workloads.riscv_randprog import riscv_fuzz_program
 
-#: Architectural execution budget per generated program.
+#: Architectural execution budget per checked program.
 TRACE_LIMIT = 500_000
+
+#: The program frontends, each with its seed->program fuzz builder.
+#: Seed ``s`` is built by ``FRONTENDS[s % len(FRONTENDS)]``.
+FRONTENDS: Tuple[Tuple[str, Callable[[int], Program]], ...] = (
+    ("native", fuzz_program),
+    ("riscv", riscv_fuzz_program),
+)
 
 #: Counters whose values must be identical across every configuration
 #: (they count architectural events, not microarchitectural ones).
@@ -77,8 +95,9 @@ class FuzzMismatch:
     """One divergence found by the fuzzer.
 
     ``kind`` is a short machine-readable discriminator
-    (``trace-divergence``, ``memory-image``, ``retire-count``,
-    ``nondeterminism``, ``oracle-error``, ``invariant:<name>``);
+    (``trace-divergence``, ``memory-image``, ``register-file``,
+    ``retire-count``, ``nondeterminism``, ``oracle-error``,
+    ``invariant:<name>``);
     ``config_name`` is the configuration that failed (empty for
     cross-configuration invariants); ``detail`` is human-readable.
     """
@@ -157,24 +176,17 @@ def _counters_subset(result) -> Dict[str, float]:
     return dict(result.counters.as_dict())
 
 
+def _build_program(seed: int) -> Program:
+    """The fuzz program of ``seed``, from its frontend in
+    :data:`FRONTENDS`."""
+    return FRONTENDS[seed % len(FRONTENDS)][1](seed)
+
+
 class DifferentialFuzzer:
     """Drives fuzz campaigns over a configuration matrix."""
 
     def __init__(self, configs: Optional[Sequence[ProcessorConfig]] = None,
-                 builder: Optional[Callable[[int], Program]] = None,
                  max_instructions: int = TRACE_LIMIT):
-        if builder is None:
-            # The default builder round-robins across every registered
-            # program frontend (native generator, RV32 translator, ...),
-            # mirroring the subsystem-coverage rule below: a frontend
-            # that exists but is not fuzzed is a tier-1 failure.
-            builder = frontends.interleaved_builder()
-            uncovered = frontends.missing_coverage(
-                builder.frontend_names)
-            if uncovered:
-                raise ValueError(
-                    f"default fuzz builder covers no program for "
-                    f"registered frontend(s) {', '.join(uncovered)}")
         if configs is None:
             configs = fuzz_config_matrix()
             # The default matrix must exercise every registered
@@ -191,7 +203,7 @@ class DifferentialFuzzer:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate configuration names: {names}")
         self.configs = list(configs)
-        self.builder = builder
+        self.builder = _build_program
         self.max_instructions = max_instructions
 
     # ------------------------------------------------------------ one seed
@@ -213,6 +225,7 @@ class DifferentialFuzzer:
             return [FuzzMismatch(seed, "oracle-error", "",
                                  f"interpreter did not halt: {exc}")], 0
         oracle_digest = interp.memory.digest()
+        oracle_regs = interp.regs
         oracle_loads = sum(1 for r in trace if r.op in LOAD_OPS)
         oracle_stores = sum(1 for r in trace if r.store_addr is not None)
 
@@ -230,6 +243,16 @@ class DifferentialFuzzer:
                     seed, "memory-image", config.name,
                     "final architectural memory differs from the "
                     "interpreter oracle"))
+            regs = processor.architectural_registers()
+            if regs != oracle_regs:
+                mismatches.append(FuzzMismatch(
+                    seed, "register-file", config.name,
+                    "final registers differ from the interpreter "
+                    "oracle: " + ", ".join(
+                        f"r{index}={got:#x} (oracle {want:#x})"
+                        for index, (got, want)
+                        in enumerate(zip(regs, oracle_regs))
+                        if got != want)))
             if result.instructions != len(trace):
                 mismatches.append(FuzzMismatch(
                     seed, "retire-count", config.name,
@@ -292,8 +315,7 @@ class DifferentialFuzzer:
 
     def run(self, iterations: Optional[int] = None,
             seconds: Optional[float] = None, seed: int = 0,
-            corpus_dir: Optional[str] = None, minimize: bool = True,
-            progress: Optional[Callable[[int], None]] = None
+            corpus_dir: Optional[str] = None, minimize: bool = True
             ) -> FuzzReport:
         """Run a campaign of ``iterations`` programs (or until the
         ``seconds`` budget expires; with both set, whichever limit is
@@ -329,8 +351,6 @@ class DifferentialFuzzer:
                         str(path) for path in self._archive(
                             program, current, failures, corpus_dir,
                             minimize))
-            if progress is not None:
-                progress(report.iterations)
             current += 1
         report.elapsed = time.perf_counter() - started
         return report

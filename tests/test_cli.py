@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the text report."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,9 @@ from repro.obs.runrecord import SCHEMA_VERSION, RunRecord
 from repro.stats.report import format_report
 from repro.workloads import ALL_BENCHMARKS
 from tests.conftest import assemble, counted_loop_program
+
+CORPUS_CASE = (Path(__file__).parent.parent / "corpus"
+               / "seed1-regression-cross-config.json")
 
 
 def record_of(build_fn, config):
@@ -211,6 +215,37 @@ class TestErrorPaths:
     def test_replay_requires_corpus(self, capsys):
         assert main(["fuzz", "--replay"]) == 2
         assert "--corpus" in capsys.readouterr().err
+
+    @staticmethod
+    def replay_error(corpus, capsys) -> str:
+        assert main(["fuzz", "--replay", "--corpus", str(corpus)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "case(s)" not in captured.out
+        return captured.err
+
+    def test_replay_corpus_not_a_directory(self, tmp_path, capsys):
+        # A typo, or one case file in place of its directory.
+        for corpus in (tmp_path / "no-such-dir", CORPUS_CASE):
+            assert "is not a directory" in self.replay_error(corpus,
+                                                             capsys)
+
+    def test_replay_malformed_case_file(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{not json")
+        assert "bad.json: not valid JSON" in self.replay_error(tmp_path,
+                                                              capsys)
+        payload = json.loads(CORPUS_CASE.read_text())
+        payload["case_schema_version"] += 1
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        assert "case_schema_version" in self.replay_error(tmp_path,
+                                                          capsys)
+
+    def test_replay_unassemblable_case(self, tmp_path, capsys):
+        payload = json.loads(CORPUS_CASE.read_text())
+        payload["program_asm"] = "frobnicate r1, r2\nhalt"
+        (tmp_path / "case.json").write_text(json.dumps(payload))
+        err = self.replay_error(tmp_path, capsys)
+        assert "case.json" in err and "program_asm" in err
 
     def test_bad_jobs_is_a_usage_error_on_run(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

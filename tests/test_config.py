@@ -1,10 +1,12 @@
 """Validation tests for the configuration records: CoreConfig /
-SystemConfig (pipeline) and CacheConfig (memory)."""
+SystemConfig (pipeline), SFCConfig / MDTConfig / LSQConfig (memory
+subsystems) and CacheConfig (memory)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core import LSQConfig, MDTConfig, SFCConfig
 from repro.memory.cache import (CacheConfig, paper_l1d_config,
                                 paper_l1i_config, paper_l2_config)
 from repro.pipeline import (MEMORY_MODES, MEMORY_PRIVATE, MEMORY_SHARED,
@@ -13,7 +15,8 @@ from repro.pipeline import (MEMORY_MODES, MEMORY_PRIVATE, MEMORY_SHARED,
 
 class TestCoreConfig:
     @pytest.mark.parametrize("field", ["width", "fetch_branches_per_cycle",
-                                       "rob_size", "sched_size", "num_fus"])
+                                       "rob_size", "sched_size", "num_fus",
+                                       "store_fifo_capacity"])
     @pytest.mark.parametrize("bad", [0, -1, 2.5, "4", None])
     def test_positive_int_fields_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be a positive"):
@@ -36,6 +39,20 @@ class TestCoreConfig:
         payload = config.to_dict()
         assert set(payload) == set(vars(config))
         assert payload["name"] == "probe"
+
+
+class TestSubsystemConfigs:
+    @pytest.mark.parametrize("record, field", [
+        (SFCConfig, "num_sets"), (SFCConfig, "assoc"),
+        (MDTConfig, "num_sets"), (MDTConfig, "assoc"),
+        (MDTConfig, "granularity"),
+        (LSQConfig, "lq_size"), (LSQConfig, "sq_size")],
+        ids=lambda value: getattr(value, "__name__", value))
+    def test_empty_table_rejected(self, record, field):
+        # A zero-sized table either crashes mid-run or never makes
+        # progress; it is refused at construction.
+        with pytest.raises(ValueError, match=f"{field} must be a positive"):
+            record(**{field: 0})
 
 
 class TestSystemConfig:

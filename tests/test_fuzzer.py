@@ -20,6 +20,8 @@ from repro.harness.configs import (
     fuzz_config_matrix,
 )
 from repro.isa.interp import Interpreter
+from repro.isa.parser import parse_asm
+from repro.pipeline.core import Core
 from repro.verify import (
     CASE_SCHEMA_VERSION,
     CorpusError,
@@ -163,6 +165,38 @@ class TestFaultInjection:
             mismatches = replay_case(case, fuzzer)
             assert any(m.kind == case.kind for m in mismatches)
 
+    def test_register_file_catches_a_leaky_undo_log(self, monkeypatch):
+        # Fault: squash recovery puts back the RAT entries of the
+        # squashed writers after the real undo.  The wrong path writes
+        # r5 and nothing reads r5 again, so every retired value is
+        # right and only the final register file shows the fault.
+        undo = Core._squash_after
+
+        def leaky_squash_after(self, flush_after_seq):
+            writers = [dyn for dyn in self.rob
+                       if dyn.seq > flush_after_seq
+                       and dyn.rd_phys is not None]
+            first = undo(self, flush_after_seq)
+            for dyn in writers:
+                self.rename.rat[dyn.inst.rd] = dyn.rd_phys
+            return first
+
+        program = parse_asm("li r1, 1\nli r5, 7\nbeq r1, r0, 0x14\n"
+                            "nop\nhalt\nli r5, 99\nhalt")
+        configs = fuzz_config_matrix()
+        for config in configs:
+            # Keep the predicted-taken branch wrong: no oracle fixes.
+            config.oracle_fix_rate = 0
+        fuzzer = DifferentialFuzzer(configs=configs)
+        assert fuzzer.check_program(program) == []
+        monkeypatch.setattr(Core, "_squash_after", leaky_squash_after)
+        mismatches = fuzzer.check_program(program)
+        assert [m.kind for m in mismatches] == \
+            ["register-file"] * len(configs)
+        assert {m.config_name for m in mismatches} == \
+            {config.name for config in configs}
+        assert "r5=0x63 (oracle 0x7)" in mismatches[0].detail
+
     def test_corpus_case_passes_on_healthy_configs(self, broken_config,
                                                    tmp_path):
         fuzzer = DifferentialFuzzer(configs=[broken_config])
@@ -216,6 +250,15 @@ class TestCorpusFormat:
         bad.write_text("{not json")
         with pytest.raises(CorpusError, match="bad.json"):
             CrashCase.load(bad)
+
+    def test_unassemblable_program_rejected(self, tmp_path):
+        payload = self._case().to_dict()
+        payload["program_asm"] = "frobnicate r1, r2\nhalt"
+        path = tmp_path / "bad-asm.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusError,
+                           match="bad-asm.json.*program_asm"):
+            CrashCase.load(path)
 
     def test_missing_directory_is_empty_corpus(self, tmp_path):
         assert load_corpus(tmp_path / "nope") == []

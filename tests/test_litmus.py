@@ -13,8 +13,7 @@ import pytest
 from repro.harness import (aggressive_sfc_mdt_config, baseline_lsq_config,
                            baseline_sfc_mdt_config)
 from repro.verify import (LitmusOracle, LitmusReport, LitmusResult,
-                          VERIFICATION_BACKENDS, run_litmus_suite,
-                          run_litmus_test)
+                          run_litmus_suite, run_litmus_test)
 from repro.workloads import (LITMUS_TESTS, get_litmus, is_litmus,
                              litmus_benchmark_names)
 from repro.workloads.litmus import (LD, LOCATIONS, ST, LitmusTest,
@@ -135,6 +134,3 @@ class TestEndToEnd:
         assert payload["kind"] == "litmus"
         assert payload["ok"] is True
         assert payload["runs"] == 1
-
-    def test_litmus_is_registered_verification_backend(self):
-        assert VERIFICATION_BACKENDS["litmus"] is LitmusOracle

@@ -1,11 +1,11 @@
-"""The RV32 conformance suite: every committed real program retires to
-the interpreter oracle's exact architectural state on every registered
-memory subsystem -- the tier-1 gate behind the RISC-V frontend.
+"""The RV32 conformance suite: every committed real program passes the
+differential fuzzer's check on every registered memory subsystem --
+the tier-1 gate behind the RISC-V frontend.
 
 Also covers the machinery the gate rests on: the declared-suite
-registry (duplicate rejection, no cherry-picking) and the
-program-frontend registry whose ``missing_coverage`` rule makes an
-unfuzzed frontend a tier-1 failure, mirroring the subsystem registry.
+registry (duplicate rejection, no cherry-picking) and the frontend
+tuple whose round-robin puts every frontend into the default fuzz
+campaign.
 """
 
 from __future__ import annotations
@@ -15,25 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.configs import (
-    baseline_lsq_config,
-    baseline_sfc_mdt_config,
-    fuzz_config_matrix,
-)
+from repro.harness.configs import baseline_lsq_config, baseline_sfc_mdt_config
 from repro.isa.interp import Interpreter
 from repro.isa.program import Program
 from repro.verify import (
-    ConformanceReport,
     DifferentialFuzzer,
-    conformance_records,
-    frontend_names,
-    interleaved_builder,
-    register_frontend,
+    FuzzMismatch,
+    ReplayReport,
     run_conformance,
 )
-from repro.verify.conformance import register_digest
-from repro.verify.frontends import missing_coverage
+from repro.verify.fuzzer import FRONTENDS
 from repro.workloads import RISCV_BENCHMARKS, register_suite, suite
+from repro.workloads.riscv_randprog import riscv_fuzz_program
 from repro.workloads.suites import build
 
 FIXTURES = Path(__file__).parent / "data" / "riscv"
@@ -44,37 +37,33 @@ class TestConformanceSuite:
 
     def test_every_program_conforms_on_every_subsystem(self):
         report = run_conformance()
-        assert isinstance(report, ConformanceReport)
+        assert isinstance(report, ReplayReport)
         assert report.ok, report.format()
         # The whole declared suite ran -- no cherry-picking.
-        assert sorted(report.oracle) == suite("riscv-conformance")
-        matrix = fuzz_config_matrix()
-        assert len(report.cells) == len(report.oracle) * len(matrix)
-        # Every cell carries the digests it was compared on.
-        for cell in report.cells:
-            assert cell.register_digest
-            assert cell.memory_digest
-            assert cell.instructions == \
-                report.oracle[cell.benchmark]["instructions"]
+        assert [name for name, _ in report.cases] == \
+            suite("riscv-conformance")
 
     def test_report_serializes_and_yields_records(self):
         report = run_conformance(configs=[baseline_sfc_mdt_config()])
         payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["kind"] == "conformance"
+        assert payload["source"] == "riscv-conformance"
         assert payload["ok"] is True
-        records = conformance_records(report)
-        assert len(records) == len(report.cells)
-        for record in records:
-            assert record.benchmark in report.oracle
-            assert record.ipc > 0
+        # One record per program, each with its (empty) mismatch list.
+        assert [case["name"] for case in payload["cases"]] == \
+            suite("riscv-conformance")
+        assert all(case["ok"] and case["mismatches"] == []
+                   for case in payload["cases"])
 
     def test_mismatch_is_reported_not_swallowed(self):
-        report = ConformanceReport("riscv-conformance", ["cfg"])
-        from repro.verify.conformance import ConformanceCell
-        report.cells.append(ConformanceCell(
-            "rv-x", "cfg", ok=False, detail="final registers differ"))
+        report = ReplayReport("riscv-conformance")
+        report.cases.append(("rv-ok", []))
+        report.cases.append(("rv-x", [FuzzMismatch(
+            -1, "register-file", "cfg", "final registers differ")]))
         assert not report.ok
-        assert "NONCONFORMING" in report.format()
+        assert "rv-x: MISMATCH" in report.format()
+        assert "[register-file] cfg" in report.format()
+        assert [case["ok"] for case in report.to_dict()["cases"]] == \
+            [True, False]
 
 
 class TestStlHazardFixture:
@@ -109,7 +98,7 @@ class TestStlHazardFixture:
         regs = core.architectural_registers()
         for index, value in expected.items():
             assert regs[index] == value, f"x{index}"
-        assert register_digest(regs) == register_digest(interp.regs)
+        assert regs == interp.regs
 
     def test_fixture_is_in_the_declared_suite(self):
         assert "rv-stl_hazard" in suite("riscv-conformance")
@@ -144,37 +133,26 @@ class TestSuiteRegistry:
 
 
 class TestFrontendCoverage:
-    """An unfuzzed frontend must fail tier-1, like an unfuzzed
-    subsystem."""
+    """Every frontend is fuzzed by the default campaign."""
 
     def test_riscv_frontend_is_registered(self):
-        assert "riscv" in frontend_names()
-        assert "native" in frontend_names()
-
-    def test_missing_coverage_flags_uncovered_frontends(self):
-        assert missing_coverage(frontend_names()) == []
-        assert missing_coverage(["native"]) == ["riscv"]
+        assert [name for name, _ in FRONTENDS] == ["native", "riscv"]
 
     def test_default_fuzz_builder_covers_every_frontend(self):
-        fuzzer = DifferentialFuzzer()
-        covered = set(fuzzer.builder.frontend_names)
-        assert missing_coverage(covered) == [], (
-            "the DifferentialFuzzer default builder must round-robin "
-            "over every registered frontend")
+        builder = DifferentialFuzzer().builder
+        for seed in range(2 * len(FRONTENDS)):
+            _, build = FRONTENDS[seed % len(FRONTENDS)]
+            assert builder(seed).digest() == build(seed).digest()
 
     def test_interleaved_builder_visits_each_frontend(self):
-        builder = interleaved_builder()
+        builder = DifferentialFuzzer().builder
         names = {builder(seed).name.split("-")[0]
-                 for seed in range(len(builder.frontend_names) * 2)}
+                 for seed in range(len(FRONTENDS) * 2)}
         # Native fuzz programs are named random-..., RV32 ones rv-random-...
-        assert len(names) == len(builder.frontend_names)
-
-    def test_duplicate_frontend_rejected(self):
-        with pytest.raises(ValueError, match="duplicate frontend"):
-            register_frontend("riscv", lambda seed: None)
+        assert len(names) == len(FRONTENDS)
 
     def test_riscv_fuzz_programs_pass_the_differential_check(self):
-        fuzzer = DifferentialFuzzer(
-            builder=interleaved_builder(["riscv"]))
-        report = fuzzer.run(iterations=8, seed=123)
-        assert report.ok, report.format()
+        fuzzer = DifferentialFuzzer()
+        for seed in range(123, 131):
+            program = riscv_fuzz_program(seed)
+            assert fuzzer.check_program(program, seed) == []

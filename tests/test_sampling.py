@@ -331,43 +331,3 @@ class TestApiAndCli:
                      "--cache-dir", str(tmp_path)])
         assert code == 2
         assert "exact mode" in capsys.readouterr().err
-
-
-class TestSystemCheckpointRestore:
-    def test_private_mode_restores_from_checkpoints(self):
-        from repro.checkpoint import ensure_train
-        from repro.pipeline.config import SystemConfig
-        from repro.pipeline.system import System
-
-        program = suites.build("gzip", 3_000)
-        interp = Interpreter(program)
-        golden_trace = interp.run(5_000_000)
-        train = ensure_train(program, 1_000, True)
-        total = train["total_instructions"]
-        ckpt = train["checkpoints"][1]
-        resumed = ckpt.resume_interpreter(program)
-        resumed.instructions_retired = 0
-        suffix = resumed.run(500_000)
-        config = SystemConfig(core=baseline_sfc_mdt_config(), cores=2,
-                              memory_mode="private")
-        system = System([program] * 2, config,
-                        traces=[suffix] * 2,
-                        checkpoints=[ckpt] * 2)
-        result = system.run()
-        expected = 2 * (total - ckpt.retired)
-        assert result.instructions == expected
-        for core in system.cores:
-            assert core.memory.digest() == interp.memory.digest()
-
-    def test_shared_mode_rejects_checkpoints(self):
-        from repro.checkpoint import ensure_train
-        from repro.pipeline.config import SystemConfig
-        from repro.pipeline.system import System
-
-        program = suites.build("gzip", 2_000)
-        checkpoints = ensure_train(program, 500, False)["checkpoints"]
-        config = SystemConfig(core=baseline_sfc_mdt_config(), cores=2,
-                              memory_mode="shared")
-        with pytest.raises(ValueError, match="private"):
-            System([program] * 2, config,
-                   checkpoints=[checkpoints[0]] * 2)
