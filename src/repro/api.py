@@ -313,7 +313,7 @@ def fuzz(iterations: Optional[int] = None,
     :class:`~repro.verify.fuzzer.FuzzReport`.
 
     With neither ``iterations`` nor ``seconds`` the campaign runs 100
-    programs.  ``configs=None`` uses the registry-covering default
+    programs.  ``configs=None`` uses the subsystem-covering default
     matrix (:func:`repro.harness.configs.fuzz_config_matrix`); names are
     resolved through :func:`resolve_config`.  When ``corpus_dir`` is
     given, each failure is minimized (unless ``minimize=False``) and
@@ -348,13 +348,8 @@ def simulate_riscv(source, config: ConfigLike = "baseline-sfc-mdt",
     program = Program.from_riscv(source, name=name)
     resolved = resolve_config(config)
     trace = Interpreter(program).run(max_instructions)
-    result = Processor(program, resolved, trace=trace).run()
-    return RunRecord(
-        benchmark=program.name, config_name=resolved.name,
-        config=resolved.to_dict(), scale=0, key="",
-        cycles=result.cycles, instructions=result.instructions,
-        ipc=result.instructions / result.cycles if result.cycles else 0.0,
-        counters=dict(result.counters.as_dict()))
+    return RunRecord.from_sim_result(
+        Processor(program, resolved, trace=trace).run())
 
 
 def run_riscv_conformance(configs: Optional[Sequence[ConfigLike]] = None):
@@ -363,9 +358,9 @@ def run_riscv_conformance(configs: Optional[Sequence[ConfigLike]] = None):
     ``.ok`` is True iff no program shows a mismatch on any
     configuration.
 
-    ``configs=None`` uses the registry-covering differential matrix
-    (one configuration per registered memory subsystem); names are
-    resolved through :func:`resolve_config`.
+    ``configs=None`` uses the differential matrix, which covers every
+    memory subsystem; names are resolved through
+    :func:`resolve_config`.
     """
     from .verify import run_conformance
 

@@ -117,9 +117,3 @@ class GsharePredictor:
 
     def update_indirect(self, pc: int, target: int) -> None:
         self._indirect_targets[pc] = target
-
-    @property
-    def misprediction_rate(self) -> float:
-        if not self.predictions:
-            return 0.0
-        return self.mispredictions / self.predictions

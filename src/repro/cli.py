@@ -79,6 +79,10 @@ reporting the per-interval IPC mean with a 95% confidence interval.
 ``--checkpoint-every C`` tunes the capture stride.  See DESIGN.md
 "Sampling methodology" for the error model and when exact mode is
 required.
+
+Each ``run`` mode (exact, sampled, multicore, litmus, ``--riscv``)
+reads only its own mode flags; a flag of another mode exits 2 before
+anything simulates.
 """
 
 from __future__ import annotations
@@ -90,6 +94,7 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 from . import api
+from .checkpoint import SamplingError
 from .core import registry
 from .harness.experiment import (ExperimentRunner, check_jobs,
                                  check_scale, check_timeout)
@@ -219,13 +224,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           "simulating every instruction (reports IPC "
                           "mean with a confidence interval)")
     run.add_argument("--warmup-insts",
-                     type=_checked(int, _at_least(0)), default=1_000,
+                     type=_checked(int, _at_least(0)), default=None,
                      metavar="W",
                      help="sampled mode: detailed warm-up instructions "
                           "per interval, counters discarded "
                           "(default 1000)")
     run.add_argument("--interval-insts",
-                     type=_checked(int, _at_least(1)), default=5_000,
+                     type=_checked(int, _at_least(1)), default=None,
                      metavar="L",
                      help="sampled mode: measured instructions per "
                           "interval (default 5000)")
@@ -329,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--configs", nargs="+", default=None,
                       choices=sorted(api.CONFIGS),
                       help="fuzz only these presets instead of the "
-                           "registry-covering default matrix")
+                           "subsystem-covering default matrix")
     fuzz.add_argument("--no-minimize", action="store_true",
                       help="archive failing programs without "
                            "delta-debugging them first")
@@ -344,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conformance.add_argument("--configs", nargs="+", default=None,
                              choices=sorted(api.CONFIGS),
                              help="run only these presets instead of "
-                                  "the registry-covering default "
+                                  "the subsystem-covering default "
                                   "matrix")
     _add_output_flags(conformance)
 
@@ -369,7 +374,7 @@ def _cmd_list(args) -> int:
                         benchmarks=list(ALL_BENCHMARKS),
                         riscv_benchmarks=sorted(RISCV_BENCHMARKS),
                         litmus_tests=litmus_benchmark_names(),
-                        subsystems=list(registry.available()),
+                        subsystems=sorted(registry.SUBSYSTEMS),
                         frontends=api.list_frontends(),
                         suites=suite_names(),
                         configurations=sorted(api.CONFIGS),
@@ -382,7 +387,7 @@ def _cmd_list(args) -> int:
     lines.append("\nlitmus tests:")
     lines += [f"  {name}" for name in litmus_benchmark_names()]
     lines.append("\nsubsystems:")
-    lines += [f"  {name}" for name in registry.available()]
+    lines += [f"  {name}" for name in sorted(registry.SUBSYSTEMS)]
     lines.append("\nfrontends:")
     lines += [f"  {name}" for name in api.list_frontends()]
     lines.append("\nsuites:")
@@ -395,26 +400,12 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    if args.riscv is not None:
-        return _cmd_run_riscv(args)
-    if args.benchmark is None:
-        print("error: give a benchmark name or --riscv FILE",
-              file=sys.stderr)
-        return 2
-    if is_litmus(args.benchmark):
-        return _cmd_run_litmus(args)
-    if args.cores > 1:
-        return _cmd_run_multicore(args)
-    if args.sample_intervals:
-        return _cmd_run_sampled(args)
+def _cmd_run_exact(args) -> int:
+    """``run BENCHMARK``: one single-core cell, every instruction in
+    detail, with an optional epoch pipetrace."""
     record = api.simulate(args.benchmark, args.config,
                           runner=_build_runner(args))
-    if args.epoch_cycles or args.trace_out:
-        if not (args.epoch_cycles and args.trace_out):
-            print("--epoch-cycles and --trace-out must be given together",
-                  file=sys.stderr)
-            return 2
+    if args.trace_out:
         tracer = api.trace(args.benchmark, args.config, scale=args.scale,
                            ring_size=1024,
                            epoch_cycles=args.epoch_cycles)
@@ -434,12 +425,6 @@ def _cmd_run_riscv(args) -> int:
         print("error: --riscv FILE replaces the benchmark name; give "
               "one or the other", file=sys.stderr)
         return 2
-    if args.cores > 1 or args.sample_intervals or args.epoch_cycles \
-            or args.trace_out:
-        print("error: --riscv runs single-core exact mode; drop "
-              "--cores/--sample-intervals/--epoch-cycles/--trace-out",
-              file=sys.stderr)
-        return 2
     try:
         record = api.simulate_riscv(args.riscv, args.config)
     except (FileNotFoundError, ValueError) as exc:
@@ -457,17 +442,19 @@ def _cmd_run_riscv(args) -> int:
 def _cmd_run_sampled(args) -> int:
     """``run BENCHMARK --sample-intervals K``: checkpointed
     fast-forward with K detailed measurement intervals."""
-    if args.epoch_cycles or args.trace_out:
-        print("pipetrace export (--epoch-cycles/--trace-out) requires "
-              "exact mode; drop --sample-intervals", file=sys.stderr)
+    try:
+        record = api.simulate_sampled(
+            args.benchmark, args.config, intervals=args.sample_intervals,
+            warmup_insts=1_000 if args.warmup_insts is None
+            else args.warmup_insts,
+            interval_insts=5_000 if args.interval_insts is None
+            else args.interval_insts,
+            checkpoint_every=args.checkpoint_every,
+            horizon=args.horizon,
+            runner=_build_runner(args))
+    except SamplingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    record = api.simulate_sampled(
-        args.benchmark, args.config, intervals=args.sample_intervals,
-        warmup_insts=args.warmup_insts,
-        interval_insts=args.interval_insts,
-        checkpoint_every=args.checkpoint_every,
-        horizon=args.horizon,
-        runner=_build_runner(args))
     if args.format == "json":
         _emit(record.to_json(indent=2), args)
         return 0
@@ -488,18 +475,6 @@ def _cmd_run_sampled(args) -> int:
     return 0
 
 
-def _require_no_trace_flags(args) -> bool:
-    if args.epoch_cycles or args.trace_out:
-        print("pipetrace export (--epoch-cycles/--trace-out) is "
-              "single-core only; drop --cores", file=sys.stderr)
-        return False
-    if getattr(args, "sample_intervals", None):
-        print("sampled mode (--sample-intervals) is single-core "
-              "benchmark only; drop --cores", file=sys.stderr)
-        return False
-    return True
-
-
 def _cmd_run_litmus(args) -> int:
     """``run litmus-* [--cores N]``: one litmus test end-to-end, with
     the oracle's verdict on the observed outcome."""
@@ -515,8 +490,6 @@ def _cmd_run_litmus(args) -> int:
     if args.memory_mode == "private":
         print("error: litmus tests require shared memory",
               file=sys.stderr)
-        return 2
-    if not _require_no_trace_flags(args):
         return 2
     result = run_litmus_test(test, api.resolve_config(args.config))
     record = RunRecord.from_system_result(result.system_result,
@@ -543,8 +516,6 @@ def _cmd_run_litmus(args) -> int:
 
 def _cmd_run_multicore(args) -> int:
     """``run BENCHMARK --cores N``: an N-up multicore system cell."""
-    if not _require_no_trace_flags(args):
-        return 2
     record = api.simulate_system(args.benchmark, args.config,
                                  cores=args.cores,
                                  memory_mode=args.memory_mode,
@@ -569,6 +540,64 @@ def _cmd_run_multicore(args) -> int:
                  f"{record.metric('l2_miss_rate'):.3f}")
     _emit("\n".join(lines), args)
     return 0
+
+
+#: The modes of ``run``: name -> (description, the mode flags it reads,
+#: handler).  A mode flag its mode does not read exits 2 before
+#: anything simulates.
+_RUN_MODES = {
+    "exact": ("exact mode (single-core only)",
+              ("epoch_cycles", "trace_out"), _cmd_run_exact),
+    "sampled": ("sampled mode (single-core only)",
+                ("sample_intervals", "warmup_insts", "interval_insts",
+                 "checkpoint_every", "horizon"), _cmd_run_sampled),
+    "multicore": ("multicore mode", ("cores", "memory_mode"),
+                  _cmd_run_multicore),
+    "litmus": ("litmus mode", ("cores", "memory_mode"), _cmd_run_litmus),
+    "riscv": ("--riscv mode", (), _cmd_run_riscv),
+}
+
+
+def _mode_flag_error(args, mode: str) -> Optional[str]:
+    """Why the mode flags given do not fit ``mode``, or None."""
+    label, reads, _ = _RUN_MODES[mode]
+    for _label, flags, _handler in _RUN_MODES.values():
+        for dest in flags:
+            value = getattr(args, dest)
+            # --cores 1, the flag's default, is one core in every mode.
+            if dest in reads or value is None or \
+                    (dest == "cores" and value == 1):
+                continue
+            owners = " or ".join(owner for owner, owner_flags, _
+                                 in _RUN_MODES.values()
+                                 if dest in owner_flags)
+            return (f"--{dest.replace('_', '-')} is read only in "
+                    f"{owners}, not in {label}")
+    if (args.epoch_cycles is None) != (args.trace_out is None):
+        return "--epoch-cycles and --trace-out must be given together"
+    return None
+
+
+def _cmd_run(args) -> int:
+    if args.riscv is not None:
+        mode = "riscv"
+    elif args.benchmark is None:
+        print("error: give a benchmark name or --riscv FILE",
+              file=sys.stderr)
+        return 2
+    elif is_litmus(args.benchmark):
+        mode = "litmus"
+    elif args.cores > 1:
+        mode = "multicore"
+    elif args.sample_intervals is not None:
+        mode = "sampled"
+    else:
+        mode = "exact"
+    error = _mode_flag_error(args, mode)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    return _RUN_MODES[mode][2](args)
 
 
 def _cmd_litmus(args) -> int:

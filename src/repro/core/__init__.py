@@ -3,7 +3,6 @@ and the LSQ baseline, unified behind the ``MemorySubsystem`` interface."""
 
 from . import registry
 from .load_replay import LoadReplaySubsystem
-from .registry import register_subsystem
 from .lsq import LoadStoreQueue, LSQConfig
 from .mdt import (
     MDT_CONFLICT,
@@ -70,7 +69,6 @@ __all__ = [
     "PredictorConfig",
     "ProducerSetPredictor",
     "REPLAY",
-    "register_subsystem",
     "registry",
     "SFCConfig",
     "SFC_CORRUPT",

@@ -32,7 +32,6 @@ from ..memory.main_memory import MainMemory
 from ..obs.metrics import declare_metric
 from ..stats.counters import Counters
 from .lsq import LoadStoreQueue, LSQConfig
-from .registry import register_subsystem
 from .subsystem import LSQSubsystem
 from .violations import TRUE_DEP, Violation
 
@@ -42,7 +41,6 @@ declare_metric("retire_replay_violations", subsystem="load_replay",
                            "with the executed value")
 
 
-@register_subsystem("load_replay")
 class LoadReplaySubsystem(LSQSubsystem):
     """LSQ-style forwarding, disambiguation deferred to retirement.
 

@@ -1,116 +1,29 @@
-"""Pluggable memory-subsystem registry.
+"""The memory subsystems a core can be built with, by name.
 
-Subsystem implementations register themselves under a short name with the
-:func:`register_subsystem` decorator; the configuration layer validates
-names and the pipeline constructs subsystems exclusively through this
-module, so adding a new design (a speculative-allocation LSQ, a hybrid
-SFC variant, ...) needs no edits to either layer::
-
-    from repro.core.registry import register_subsystem
-
-    @register_subsystem("my_design")
-    class MySubsystem(MemorySubsystem):
-        @classmethod
-        def from_config(cls, config, memory, hierarchy, counters):
-            return cls(...)
-
-A registered object may be either a class exposing a
-``from_config(config, memory, hierarchy, counters)`` classmethod (the
-built-in subsystems) or a bare factory callable with that signature;
-``config`` is the full :class:`~repro.pipeline.config.ProcessorConfig`,
-from which the factory picks the knobs it cares about.
-
-The built-in subsystems live in :mod:`repro.core.subsystem` and
-:mod:`repro.core.load_replay`; those modules are imported lazily on first
-registry use so that importing this module never creates a cycle.
+The paper compares a fixed set: the associative LSQ baseline, the
+SFC/MDT design and value-based retirement replay (Section 4).  Each is
+a :class:`~repro.core.subsystem.MemorySubsystem` subclass with a
+``name`` and a ``from_config(config, memory, hierarchy, counters)``
+classmethod; adding one is that class plus its entry in
+:data:`SUBSYSTEMS`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List
+from .load_replay import LoadReplaySubsystem
+from .subsystem import LSQSubsystem, SfcMdtSubsystem
 
-#: name -> class-or-factory, in registration order.
-_REGISTRY: Dict[str, Callable] = {}
-
-_BUILTINS_LOADED = False
-
-
-def _ensure_builtins() -> None:
-    """Import the modules whose import side effect registers the
-    built-in subsystems (idempotent)."""
-    global _BUILTINS_LOADED
-    if not _BUILTINS_LOADED:
-        _BUILTINS_LOADED = True
-        from . import load_replay, subsystem  # noqa: F401
-
-
-def register_subsystem(name: str) -> Callable:
-    """Class/function decorator registering a subsystem factory under
-    ``name``.  Registering an already-taken name raises ``ValueError``
-    (use :func:`unregister` first to replace one deliberately)."""
-    if not name or not isinstance(name, str):
-        raise ValueError(f"subsystem name must be a non-empty string, "
-                         f"got {name!r}")
-
-    def _register(factory: Callable) -> Callable:
-        if name in _REGISTRY and _REGISTRY[name] is not factory:
-            raise ValueError(f"subsystem {name!r} is already registered")
-        _REGISTRY[name] = factory
-        return factory
-
-    return _register
-
-
-def unregister(name: str) -> None:
-    """Remove one registration (primarily for tests of toy subsystems)."""
-    _ensure_builtins()
-    if name not in _REGISTRY:
-        raise ValueError(f"subsystem {name!r} is not registered")
-    del _REGISTRY[name]
-
-
-def available() -> List[str]:
-    """Sorted names of every registered subsystem."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
-
-
-def is_registered(name: str) -> bool:
-    _ensure_builtins()
-    return name in _REGISTRY
-
-
-def missing_coverage(covered: Iterable[str]) -> List[str]:
-    """Registered subsystems absent from ``covered``, sorted.
-
-    The differential fuzzer calls this with the subsystem names its
-    configuration matrix exercises, so registering a new subsystem
-    without adding it to the fuzz matrix fails loudly instead of
-    silently shipping unfuzzed."""
-    _ensure_builtins()
-    return sorted(set(_REGISTRY) - set(covered))
+#: subsystem name -> class; ``Core`` builds
+#: ``SUBSYSTEMS[name].from_config(config, memory, hierarchy, counters)``.
+SUBSYSTEMS = {cls.name: cls for cls in (LSQSubsystem, SfcMdtSubsystem,
+                                        LoadReplaySubsystem)}
 
 
 def validate(name: str) -> str:
-    """Return ``name`` if registered, else raise a ``ValueError`` that
-    names the registered choices."""
-    _ensure_builtins()
-    if name not in _REGISTRY:
+    """Return ``name`` if it is in :data:`SUBSYSTEMS`, else raise a
+    ``ValueError`` that names the choices."""
+    if name not in SUBSYSTEMS:
         raise ValueError(
             f"unknown subsystem {name!r}; registered subsystems: "
-            f"{', '.join(available())}")
+            f"{', '.join(sorted(SUBSYSTEMS))}")
     return name
-
-
-def build(name: str, config, memory, hierarchy, counters):
-    """Construct the subsystem registered under ``name``.
-
-    ``config`` is the full ``ProcessorConfig``; ``memory``, ``hierarchy``
-    and ``counters`` are the per-processor collaborators every subsystem
-    shares.
-    """
-    factory = _REGISTRY[validate(name)]
-    from_config = getattr(factory, "from_config", None)
-    if from_config is not None:
-        return from_config(config, memory, hierarchy, counters)
-    return factory(config, memory, hierarchy, counters)

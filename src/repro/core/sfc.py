@@ -146,11 +146,6 @@ class _SFCEntry:
         self.writer_seqs: Optional[List[int]] = None
 
 
-def _byte_mask(offset: int, nbytes: int) -> int:
-    """Bit mask selecting ``nbytes`` bytes starting at ``offset``."""
-    return ((1 << nbytes) - 1) << offset
-
-
 def _split_words(addr: int, size: int) -> List[Tuple[int, int, int]]:
     """Split an access into (word_index, offset_in_word, nbytes) pieces."""
     pieces = []

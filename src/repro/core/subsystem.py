@@ -18,7 +18,6 @@ from ..memory.main_memory import MainMemory
 from ..obs.metrics import declare_metric
 from ..stats.counters import Counters
 from .lsq import LoadStoreQueue, LSQConfig
-from .registry import register_subsystem
 from .mdt import MDT_CONFLICT, MDTConfig, MemoryDisambiguationTable
 from .sfc import (
     SFC_CORRUPT,
@@ -111,8 +110,8 @@ class MemorySubsystem:
                     ) -> "MemorySubsystem":
         """Build this subsystem from a full ``ProcessorConfig``.
 
-        The registry (:mod:`repro.core.registry`) calls this; subclasses
-        override it to pick their knobs out of ``config``.
+        ``Core`` calls this through :data:`repro.core.registry.SUBSYSTEMS`;
+        subclasses override it to pick their knobs out of ``config``.
         """
         raise NotImplementedError
 
@@ -178,7 +177,6 @@ class MemorySubsystem:
         return 0
 
 
-@register_subsystem("lsq")
 class LSQSubsystem(MemorySubsystem):
     """The conventional (idealized) load/store queue."""
 
@@ -241,7 +239,6 @@ class LSQSubsystem(MemorySubsystem):
         self.lsq.flush_all()
 
 
-@register_subsystem("sfc_mdt")
 class SfcMdtSubsystem(MemorySubsystem):
     """The paper's design: SFC + MDT + store FIFO (Section 2)."""
 

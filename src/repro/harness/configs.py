@@ -148,10 +148,11 @@ def fuzz_config_matrix() -> list:
     LSQ baseline, the enforcing and non-enforcing SFC/MDT designs, a
     degenerate 1x1 SFC/MDT (maximal replay pressure), the aggressive
     wide-window SFC/MDT, and value-based retirement replay.  Together
-    the rows cover every subsystem in :mod:`repro.core.registry`
-    (:func:`repro.verify.fuzzer.DifferentialFuzzer` asserts this, so a
-    newly registered subsystem must either join this matrix or be
-    fuzzed with an explicit config list).
+    the rows cover every subsystem in
+    :data:`repro.core.registry.SUBSYSTEMS`
+    (:class:`repro.verify.fuzzer.DifferentialFuzzer` asserts this, so a
+    new subsystem must either join this matrix or be fuzzed with an
+    explicit config list).
     """
     tiny = baseline_sfc_mdt_config(sfc_sets=1, mdt_sets=1,
                                    name="fuzz-tiny-sfc-mdt")

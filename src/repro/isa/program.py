@@ -54,6 +54,13 @@ class Program:
         from .predecode import predecode  # local import: avoid a cycle
         return predecode(self)
 
+    def __getstate__(self) -> dict:
+        # The predecode memo holds exec-compiled blocks, which do not
+        # pickle; an engine worker predecodes again if it needs to.
+        state = dict(self.__dict__)
+        state.pop("_predecode_memo", None)
+        return state
+
     def fetch(self, pc: int) -> Instruction:
         """Return the instruction at byte address ``pc``.
 

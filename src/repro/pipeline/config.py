@@ -25,9 +25,8 @@ from ..core.predictors import ENF, PredictorConfig
 from ..core.sfc import SFCConfig
 from ..core.subsystem import OUTPUT_RECOVERY_FLUSH
 
-#: Names of the built-in subsystems (kept as conveniences; the source of
-#: truth is :mod:`repro.core.registry`, which any number of additional
-#: subsystems may join via ``@register_subsystem``).
+#: Names of the subsystems (conveniences; the table of record is
+#: :data:`repro.core.registry.SUBSYSTEMS`).
 SUBSYSTEM_LSQ = "lsq"
 SUBSYSTEM_SFC_MDT = "sfc_mdt"
 SUBSYSTEM_LOAD_REPLAY = "load_replay"

@@ -240,9 +240,9 @@ class Core:
         self.core_id = core_id
         self.validate_trace = validate
         self.idle_skip = idle_skip
-        self.subsystem = registry.build(config.subsystem, config,
-                                        self.memory, self.hierarchy,
-                                        self.counters)
+        self.subsystem = registry.SUBSYSTEMS[
+            registry.validate(config.subsystem)].from_config(
+                config, self.memory, self.hierarchy, self.counters)
         self.tag_file = DependenceTagFile()
         self.predictor = ProducerSetPredictor(config.predictor,
                                               self.counters)

@@ -175,7 +175,7 @@ def replay_corpus(corpus_dir: Union[str, Path],
 def run_conformance(configs: Optional[Sequence[ProcessorConfig]] = None
                     ) -> "ReplayReport":
     """Differentially check every program of the ``riscv-conformance``
-    suite over ``configs`` (default: the registry-covering fuzz
+    suite over ``configs`` (default: the subsystem-covering fuzz
     matrix)."""
     fuzzer = DifferentialFuzzer(configs=configs)
     report = ReplayReport(CONFORMANCE_SUITE)

@@ -189,14 +189,14 @@ class DifferentialFuzzer:
                  max_instructions: int = TRACE_LIMIT):
         if configs is None:
             configs = fuzz_config_matrix()
-            # The default matrix must exercise every registered
-            # subsystem; an explicit config list is the caller's choice.
-            uncovered = registry.missing_coverage(
-                config.subsystem for config in configs)
+            # The default matrix must exercise every subsystem; an
+            # explicit config list is the caller's choice.
+            uncovered = set(registry.SUBSYSTEMS) - {
+                config.subsystem for config in configs}
             if uncovered:
                 raise ValueError(
                     f"fuzz matrix covers no configuration for registered "
-                    f"subsystem(s) {', '.join(uncovered)}; extend "
+                    f"subsystem(s) {', '.join(sorted(uncovered))}; extend "
                     f"repro.harness.configs.fuzz_config_matrix or pass "
                     f"an explicit config list")
         names = [config.name for config in configs]

@@ -24,7 +24,6 @@ from .suites import (
     RISCV_BENCHMARKS,
     build,
     is_fp,
-    register_suite,
     suite,
     suite_names,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "is_litmus",
     "litmus_benchmark_names",
     "random_program",
-    "register_suite",
     "suite",
     "suite_names",
 ]

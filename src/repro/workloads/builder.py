@@ -69,23 +69,5 @@ class KernelBuilder:
             addr, (self.rng.randint(lo, hi) for _ in range(count)),
             width=width)
 
-    def random_bytes(self, addr: int, count: int) -> None:
-        self.asm.data(addr, bytes(self.rng.getrandbits(8)
-                                  for _ in range(count)))
-
-    def permutation_words(self, addr: int, count: int, stride: int,
-                          base: int) -> None:
-        """A random cyclic pointer chain: entry i holds the address of the
-        next element (``base + perm[i] * stride``), for pointer-chasing
-        kernels."""
-        order = list(range(count))
-        self.rng.shuffle(order)
-        next_addr = [0] * count
-        for position in range(count):
-            src = order[position]
-            dst = order[(position + 1) % count]
-            next_addr[src] = base + dst * stride
-        self.asm.data_words(addr, next_addr, width=8)
-
     def build(self):
         return self.asm.build(name=self.name)

@@ -16,6 +16,7 @@ from tests.conftest import assemble, counted_loop_program
 
 CORPUS_CASE = (Path(__file__).parent.parent / "corpus"
                / "seed1-regression-cross-config.json")
+HAZARD_HEX = Path(__file__).parent.parent / "examples" / "hazard.hex"
 
 
 def record_of(build_fn, config):
@@ -283,6 +284,26 @@ class TestErrorPaths:
             main(argv + ["--out", str(tmp_path / "out.json")])
         assert exit_info.value.code == 2
         assert f"argument {argv[-2]}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "gap", "--epoch-cycles", "100"],
+        ["run", "gap", "--horizon", "500"],
+        ["run", "gap", "--checkpoint-every", "500"],
+        ["run", "gap", "--warmup-insts", "1000"],
+        ["run", "gap", "--interval-insts", "5000"],
+        ["run", "gap", "--memory-mode", "shared"],
+        ["run", "gap", "--cores", "2", "--horizon", "500"],
+        ["run", "--riscv", str(HAZARD_HEX), "--memory-mode", "private"],
+        ["run", "--riscv", str(HAZARD_HEX), "--horizon", "500"],
+    ], ids=lambda argv: "+".join(a for a in argv if a.startswith("--")))
+    def test_mode_flag_outside_its_mode_exits_before_simulating(
+            self, tmp_path, capsys, argv):
+        # Each run mode reads its own flags; any other mode flag is a
+        # usage error caught before a cell simulates or is cached.
+        assert main(argv + ["--scale", "1500",
+                            "--cache-dir", str(tmp_path)]) == 2
+        assert "error: --" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
 

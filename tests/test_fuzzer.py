@@ -1,6 +1,6 @@
 """Tests for the differential fuzzer, shrinker, and crash corpus.
 
-The centerpiece is the fault-injection test: register a deliberately
+The centerpiece is the fault-injection test: add a deliberately
 broken memory subsystem (store-to-load forwards corrupt the value's low
 bit), confirm the fuzzer catches it, minimizes the failing program to a
 handful of lines, writes a replayable corpus case, and that the case
@@ -55,20 +55,18 @@ class _BrokenForwardSubsystem(SfcMdtSubsystem):
 
 
 @pytest.fixture
-def broken_config():
-    registry.register_subsystem("broken_forward")(_BrokenForwardSubsystem)
+def broken_config(monkeypatch):
+    monkeypatch.setitem(registry.SUBSYSTEMS, "broken_forward",
+                        _BrokenForwardSubsystem)
     config = baseline_sfc_mdt_config(name="broken-forward")
     config.subsystem = "broken_forward"
-    try:
-        yield config
-    finally:
-        registry.unregister("broken_forward")
+    return config
 
 
 class TestCleanCampaign:
     def test_default_matrix_covers_every_subsystem(self):
         names = {config.subsystem for config in fuzz_config_matrix()}
-        assert registry.missing_coverage(names) == []
+        assert set(registry.SUBSYSTEMS) - names == set()
 
     def test_small_campaign_is_clean(self):
         fuzzer = DifferentialFuzzer()
@@ -115,16 +113,13 @@ class TestCleanCampaign:
             DifferentialFuzzer(configs=[baseline_lsq_config(),
                                         baseline_lsq_config()])
 
-    def test_unfuzzed_subsystem_fails_coverage_check(self):
-        class _Toy:     # never constructed; registration is the point
+    def test_unfuzzed_subsystem_fails_coverage_check(self, monkeypatch):
+        class _Toy:     # never constructed; the table entry is the point
             pass
 
-        registry.register_subsystem("toy_uncovered")(_Toy)
-        try:
-            with pytest.raises(ValueError, match="toy_uncovered"):
-                DifferentialFuzzer()
-        finally:
-            registry.unregister("toy_uncovered")
+        monkeypatch.setitem(registry.SUBSYSTEMS, "toy_uncovered", _Toy)
+        with pytest.raises(ValueError, match="toy_uncovered"):
+            DifferentialFuzzer()
 
 
 class TestFaultInjection:

@@ -17,6 +17,8 @@ The contracts:
 
 from __future__ import annotations
 
+import pickle
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +112,16 @@ class TestPredecodeCache:
     def test_memo_survives_repeated_calls(self):
         program, _ = self._twin_programs()
         assert program.predecoded() is program.predecoded()
+
+    def test_program_pickles_after_fast_forward(self):
+        # The engine ships programs to worker processes; once
+        # fast-forward has compiled blocks into the shared predecode,
+        # the program must still pickle.
+        program = build("gzip", scale=2_000)
+        Interpreter(program).fast_forward(1_000)
+        assert program.predecoded()._cold_blocks
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone.digest() == program.digest()
 
 
 def _state(interp, bpred=None, hierarchy=None):

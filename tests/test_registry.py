@@ -1,11 +1,10 @@
-"""Tests for the pluggable memory-subsystem registry."""
+"""Tests for the table of memory subsystems, ``registry.SUBSYSTEMS``."""
 
 import pytest
 
 from repro import Processor
 from repro.core import registry
 from repro.core.load_replay import LoadReplaySubsystem
-from repro.core.registry import register_subsystem
 from repro.core.subsystem import LSQSubsystem, SfcMdtSubsystem
 from repro.pipeline.config import (
     SUBSYSTEM_LOAD_REPLAY,
@@ -18,12 +17,13 @@ from tests.conftest import assemble, counted_loop_program
 
 class TestBuiltinRegistrations:
     def test_available_lists_builtins(self):
-        assert registry.available() == ["load_replay", "lsq", "sfc_mdt"]
+        assert sorted(registry.SUBSYSTEMS) == ["load_replay", "lsq",
+                                               "sfc_mdt"]
 
     def test_builtin_names_match_constants(self):
         for name in (SUBSYSTEM_LSQ, SUBSYSTEM_SFC_MDT,
                      SUBSYSTEM_LOAD_REPLAY):
-            assert registry.is_registered(name)
+            assert name in registry.SUBSYSTEMS
 
     def test_processor_builds_each_builtin(self):
         program = assemble(counted_loop_program)
@@ -35,7 +35,7 @@ class TestBuiltinRegistrations:
 
     def test_subsystem_name_attribute_matches_registration(self):
         program = assemble(counted_loop_program)
-        for name in registry.available():
+        for name in registry.SUBSYSTEMS:
             processor = Processor(program, ProcessorConfig(subsystem=name))
             assert processor.subsystem.name == name
 
@@ -46,48 +46,27 @@ class TestValidation:
             ProcessorConfig(subsystem="warp_drive")
         message = str(err.value)
         assert "warp_drive" in message
-        # The error enumerates the registered choices, and stays in sync
-        # with the registry rather than a hard-coded tuple.
-        for name in registry.available():
+        # The error enumerates the choices, and stays in sync with the
+        # table rather than a hard-coded tuple.
+        for name in registry.SUBSYSTEMS:
             assert name in message
 
     def test_validate_returns_known_name(self):
         assert registry.validate("lsq") == "lsq"
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_subsystem("lsq")(LSQSubsystem.from_config)
-
-    def test_reregistering_same_object_is_idempotent(self):
-        register_subsystem("lsq")(LSQSubsystem)  # module re-import case
-
-    def test_unregister_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="not registered"):
-            registry.unregister("warp_drive")
-
-    def test_bad_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_subsystem("")
-
 
 class TestToySubsystem:
-    """A third-party subsystem plugs in end-to-end through Processor."""
+    """A subsystem added to the table runs end-to-end through Processor."""
 
-    @pytest.fixture
-    def toy_name(self):
-        name = "toy_magic"
-        yield name
-        if registry.is_registered(name):
-            registry.unregister(name)
-
-    def test_toy_subsystem_runs_end_to_end(self, toy_name):
-        @register_subsystem(toy_name)
+    def test_toy_subsystem_runs_end_to_end(self, monkeypatch):
         class ToySubsystem(LSQSubsystem):
             """An LSQ wearing a trench coat, to prove the seam works."""
-            name = toy_name
+            name = "toy_magic"
 
-        config = ProcessorConfig(subsystem=toy_name)
-        assert config.name == toy_name  # default name follows subsystem
+        monkeypatch.setitem(registry.SUBSYSTEMS, ToySubsystem.name,
+                            ToySubsystem)
+        config = ProcessorConfig(subsystem=ToySubsystem.name)
+        assert config.name == ToySubsystem.name  # name follows subsystem
         result = Processor(assemble(counted_loop_program), config).run()
         assert type(Processor(assemble(counted_loop_program),
                               config).subsystem) is ToySubsystem
@@ -97,18 +76,3 @@ class TestToySubsystem:
         # machine is architecturally exact.
         assert result.counters.get("retired_instructions") == \
             result.instructions
-
-    def test_toy_factory_function_runs(self, toy_name):
-        @register_subsystem(toy_name)
-        def build_toy(config, memory, hierarchy, counters):
-            return LSQSubsystem(config.lsq, memory, hierarchy, counters)
-
-        result = Processor(assemble(counted_loop_program),
-                           ProcessorConfig(subsystem=toy_name)).run()
-        assert result.ipc > 0
-
-    def test_unregistered_toy_rejected_again(self, toy_name):
-        register_subsystem(toy_name)(LSQSubsystem.from_config)
-        registry.unregister(toy_name)
-        with pytest.raises(ValueError):
-            ProcessorConfig(subsystem=toy_name)

@@ -331,3 +331,15 @@ class TestApiAndCli:
                      "--cache-dir", str(tmp_path)])
         assert code == 2
         assert "exact mode" in capsys.readouterr().err
+
+    def test_cli_sampled_without_measurable_interval_exits_2(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        # 17 instructions against the default 1000-instruction warm-up:
+        # a usage error with a message, not a traceback (exit 1 is kept
+        # for mismatches).
+        code = main(["run", "rv-stl_hazard", "--sample-intervals", "3",
+                     "--cache-dir", str(tmp_path)])
+        assert code == 2
+        assert "error: no measurable interval" in capsys.readouterr().err
