@@ -1,12 +1,21 @@
 #!/usr/bin/env python
 """Bit-exactness gate: the observability layer must not perturb results.
 
-Runs the fig5 + fig6 grid (every benchmark under all four baseline and
-aggressive configurations) at a small scale and compares the manifest
-digest -- a SHA-256 over every architected outcome (config, cycles, IPC,
-all counters) -- against the committed reference.  Also proves that an
-attached pipetrace sampler (ring buffer + epoch snapshots) leaves a
-run's cycles and counters bit-identical.
+Runs two sets of grids at a small scale, each benchmark under each
+configuration, and compares their manifest digests -- SHA-256s over
+every architected outcome (config, cycles, IPC, all counters) --
+against committed references:
+
+* ``digest_fig56.txt``: one digest over the fig5 + fig6 grid (the four
+  baseline and aggressive configurations);
+* ``digest_variants.txt``: one digest per subsystem or policy outside
+  those figures -- value-based retirement replay (Section 4) and the
+  ablation figures' NOT-ENF predictor, counted-load recovery,
+  corrupt-marking output recovery, flush-endpoint corruption tracking
+  and untagged MDT.
+
+Also proves that an attached pipetrace sampler (ring buffer + epoch
+snapshots) leaves a run's cycles and counters bit-identical.
 
     python scripts/check_digest.py             # verify
     python scripts/check_digest.py --update    # re-pin after an
@@ -16,13 +25,21 @@ run's cycles and counters bit-identical.
 from __future__ import annotations
 
 import sys
+from itertools import zip_longest
 from pathlib import Path
+from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro import Processor  # noqa: E402
+from repro.core import (  # noqa: E402
+    CORRUPTION_ENDPOINTS,
+    NOT_ENF,
+    OUTPUT_RECOVERY_CORRUPT,
+)
 from repro.harness.configs import (  # noqa: E402
+    aggressive_load_replay_config,
     aggressive_lsq_config,
     aggressive_sfc_mdt_config,
     baseline_lsq_config,
@@ -33,16 +50,43 @@ from repro.perf import manifest_digest  # noqa: E402
 from repro.pipeline.pipetrace import PipeTracer  # noqa: E402
 from repro.workloads import ALL_BENCHMARKS, suites  # noqa: E402
 
-REFERENCE = ROOT / "benchmarks" / "results" / "digest_fig56.txt"
+RESULTS = ROOT / "benchmarks" / "results"
+REFERENCE = RESULTS / "digest_fig56.txt"
+VARIANTS_REFERENCE = RESULTS / "digest_variants.txt"
 SCALE = 1_000
 
 
-def grid_digest() -> str:
+def grid_digest(configs) -> str:
     runner = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
-    configs = [baseline_lsq_config(), baseline_sfc_mdt_config(),
-               aggressive_lsq_config(), aggressive_sfc_mdt_config()]
     runner.run_suite(sorted(ALL_BENCHMARKS), configs)
     return manifest_digest(runner.manifest)
+
+
+def variant_configs() -> list:
+    """Retirement replay plus the ablation figures' policy variants."""
+    counted = aggressive_sfc_mdt_config(name="counted")
+    counted.mdt.counted_load_recovery = True
+    corrupt = aggressive_sfc_mdt_config(name="corrupt")
+    corrupt.output_recovery = OUTPUT_RECOVERY_CORRUPT
+    endpoints = aggressive_sfc_mdt_config(name="endpoints")
+    endpoints.sfc.corruption_mode = CORRUPTION_ENDPOINTS
+    # The untagged-MDT sweep's smallest table aliases the most.
+    untagged = baseline_sfc_mdt_config(mdt_sets=64, name="untag64")
+    untagged.mdt.tagged = False
+    return [aggressive_load_replay_config(),
+            aggressive_sfc_mdt_config(mode=NOT_ENF, name="NOT-ENF"),
+            counted, corrupt, endpoints, untagged]
+
+
+def pinned_lines() -> Dict[Path, List[str]]:
+    """The lines each reference file must hold, computed from this tree."""
+    fig56 = [baseline_lsq_config(), baseline_sfc_mdt_config(),
+             aggressive_lsq_config(), aggressive_sfc_mdt_config()]
+    return {
+        REFERENCE: [grid_digest(fig56)],
+        VARIANTS_REFERENCE: [f"{config.name} {grid_digest([config])}"
+                             for config in variant_configs()],
+    }
 
 
 def check_tracer_is_invisible() -> bool:
@@ -61,23 +105,33 @@ def check_tracer_is_invisible() -> bool:
 
 
 def main() -> int:
-    digest = grid_digest()
+    pins = pinned_lines()
     if "--update" in sys.argv[1:]:
-        REFERENCE.write_text(digest + "\n")
-        print(f"pinned {digest} -> {REFERENCE}")
+        for path, lines in pins.items():
+            path.write_text("\n".join(lines) + "\n")
+            print(f"pinned {len(lines)} digest(s) -> {path}")
         return 0
-    if not REFERENCE.exists():
-        print(f"FAIL: no reference digest at {REFERENCE}; "
-              f"run with --update to pin one")
+    ok = True
+    for path, lines in pins.items():
+        if not path.exists():
+            print(f"FAIL: no reference digest at {path}; "
+                  f"run with --update to pin one")
+            ok = False
+            continue
+        expected = path.read_text().splitlines()
+        if expected == lines:
+            print(f"ok: {path.name}: {len(lines)} grid digest(s) "
+                  f"unchanged ({lines[0].split()[-1][:16]}...)")
+            continue
+        print(f"FAIL: manifest digest drifted in {path.name}")
+        for want, got in zip_longest(expected, lines, fillvalue="-"):
+            if want != got:
+                print(f"  expected {want}\n  got      {got}")
+        ok = False
+    if not ok:
+        print("Architected outcomes changed; if intentional, re-pin "
+              "with --update.")
         return 1
-    expected = REFERENCE.read_text().strip()
-    if digest != expected:
-        print(f"FAIL: manifest digest drifted\n  expected {expected}\n"
-              f"  got      {digest}\n"
-              f"Architected outcomes changed; if intentional, re-pin "
-              f"with --update.")
-        return 1
-    print(f"ok: fig5+fig6 grid digest unchanged ({digest[:16]}...)")
     if not check_tracer_is_invisible():
         return 1
     return 0

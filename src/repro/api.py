@@ -160,7 +160,6 @@ def simulate_sampled(benchmark: str,
                      warmup_insts: int = 1_000,
                      interval_insts: int = 5_000,
                      checkpoint_every: Optional[int] = None,
-                     warm: bool = True,
                      horizon: Optional[int] = None,
                      runner: Optional[ExperimentRunner] = None,
                      **runner_kwargs) -> RunRecord:
@@ -182,7 +181,7 @@ def simulate_sampled(benchmark: str,
     return engine.run_sampled(
         benchmark, resolve_config(config), intervals=intervals,
         warmup_insts=warmup_insts, interval_insts=interval_insts,
-        checkpoint_every=checkpoint_every, warm=warm, horizon=horizon)
+        checkpoint_every=checkpoint_every, horizon=horizon)
 
 
 def simulate_system(benchmark: str,

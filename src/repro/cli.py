@@ -64,7 +64,9 @@ to a file instead of stdout.
 experiment-engine flags: ``--jobs N`` (N >= 1) simulates uncached grid
 cells on N worker processes (default: all cores), ``--cache-dir``
 relocates the persistent result cache (default ``.repro_cache/``), and
-``--no-cache`` disables it.
+``--no-cache`` disables it.  Of the ``run`` modes, only exact, sampled
+and multicore runs go through the engine and read these flags and
+``--scale``.
 
 ``run`` can additionally export a sampled pipetrace:
 ``--epoch-cycles N --trace-out FILE`` writes per-epoch snapshots
@@ -96,8 +98,8 @@ from typing import Callable, List, Optional
 from . import api
 from .checkpoint import SamplingError
 from .core import registry
-from .harness.experiment import (ExperimentRunner, check_jobs,
-                                 check_scale, check_timeout)
+from .harness.experiment import (DEFAULT_SCALE, ExperimentRunner,
+                                 check_jobs, check_scale, check_timeout)
 from .obs.runrecord import SCHEMA_VERSION
 from .stats.report import format_report
 from .verify.corpus import CorpusError
@@ -137,7 +139,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="persistent result-cache directory "
                              "(default .repro_cache/)")
-    parser.add_argument("--no-cache", action="store_true",
+    # None when absent, so ``run`` can tell a given flag from no flag.
+    parser.add_argument("--no-cache", action="store_true", default=None,
                         help="disable the persistent result cache")
 
 
@@ -199,8 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", default="baseline-sfc-mdt",
                      choices=sorted(api.CONFIGS))
     run.add_argument("--scale", type=_checked(int, check_scale),
-                     default=20_000,
-                     help="dynamic instruction budget (default 20000)")
+                     default=None,
+                     help="dynamic instruction budget of exact, sampled "
+                          "and multicore runs (default 20000)")
     run.add_argument("--cores", type=_checked(int, _at_least(1)),
                      default=1, metavar="N",
                      help="simulate an N-core system (default 1: the "
@@ -493,8 +497,7 @@ def _cmd_run_litmus(args) -> int:
         return 2
     result = run_litmus_test(test, api.resolve_config(args.config))
     record = RunRecord.from_system_result(result.system_result,
-                                          benchmark=args.benchmark,
-                                          scale=args.scale)
+                                          benchmark=args.benchmark)
     if args.format == "json":
         _emit(_envelope("litmus-run", litmus=result.to_dict(),
                         run=record.to_dict()), args)
@@ -542,16 +545,23 @@ def _cmd_run_multicore(args) -> int:
     return 0
 
 
+#: The experiment-engine flags, read by the modes that simulate through
+#: an :class:`ExperimentRunner`.
+_ENGINE_FLAGS = ("scale", "jobs", "cache_dir", "no_cache")
+
 #: The modes of ``run``: name -> (description, the mode flags it reads,
 #: handler).  A mode flag its mode does not read exits 2 before
 #: anything simulates.
 _RUN_MODES = {
     "exact": ("exact mode (single-core only)",
-              ("epoch_cycles", "trace_out"), _cmd_run_exact),
+              ("epoch_cycles", "trace_out") + _ENGINE_FLAGS,
+              _cmd_run_exact),
     "sampled": ("sampled mode (single-core only)",
                 ("sample_intervals", "warmup_insts", "interval_insts",
-                 "checkpoint_every", "horizon"), _cmd_run_sampled),
-    "multicore": ("multicore mode", ("cores", "memory_mode"),
+                 "checkpoint_every", "horizon") + _ENGINE_FLAGS,
+                _cmd_run_sampled),
+    "multicore": ("multicore mode",
+                  ("cores", "memory_mode") + _ENGINE_FLAGS,
                   _cmd_run_multicore),
     "litmus": ("litmus mode", ("cores", "memory_mode"), _cmd_run_litmus),
     "riscv": ("--riscv mode", (), _cmd_run_riscv),
@@ -597,6 +607,8 @@ def _cmd_run(args) -> int:
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    if "scale" in _RUN_MODES[mode][1] and args.scale is None:
+        args.scale = DEFAULT_SCALE
     return _RUN_MODES[mode][2](args)
 
 

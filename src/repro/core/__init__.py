@@ -1,9 +1,12 @@
-"""The paper's contribution: SFC, MDT, store FIFO, dependence predictors,
-and the LSQ baseline, unified behind the ``MemorySubsystem`` interface."""
+"""The paper's contribution -- SFC, MDT, store FIFO and dependence
+predictors -- and its comparators, the LSQ baseline and retirement
+replay.  Each of the three memory subsystems is a ``MemorySubsystem``
+subclass built as ``cls(config, memory, hierarchy, counters)`` from the
+``registry.SUBSYSTEMS`` table."""
 
 from . import registry
 from .load_replay import LoadReplaySubsystem
-from .lsq import LoadStoreQueue, LSQConfig
+from .lsq import LSQConfig, LSQSubsystem
 from .mdt import (
     MDT_CONFLICT,
     MDT_OK,
@@ -36,7 +39,6 @@ from .subsystem import (
     OUTPUT_RECOVERY_CORRUPT,
     OUTPUT_RECOVERY_FLUSH,
     REPLAY,
-    LSQSubsystem,
     MemorySubsystem,
     MemOutcome,
     SfcMdtSubsystem,
@@ -55,7 +57,6 @@ __all__ = [
     "LSQSubsystem",
     "LoadReplaySubsystem",
     "LSQ_MODE",
-    "LoadStoreQueue",
     "MDTConfig",
     "MDT_CONFLICT",
     "MDT_OK",

@@ -27,12 +27,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..memory.cache import CacheHierarchy
-from ..memory.main_memory import MainMemory
 from ..obs.metrics import declare_metric
-from ..stats.counters import Counters
-from .lsq import LoadStoreQueue, LSQConfig
-from .subsystem import LSQSubsystem
+from .lsq import LSQSubsystem
+from .subsystem import DONE, MemOutcome
 from .violations import TRUE_DEP, Violation
 
 # -- declared metrics (metadata only; see repro.obs.metrics) -----------------
@@ -44,29 +41,35 @@ declare_metric("retire_replay_violations", subsystem="load_replay",
 class LoadReplaySubsystem(LSQSubsystem):
     """LSQ-style forwarding, disambiguation deferred to retirement.
 
-    Everything but construction and load retirement is the LSQ's: with
-    ``detect_at_execute=False`` an executing store searches no load
-    queue and so never reports a violation.
+    Everything but store execution and load retirement is the LSQ's: an
+    executing store searches no load queue, and a retiring load is
+    re-executed and compared.
     """
 
     name = "load_replay"
 
-    def __init__(self, config: LSQConfig, memory: MainMemory,
-                 hierarchy: CacheHierarchy, counters: Counters):
-        self.config = config
-        self.counters = counters
-        self.hierarchy = hierarchy
-        self.lsq = LoadStoreQueue(config, memory, counters,
-                                  detect_at_execute=False)
+    def execute_store(self, seq: int, pc: int, addr: int, size: int,
+                      data: int, watermark: int,
+                      at_rob_head: bool = False) -> MemOutcome:
+        """Record the store for forwarding; report no violation."""
+        self._record_store(seq, addr, size, data)
+        return MemOutcome(DONE, latency=1)
 
     def retire_load(self, seq: int, addr: int, size: int
                     ) -> Tuple[Optional[int], List[Violation]]:
-        """Re-execute the load and compare (the scheme's core step)."""
-        original, current = self.lsq.reexecute_load(seq)
+        """Re-execute the load and compare (the scheme's core step).
+
+        At retirement every older store has committed, so the recomputed
+        value is architecturally correct; a mismatch means the original
+        execution consumed stale or misordered data.
+        """
+        self.counters.incr("lsq_retire_replays")
+        entry = self._load_by_seq[seq]
+        current, _ = self._forwarded_value(seq, entry.addr, entry.size)
         # The second access really touches the data cache.
         self.hierarchy.data_latency(addr)
-        self.lsq.retire_load(seq)
-        if current == original:
+        super().retire_load(seq, addr, size)
+        if current == entry.value:
             return None, []
         self.counters.incr("retire_replay_violations")
         return current, [Violation(TRUE_DEP, flush_after_seq=seq,

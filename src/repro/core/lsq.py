@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..memory.cache import CacheHierarchy
 from ..memory.main_memory import MainMemory
 from ..obs.metrics import declare_metric
 from ..stats.counters import Counters
+from .subsystem import DONE, MemorySubsystem, MemOutcome
 from .violations import TRUE_DEP, Violation
 
 # -- declared metrics (metadata only; see repro.obs.metrics) -----------------
@@ -87,19 +89,17 @@ class _StoreEntry:
         self.completed = False
 
 
-class LoadStoreQueue:
-    """The conventional (idealized) LSQ."""
+class LSQSubsystem(MemorySubsystem):
+    """The conventional (idealized) load/store queue, sized by
+    ``config.lsq``."""
 
-    def __init__(self, config: LSQConfig, memory: MainMemory,
-                 counters: Optional[Counters] = None,
-                 detect_at_execute: bool = True):
-        self.config = config
-        self.memory = memory
-        self.counters = counters if counters is not None else Counters()
-        #: When False, executing stores skip the load-queue violation
-        #: search (used by the value-based retirement-replay scheme,
-        #: which disambiguates at retirement instead).
-        self.detect_at_execute = detect_at_execute
+    name = "lsq"
+
+    def __init__(self, config, memory: MainMemory,
+                 hierarchy: CacheHierarchy, counters: Counters):
+        super().__init__(config, memory, hierarchy, counters)
+        self.lq_size = config.lsq.lq_size
+        self.sq_size = config.lsq.sq_size
         self._loads: List[_LoadEntry] = []    # program (sequence) order
         self._stores: List[_StoreEntry] = []
         self._load_by_seq: Dict[int, _LoadEntry] = {}
@@ -108,10 +108,10 @@ class LoadStoreQueue:
     # -- dispatch -----------------------------------------------------------------
 
     def can_dispatch_load(self) -> bool:
-        return len(self._loads) < self.config.lq_size
+        return len(self._loads) < self.lq_size
 
     def can_dispatch_store(self) -> bool:
-        return len(self._stores) < self.config.sq_size
+        return len(self._stores) < self.sq_size
 
     def dispatch_load(self, seq: int, pc: int) -> None:
         entry = _LoadEntry(seq)
@@ -161,12 +161,9 @@ class LoadStoreQueue:
         self.counters.incr("lsq_sq_entries_searched", searched)
         return int.from_bytes(collected, "little"), remaining == 0
 
-    def execute_load(self, seq: int, addr: int, size: int) -> Tuple[int, bool]:
-        """A load executes: associative SQ search + memory fill.
-
-        Returns ``(value, fully_forwarded)``; a fully forwarded load
-        completes with the LSQ's single-cycle bypass latency.
-        """
+    def execute_load(self, seq: int, pc: int, addr: int, size: int,
+                     watermark: int, at_rob_head: bool = False) -> MemOutcome:
+        """A load executes: associative SQ search + memory fill."""
         self.counters.incr("lsq_load_searches")
         entry = self._load_by_seq[seq]
         entry.addr = addr
@@ -175,10 +172,25 @@ class LoadStoreQueue:
         entry.completed = True
         if forwarded:
             self.counters.incr("lsq_full_forwards")
-        return entry.value, forwarded
+        cache_latency = self.hierarchy.data_latency(addr)
+        # Idealized single-cycle bypass when the value came entirely from
+        # in-flight stores; otherwise the cache access time governs.
+        return MemOutcome(DONE, value=entry.value,
+                          latency=1 if forwarded else cache_latency)
 
-    def execute_store(self, seq: int, addr: int, size: int,
-                      data: int) -> List[Violation]:
+    def _record_store(self, seq: int, addr: int, size: int,
+                      data: int) -> _StoreEntry:
+        """Complete a store's entry, making it visible to forwarding."""
+        entry = self._store_by_seq[seq]
+        entry.addr = addr
+        entry.size = size
+        entry.data = data
+        entry.completed = True
+        return entry
+
+    def execute_store(self, seq: int, pc: int, addr: int, size: int,
+                      data: int, watermark: int,
+                      at_rob_head: bool = False) -> MemOutcome:
         """A store executes: record it, then search the LQ for younger
         completed loads whose value the new store changes.
 
@@ -187,13 +199,7 @@ class LoadStoreQueue:
         flagged (Section 2.1 / Onder & Gupta's observation).
         Recovery flushes from the earliest conflicting load.
         """
-        entry = self._store_by_seq[seq]
-        entry.addr = addr
-        entry.size = size
-        entry.data = data
-        entry.completed = True
-        if not self.detect_at_execute:
-            return []
+        entry = self._record_store(seq, addr, size, data)
         self.counters.incr("lsq_store_searches")
 
         earliest: Optional[_LoadEntry] = None
@@ -212,60 +218,38 @@ class LoadStoreQueue:
                     earliest = load
         self.counters.incr("lsq_lq_entries_searched", searched)
         if earliest is None:
-            return []
+            return MemOutcome(DONE, latency=1)
         self.counters.incr("lsq_true_violations")
-        return [Violation(TRUE_DEP, flush_after_seq=earliest.seq - 1,
-                          producer_pc=entry.pc, consumer_pc=earliest.pc)]
-
-    def reexecute_load(self, seq: int) -> Tuple[int, int]:
-        """Value-based replay (Cain & Lipasti): recompute the load's value
-        at retirement and return ``(original, current)``.
-
-        At retirement every older store has committed, so the recomputed
-        value is architecturally correct; a mismatch means the original
-        execution consumed stale or misordered data.
-        """
-        self.counters.incr("lsq_retire_replays")
-        entry = self._load_by_seq[seq]
-        current, _ = self._forwarded_value(seq, entry.addr, entry.size)
-        return entry.value, current
+        return MemOutcome(DONE, latency=1, violations=[Violation(
+            TRUE_DEP, flush_after_seq=earliest.seq - 1,
+            producer_pc=entry.pc, consumer_pc=earliest.pc)])
 
     # -- retirement -------------------------------------------------------------------
 
-    def retire_load(self, seq: int) -> None:
+    def retire_load(self, seq: int, addr: int, size: int
+                    ) -> Tuple[Optional[int], List[Violation]]:
         entry = self._load_by_seq.pop(seq, None)
         if entry is not None:
             self._loads.remove(entry)
+        return None, []
 
-    def retire_store(self, seq: int) -> Tuple[int, int, int]:
-        """Pop the retiring store; returns (addr, size, data) to commit."""
+    def retire_store(self, seq: int, addr: int, size: int,
+                     bypassed: bool = False, pc: int = 0
+                     ) -> Tuple[int, int, int, List[Violation]]:
+        """Pop the retiring store and commit its entry."""
         entry = self._store_by_seq.pop(seq)
         self._stores.remove(entry)
-        return entry.addr, entry.size, entry.data
+        return entry.addr, entry.size, entry.data, []
 
     # -- flush ------------------------------------------------------------------------
 
-    def flush_after(self, seq: int) -> None:
-        """Discard every entry younger than ``seq`` (tail-pointer reset)."""
-        while self._loads and self._loads[-1].seq > seq:
+    def on_partial_flush(self, flush_after_seq: int,
+                         youngest_seq: int = -1) -> None:
+        """Discard every entry younger than ``flush_after_seq``
+        (tail-pointer reset)."""
+        while self._loads and self._loads[-1].seq > flush_after_seq:
             dead = self._loads.pop()
             del self._load_by_seq[dead.seq]
-        while self._stores and self._stores[-1].seq > seq:
+        while self._stores and self._stores[-1].seq > flush_after_seq:
             dead = self._stores.pop()
             del self._store_by_seq[dead.seq]
-
-    def flush_all(self) -> None:
-        self._loads.clear()
-        self._stores.clear()
-        self._load_by_seq.clear()
-        self._store_by_seq.clear()
-
-    # -- introspection ------------------------------------------------------------------
-
-    @property
-    def load_occupancy(self) -> int:
-        return len(self._loads)
-
-    @property
-    def store_occupancy(self) -> int:
-        return len(self._stores)

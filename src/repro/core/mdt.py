@@ -32,11 +32,11 @@ access leaves no side effects behind and re-applying it is idempotent.
 Partial pipeline flushes leave the recorded sequence numbers untouched;
 canceled numbers make the table conservative, and watermark scrubbing
 reclaims entries whose numbers are all older than the oldest in-flight
-instruction.  The one exception is the Section 2.4.1 *counted-load*
-state: the per-granule set of completed-but-not-retired load numbers
-drops canceled numbers on a partial flush, because a canceled load never
-retires and a stale member would otherwise disable counted-load recovery
-for that granule forever.
+instruction when an access finds its set full.  The one exception is
+the Section 2.4.1 *counted-load* state: the per-granule set of
+completed-but-not-retired load numbers drops canceled numbers on a
+partial flush, because a canceled load never retires and a stale member
+would otherwise disable counted-load recovery for that granule forever.
 """
 
 from __future__ import annotations
@@ -430,19 +430,6 @@ class MemoryDisambiguationTable:
                     if load_seqs:
                         entry.load_seqs = {
                             s for s in load_seqs if s <= flush_after_seq}
-
-    def on_full_flush(self) -> None:
-        """Full pipeline flush: nothing is in flight, drop everything."""
-        for ways in self._sets:
-            if ways:
-                self.eviction_events += len(ways)
-                ways.clear()
-
-    def scrub(self, watermark: int) -> None:
-        """Reclaim every dead entry."""
-        for ways in self._sets:
-            if ways:
-                self._scrub_set(ways, watermark)
 
     # -- introspection -----------------------------------------------------------------
 

@@ -3,18 +3,18 @@
 The paper compares a fixed set: the associative LSQ baseline, the
 SFC/MDT design and value-based retirement replay (Section 4).  Each is
 a :class:`~repro.core.subsystem.MemorySubsystem` subclass with a
-``name`` and a ``from_config(config, memory, hierarchy, counters)``
-classmethod; adding one is that class plus its entry in
-:data:`SUBSYSTEMS`.
+``name`` and the constructor ``(config, memory, hierarchy, counters)``;
+adding one is that class plus its entry in :data:`SUBSYSTEMS`.
 """
 
 from __future__ import annotations
 
 from .load_replay import LoadReplaySubsystem
-from .subsystem import LSQSubsystem, SfcMdtSubsystem
+from .lsq import LSQSubsystem
+from .subsystem import SfcMdtSubsystem
 
 #: subsystem name -> class; ``Core`` builds
-#: ``SUBSYSTEMS[name].from_config(config, memory, hierarchy, counters)``.
+#: ``SUBSYSTEMS[name](config, memory, hierarchy, counters)``.
 SUBSYSTEMS = {cls.name: cls for cls in (LSQSubsystem, SfcMdtSubsystem,
                                         LoadReplaySubsystem)}
 

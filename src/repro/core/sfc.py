@@ -12,14 +12,17 @@ per-byte corruption mask:
   load back to the scheduler;
 * a partial pipeline flush cannot tell which bytes came from canceled
   stores, so it marks every valid byte corrupt (the paper's corruption
-  mechanism);
-* a full pipeline flush simply clears the SFC.
+  mechanism).
+
+This model never full-flushes: every recovery, from a branch
+misprediction or an ordering violation, is a partial flush.
 
 An entry is freed when the latest store to its word retires.  Canceled
 stores never retire, so their entries are reclaimed by *watermark
 scrubbing*: once every in-flight sequence number exceeds an entry's
 ``last_store_seq``, the entry's writer is certainly retired or canceled and
-the entry is dead (see DESIGN.md, "Entry reclamation").
+the entry is dead.  A store that finds its set full scrubs that set before
+it declares a conflict (see DESIGN.md, "Entry reclamation").
 
 Section 3.2 sketches an alternative to the corruption masks: track the
 *flush endpoints* -- the sequence-number window of each partial flush --
@@ -61,7 +64,6 @@ for _name, _unit, _desc in (
      "partial-flush cleanups applied to the SFC"),
     ("sfc_endpoint_overflows", "events",
      "per-word endpoint-list overflows during partial flushes"),
-    ("sfc_full_flushes", "events", "full SFC invalidations"),
 ):
     declare_metric(_name, subsystem="sfc", description=_desc, unit=_unit)
 
@@ -403,29 +405,12 @@ class StoreForwardingCache:
                 (lo, hi) for lo, hi in self._flush_windows
                 if hi >= watermark]
 
-    def on_full_flush(self) -> None:
-        """Discard everything (full pipeline flush)."""
-        self.counters.incr("sfc_full_flushes")
-        self._flush_windows.clear()
-        for ways in self._sets:
-            if ways:
-                self.eviction_events += len(ways)
-                ways.clear()
-
     def mark_corrupt(self, addr: int, size: int) -> None:
         """Corrupt-mark one access range (Section 2.4.2 recovery policy)."""
         for word, offset, nbytes in _split_words(addr, size):
             entry = self._find(word)
             if entry is not None:
                 entry.corrupt_mask |= _BIT_MASKS[offset][nbytes]
-
-    def scrub(self, watermark: int) -> None:
-        """Reclaim every dead entry (used by the stall-bit fallback)."""
-        if self._endpoints_mode:
-            self._prune_windows(watermark)
-        for ways in self._sets:
-            if ways:
-                self._scrub_set(ways, watermark)
 
     # -- introspection -----------------------------------------------------------
 

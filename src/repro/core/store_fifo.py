@@ -14,20 +14,19 @@ from typing import Deque
 
 
 class _FifoSlot:
-    __slots__ = ("seq", "addr", "size", "data", "filled")
+    __slots__ = ("seq", "addr", "size", "data")
 
     def __init__(self, seq: int):
         self.seq = seq
         self.addr = 0
         self.size = 0
         self.data = 0
-        self.filled = False
 
 
 class StoreFifo:
     """Bounded FIFO of in-flight stores, ordered by sequence number."""
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._slots: Deque[_FifoSlot] = deque()
         self._by_seq = {}
@@ -54,7 +53,6 @@ class StoreFifo:
         slot.addr = addr
         slot.size = size
         slot.data = data
-        slot.filled = True
 
     def retire(self, seq: int) -> _FifoSlot:
         """Pop the head slot; it must belong to the retiring store.
@@ -78,7 +76,3 @@ class StoreFifo:
             del self._by_seq[slot.seq]
             removed += 1
         return removed
-
-    def flush_all(self) -> None:
-        self._slots.clear()
-        self._by_seq.clear()

@@ -1,12 +1,15 @@
-"""Memory subsystems: the LSQ baseline and the paper's SFC/MDT design.
+"""The memory-subsystem interface and the paper's SFC/MDT design.
 
-Both implementations sit behind :class:`MemorySubsystem`, the interface the
-pipeline's memory unit drives.  Loads and stores call ``execute_*`` when
-they issue (speculatively, out of order); the subsystem returns a
+Every subsystem sits behind :class:`MemorySubsystem`, the interface the
+pipeline's memory unit drives: the LSQ baseline
+(:mod:`repro.core.lsq`), value-based retirement replay
+(:mod:`repro.core.load_replay`) and :class:`SfcMdtSubsystem` here.
+Loads and stores allocate at dispatch and call ``execute_*`` when they
+issue (speculatively, out of order); the subsystem returns a
 :class:`MemOutcome` saying whether the access completed (and with what
 value/latency), must be *replayed* (structural conflict, SFC corruption or
 partial match), or detected ordering violations that force a recovery
-flush.
+flush.  They retire in order, and a partial flush squashes the tail.
 """
 
 from __future__ import annotations
@@ -17,15 +20,8 @@ from ..memory.cache import CacheHierarchy
 from ..memory.main_memory import MainMemory
 from ..obs.metrics import declare_metric
 from ..stats.counters import Counters
-from .lsq import LoadStoreQueue, LSQConfig
-from .mdt import MDT_CONFLICT, MDTConfig, MemoryDisambiguationTable
-from .sfc import (
-    SFC_CORRUPT,
-    SFC_HIT,
-    SFC_PARTIAL,
-    SFCConfig,
-    StoreForwardingCache,
-)
+from .mdt import MDT_CONFLICT, MemoryDisambiguationTable
+from .sfc import SFC_CORRUPT, SFC_HIT, SFC_PARTIAL, StoreForwardingCache
 from .store_fifo import StoreFifo
 from .violations import OUTPUT_DEP, Violation
 
@@ -97,23 +93,25 @@ _REPLAY_SFC_PARTIAL = MemOutcome(REPLAY, replay_reason="sfc_partial")
 
 class MemorySubsystem:
     """Interface between the pipeline's memory unit and the structures
-    under study.  See :class:`LSQSubsystem` and :class:`SfcMdtSubsystem`."""
+    under study: exactly the calls ``Core`` makes.  See
+    :class:`~repro.core.lsq.LSQSubsystem` and :class:`SfcMdtSubsystem`."""
 
     name = "abstract"
     #: Extra pipeline-flush penalty in cycles charged on an ordering
     #: violation (the paper charges +1 for the MDT's tag check).
     violation_extra_penalty = 0
 
-    @classmethod
-    def from_config(cls, config, memory: MainMemory,
-                    hierarchy: CacheHierarchy, counters: Counters
-                    ) -> "MemorySubsystem":
-        """Build this subsystem from a full ``ProcessorConfig``.
+    def __init__(self, config, memory: MainMemory,
+                 hierarchy: CacheHierarchy, counters: Counters):
+        """Build from the core's ``CoreConfig``.
 
-        ``Core`` calls this through :data:`repro.core.registry.SUBSYSTEMS`;
-        subclasses override it to pick their knobs out of ``config``.
+        ``Core`` builds ``SUBSYSTEMS[name](config, memory, hierarchy,
+        counters)`` (:data:`repro.core.registry.SUBSYSTEMS`); subclasses
+        pick their knobs out of ``config``.
         """
-        raise NotImplementedError
+        self.memory = memory
+        self.hierarchy = hierarchy
+        self.counters = counters
 
     def can_dispatch_load(self) -> bool:
         raise NotImplementedError
@@ -165,78 +163,10 @@ class MemorySubsystem:
         ``(flush_after_seq, youngest_seq]``."""
         raise NotImplementedError
 
-    def on_full_flush(self) -> None:
-        raise NotImplementedError
-
-    def scrub(self, watermark: int) -> None:
-        """Reclaim dead entries; default no-op."""
-
     @property
     def eviction_events(self) -> int:
         """Monotone count of entry evictions (stall-bit heuristic)."""
         return 0
-
-
-class LSQSubsystem(MemorySubsystem):
-    """The conventional (idealized) load/store queue."""
-
-    name = "lsq"
-
-    @classmethod
-    def from_config(cls, config, memory, hierarchy, counters):
-        return cls(config.lsq, memory, hierarchy, counters)
-
-    def __init__(self, config: LSQConfig, memory: MainMemory,
-                 hierarchy: CacheHierarchy, counters: Counters):
-        self.config = config
-        self.counters = counters
-        self.hierarchy = hierarchy
-        self.lsq = LoadStoreQueue(config, memory, counters)
-
-    def can_dispatch_load(self) -> bool:
-        return self.lsq.can_dispatch_load()
-
-    def can_dispatch_store(self) -> bool:
-        return self.lsq.can_dispatch_store()
-
-    def dispatch_load(self, seq: int, pc: int) -> None:
-        self.lsq.dispatch_load(seq, pc)
-
-    def dispatch_store(self, seq: int, pc: int) -> None:
-        self.lsq.dispatch_store(seq, pc)
-
-    def execute_load(self, seq: int, pc: int, addr: int, size: int,
-                     watermark: int, at_rob_head: bool = False) -> MemOutcome:
-        value, forwarded = self.lsq.execute_load(seq, addr, size)
-        cache_latency = self.hierarchy.data_latency(addr)
-        # Idealized single-cycle bypass when the value came entirely from
-        # in-flight stores; otherwise the cache access time governs.
-        latency = 1 if forwarded else cache_latency
-        return MemOutcome(DONE, value=value, latency=latency)
-
-    def execute_store(self, seq: int, pc: int, addr: int, size: int,
-                      data: int, watermark: int,
-                      at_rob_head: bool = False) -> MemOutcome:
-        violations = self.lsq.execute_store(seq, addr, size, data)
-        return MemOutcome(DONE, latency=1, violations=violations)
-
-    def retire_load(self, seq: int, addr: int, size: int
-                    ) -> Tuple[Optional[int], List[Violation]]:
-        self.lsq.retire_load(seq)
-        return None, []
-
-    def retire_store(self, seq: int, addr: int, size: int,
-                     bypassed: bool = False, pc: int = 0
-                     ) -> Tuple[int, int, int, List[Violation]]:
-        addr, size, data = self.lsq.retire_store(seq)
-        return addr, size, data, []
-
-    def on_partial_flush(self, flush_after_seq: int,
-                         youngest_seq: int = -1) -> None:
-        self.lsq.flush_after(flush_after_seq)
-
-    def on_full_flush(self) -> None:
-        self.lsq.flush_all()
 
 
 class SfcMdtSubsystem(MemorySubsystem):
@@ -250,26 +180,17 @@ class SfcMdtSubsystem(MemorySubsystem):
     # instructions by one cycle."
     store_tag_check_latency = 1
 
-    @classmethod
-    def from_config(cls, config, memory, hierarchy, counters):
-        return cls(config.sfc, config.mdt, memory, hierarchy, counters,
-                   store_fifo_capacity=config.store_fifo_capacity,
-                   output_recovery=config.output_recovery)
-
-    def __init__(self, sfc_config: SFCConfig, mdt_config: MDTConfig,
-                 memory: MainMemory, hierarchy: CacheHierarchy,
-                 counters: Counters, store_fifo_capacity: int = 256,
-                 output_recovery: str = OUTPUT_RECOVERY_FLUSH):
-        if output_recovery not in (OUTPUT_RECOVERY_FLUSH,
-                                   OUTPUT_RECOVERY_CORRUPT):
-            raise ValueError(f"unknown output recovery {output_recovery!r}")
-        self.counters = counters
-        self.memory = memory
-        self.hierarchy = hierarchy
-        self.sfc = StoreForwardingCache(sfc_config, counters)
-        self.mdt = MemoryDisambiguationTable(mdt_config, counters)
-        self.store_fifo = StoreFifo(store_fifo_capacity)
-        self.output_recovery = output_recovery
+    def __init__(self, config, memory: MainMemory,
+                 hierarchy: CacheHierarchy, counters: Counters):
+        if config.output_recovery not in (OUTPUT_RECOVERY_FLUSH,
+                                          OUTPUT_RECOVERY_CORRUPT):
+            raise ValueError(
+                f"unknown output recovery {config.output_recovery!r}")
+        super().__init__(config, memory, hierarchy, counters)
+        self.sfc = StoreForwardingCache(config.sfc, counters)
+        self.mdt = MemoryDisambiguationTable(config.mdt, counters)
+        self.store_fifo = StoreFifo(config.store_fifo_capacity)
+        self.output_recovery = config.output_recovery
 
     # -- dispatch -------------------------------------------------------------
 
@@ -404,15 +325,6 @@ class SfcMdtSubsystem(MemorySubsystem):
         self.store_fifo.flush_after(flush_after_seq)
         self.sfc.on_partial_flush(flush_after_seq + 1, youngest_seq)
         self.mdt.on_partial_flush(flush_after_seq)
-
-    def on_full_flush(self) -> None:
-        self.store_fifo.flush_all()
-        self.sfc.on_full_flush()
-        self.mdt.on_full_flush()
-
-    def scrub(self, watermark: int) -> None:
-        self.sfc.scrub(watermark)
-        self.mdt.scrub(watermark)
 
     @property
     def eviction_events(self) -> int:

@@ -49,7 +49,7 @@ wall-time, engine/cache provenance, and the cell's status -- which the
 figure layer, the benches, ``repro.api``, and the CLI's ``--format
 json`` all consume instead of ad-hoc prints (see
 :func:`repro.harness.figures.manifest_table` and
-:meth:`ExperimentRunner.records`).
+:meth:`ExperimentRunner.last_record`).
 """
 
 from __future__ import annotations
@@ -438,7 +438,6 @@ class ExperimentRunner:
                     intervals: int = 10, warmup_insts: int = 1_000,
                     interval_insts: int = 5_000,
                     checkpoint_every: Optional[int] = None,
-                    warm: bool = True,
                     horizon: Optional[int] = None) -> RunRecord:
         """Sampled simulation of one cell: checkpointed fast-forward
         with ``intervals`` detailed windows (see
@@ -458,7 +457,9 @@ class ExperimentRunner:
         params = {"intervals": intervals, "warmup_insts": warmup_insts,
                   "interval_insts": interval_insts,
                   "checkpoint_every": checkpoint_every or 0,
-                  "warm": warm}
+                  # Engine runs are always warm; the key keeps the field
+                  # so sampled-cell cache keys stay byte-stable.
+                  "warm": True}
         if horizon is not None:
             # Folded in only when present so pre-existing sampled-cell
             # cache keys stay byte-stable.
@@ -470,7 +471,7 @@ class ExperimentRunner:
             sampled = sample_run(
                 program, config, intervals=intervals,
                 warmup_insts=warmup_insts, interval_insts=interval_insts,
-                checkpoint_every=checkpoint_every, warm=warm,
+                checkpoint_every=checkpoint_every,
                 store=self._trains, limit=TRACE_LIMIT, horizon=horizon)
             return _payload(sampled, dict(sampled.counters), started,
                             sampling=sampled.sampling_dict())
@@ -608,10 +609,6 @@ class ExperimentRunner:
         path.write_text(json.dumps(self.manifest, indent=2,
                                    sort_keys=True) + "\n")
         return path
-
-    def records(self) -> List[RunRecord]:
-        """Every completed cell as a validated :class:`RunRecord`."""
-        return [RunRecord.from_dict(entry) for entry in self.manifest]
 
     def last_record(self) -> RunRecord:
         """The most recently completed cell as a :class:`RunRecord`."""

@@ -5,7 +5,8 @@ manifest (config + cycles + IPC + every counter).  Two simulator builds
 that disagree on *any* architected outcome produce different digests,
 so an optimization pass is accepted only when the digest is unchanged
 (see DESIGN.md, "Hot-path optimization methodology").
-``scripts/check_digest.py`` pins it over the Figure 5/6 grids, and the
+``scripts/check_digest.py`` pins it over the Figure 5/6 grids and over
+one grid per subsystem or policy variant outside them, and the
 end-to-end benchmark (``benchmarks/e2e``) checks every timed cell
 against it.
 """

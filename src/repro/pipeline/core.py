@@ -241,7 +241,7 @@ class Core:
         self.validate_trace = validate
         self.idle_skip = idle_skip
         self.subsystem = registry.SUBSYSTEMS[
-            registry.validate(config.subsystem)].from_config(
+            registry.validate(config.subsystem)](
                 config, self.memory, self.hierarchy, self.counters)
         self.tag_file = DependenceTagFile()
         self.predictor = ProducerSetPredictor(config.predictor,

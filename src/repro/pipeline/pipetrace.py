@@ -59,19 +59,6 @@ class InstructionTrace:
         """Number of times the instruction issued beyond the first."""
         return max(0, len(self.issue_cycles) - 1)
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "pc": self.pc,
-            "text": self.text,
-            "dispatch_cycle": self.dispatch_cycle,
-            "issue_cycles": list(self.issue_cycles),
-            "complete_cycle": self.complete_cycle,
-            "retire_cycle": self.retire_cycle,
-            "squash_cycle": self.squash_cycle,
-            "events": list(self.events),
-        }
-
     def format_row(self) -> str:
         def cell(value: Optional[int]) -> str:
             return f"{value}" if value is not None else "-"
@@ -289,12 +276,6 @@ class PipeTracer:
         """The epoch snapshots as JSON Lines (one object per epoch)."""
         return "\n".join(json.dumps(snapshot.to_dict(), sort_keys=True)
                          for snapshot in self.epochs)
-
-    def traces_jsonl(self) -> str:
-        """The instruction traces as JSON Lines, in sequence order."""
-        return "\n".join(json.dumps(self.traces[seq].to_dict(),
-                                    sort_keys=True)
-                         for seq in sorted(self.traces))
 
     def write_epochs(self, path: Union[str, "object"]) -> None:
         """Write :meth:`epochs_jsonl` (plus a final newline) to a file."""

@@ -194,10 +194,3 @@ class Scheduler:
         """Account for one squashed, not-yet-issued instruction."""
         if not inst.issued:
             self._occupancy -= 1
-
-    def flush_all(self) -> None:
-        self._ready.clear()
-        self._phys_waiters.clear()
-        self._tag_waiters.clear()
-        self._stalled.clear()
-        self._occupancy = 0

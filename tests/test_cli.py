@@ -296,6 +296,10 @@ class TestErrorPaths:
         ["run", "gap", "--cores", "2", "--horizon", "500"],
         ["run", "--riscv", str(HAZARD_HEX), "--memory-mode", "private"],
         ["run", "--riscv", str(HAZARD_HEX), "--horizon", "500"],
+        # Litmus and --riscv runs build no engine: --scale and
+        # --cache-dir are theirs to refuse.
+        pytest.param(["run", "litmus-mp"], id="litmus-mp"),
+        ["run", "--riscv", str(HAZARD_HEX)],
     ], ids=lambda argv: "+".join(a for a in argv if a.startswith("--")))
     def test_mode_flag_outside_its_mode_exits_before_simulating(
             self, tmp_path, capsys, argv):
@@ -458,6 +462,7 @@ class TestMulticoreCli:
         run = payload["run"]
         assert run["schema_version"] == SCHEMA_VERSION + 1
         assert run["cores"] == 2
+        assert run["scale"] == 0        # a litmus run takes no --scale
         record = RunRecord.from_dict(run)
         assert record.cores == 2
 

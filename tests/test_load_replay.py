@@ -5,6 +5,7 @@ from repro.core import LoadReplaySubsystem, LSQConfig
 from repro.harness import aggressive_load_replay_config
 from repro.harness.configs import SUBSYSTEM_LOAD_REPLAY
 from repro.memory import MainMemory, paper_hierarchy
+from repro.pipeline.config import CoreConfig
 from repro.stats import Counters
 from repro.workloads import random_program
 from tests.conftest import assemble, counted_loop_program
@@ -12,7 +13,7 @@ from tests.conftest import assemble, counted_loop_program
 
 def make_subsystem(lq=8, sq=8):
     memory = MainMemory()
-    return LoadReplaySubsystem(LSQConfig(lq, sq), memory,
+    return LoadReplaySubsystem(CoreConfig(lsq=LSQConfig(lq, sq)), memory,
                                paper_hierarchy(), Counters()), memory
 
 

@@ -225,18 +225,15 @@ class TestFlushesAndScrub:
         result = mdt.access_load(0x100, 8, seq=5, pc=0x14, watermark=0)
         assert result.violations
 
-    def test_full_flush_clears(self):
-        mdt = make_mdt()
-        mdt.access_store(0x100, 8, seq=10, pc=0x10, watermark=0)
-        mdt.on_full_flush()
-        assert mdt.occupancy() == 0
-
     def test_scrub_reclaims_dead(self):
-        mdt = make_mdt()
+        # An access that finds its set full scrubs it: the dead way goes,
+        # the live one stays.
+        mdt = make_mdt(num_sets=1, assoc=2)
         mdt.access_load(0x100, 8, seq=1, pc=0x14, watermark=0)
         mdt.access_load(0x200, 8, seq=50, pc=0x14, watermark=0)
-        mdt.scrub(watermark=10)
-        assert mdt.occupancy() == 1
+        result = mdt.access_load(0x300, 8, seq=60, pc=0x14, watermark=10)
+        assert result.status == MDT_OK
+        assert mdt.occupancy() == 2
 
     def test_wrong_path_flush_of_every_store_stays_conservative(self):
         """A recovery flush that squashes every in-flight store leaves
@@ -262,16 +259,6 @@ class TestFlushesAndScrub:
         result = mdt.access_store(0x100, 8, seq=5, pc=0x10, watermark=0)
         assert result.violations
         assert result.violations[0].flush_after_seq == 5
-
-    def test_full_flush_then_out_of_order_seqs_are_clean(self):
-        """After a full flush nothing is in flight, so a low-seq access
-        arriving after a squashed high-seq store must not conflict."""
-        mdt = make_mdt()
-        mdt.access_store(0x100, 8, seq=10, pc=0x10, watermark=0)
-        mdt.on_full_flush()
-        assert mdt.occupancy() == 0
-        result = mdt.access_load(0x100, 8, seq=5, pc=0x14, watermark=0)
-        assert not result.violations
 
 
 class TestCountedRecovery:

@@ -5,7 +5,8 @@ import pytest
 from repro import Processor
 from repro.core import registry
 from repro.core.load_replay import LoadReplaySubsystem
-from repro.core.subsystem import LSQSubsystem, SfcMdtSubsystem
+from repro.core.lsq import LSQSubsystem
+from repro.core.subsystem import SfcMdtSubsystem
 from repro.pipeline.config import (
     SUBSYSTEM_LOAD_REPLAY,
     SUBSYSTEM_LSQ,

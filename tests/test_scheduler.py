@@ -188,10 +188,3 @@ class TestSquash:
         sched.note_squashed(inst)
         sched.squash_after(2)
         assert sched.stalled_count == 0
-
-    def test_flush_all(self):
-        sched = make_scheduler()
-        sched.dispatch_fast(make_inst(1))
-        sched.flush_all()
-        assert sched.occupancy == 0
-        assert sched.select(4) == []

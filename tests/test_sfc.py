@@ -8,12 +8,12 @@ from repro.core import (
     SFC_HIT,
     SFC_MISS,
     SFC_PARTIAL,
-    MDTConfig,
     SFCConfig,
     SfcMdtSubsystem,
     StoreForwardingCache,
 )
 from repro.memory import MainMemory, paper_hierarchy
+from repro.pipeline.config import CoreConfig
 from repro.stats.counters import Counters
 
 LIVE = 10 ** 9      # watermark far below any test sequence number
@@ -115,9 +115,9 @@ class TestAllocationAndConflicts:
     def test_straddling_store_needs_a_way_per_word(self, assoc, preload):
         """Both words of a straddling store share the one set, so the
         store replays unless the set can take two new entries."""
-        sub = SfcMdtSubsystem(SFCConfig(num_sets=1, assoc=assoc),
-                              MDTConfig(), MainMemory(), paper_hierarchy(),
-                              Counters())
+        sub = SfcMdtSubsystem(
+            CoreConfig(sfc=SFCConfig(num_sets=1, assoc=assoc)),
+            MainMemory(), paper_hierarchy(), Counters())
         for addr, seq in preload:
             sub.sfc.store_write(addr, 8, seq, seq=seq)
         sub.dispatch_store(20, 0x100)
@@ -180,13 +180,6 @@ class TestCorruption:
         assert sfc.load_read(0x1000, 4)[0] == SFC_HIT
         assert sfc.load_read(0x1004, 4)[0] == SFC_CORRUPT
 
-    def test_full_flush_discards_everything(self):
-        sfc = make_sfc()
-        sfc.store_write(0x1000, 8, 1, seq=1)
-        sfc.on_full_flush()
-        assert sfc.occupancy() == 0
-        assert sfc.load_read(0x1000, 8)[0] == SFC_MISS
-
     def test_mark_corrupt_range(self):
         sfc = make_sfc()
         sfc.store_write(0x1000, 8, 1, seq=1)
@@ -215,10 +208,12 @@ class TestCorruption:
 
 class TestScrubbing:
     def test_scrub_reclaims_dead_entries(self):
-        sfc = make_sfc()
+        # A store that finds its set full scrubs it: the dead way goes,
+        # the live one stays.
+        sfc = make_sfc(num_sets=1, assoc=2)
         sfc.store_write(0x1000, 8, 1, seq=1)
         sfc.store_write(0x2000, 8, 2, seq=10)
-        sfc.scrub(watermark=5)
+        assert sfc.probe_store(0x3000, 8, watermark=5)
         assert sfc.occupancy() == 1
 
     def test_dead_entries_invisible_to_loads(self):
@@ -228,10 +223,10 @@ class TestScrubbing:
         assert sfc.load_read(0x1000, 8, watermark=2)[0] == SFC_MISS
 
     def test_scrub_counts_eviction_events(self):
-        sfc = make_sfc()
+        sfc = make_sfc(num_sets=1, assoc=1)
         sfc.store_write(0x1000, 8, 1, seq=1)
         before = sfc.eviction_events
-        sfc.scrub(watermark=99)
+        assert sfc.probe_store(0x2000, 8, watermark=99)
         assert sfc.eviction_events == before + 1
 
 

@@ -101,13 +101,6 @@ class TestWindowLifecycle:
         assert sfc.counters.get("sfc_endpoint_overflows") == 1
         assert sfc.load_read(0x1000, 8, watermark=0)[0] == SFC_CORRUPT
 
-    def test_full_flush_clears_windows(self):
-        sfc = make_sfc()
-        sfc.on_partial_flush(20, 30)
-        sfc.on_full_flush()
-        sfc.store_write(0x1000, 8, 7, seq=25)
-        assert sfc.load_read(0x1000, 8, watermark=0)[0] == SFC_HIT
-
 
 class TestConfig:
     def test_rejects_unknown_mode(self):

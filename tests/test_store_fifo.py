@@ -46,13 +46,6 @@ class TestStoreFifo:
         assert fifo.flush_after(0) == 2
         assert len(fifo) == 0
 
-    def test_flush_all(self):
-        fifo = StoreFifo(8)
-        fifo.dispatch(1)
-        fifo.flush_all()
-        assert len(fifo) == 0
-        assert fifo.dispatch(2)
-
     def test_flushed_slot_can_be_redispatched(self):
         fifo = StoreFifo(8)
         fifo.dispatch(1)
@@ -60,12 +53,6 @@ class TestStoreFifo:
         fifo.flush_after(1)
         assert fifo.dispatch(3)
         fifo.fill(3, 0x8, 4, 7)
-
-    def test_unfilled_slot_flagged(self):
-        fifo = StoreFifo(4)
-        fifo.dispatch(1)
-        slot = fifo.retire(1)
-        assert not slot.filled
 
     def test_retire_empty_raises(self):
         fifo = StoreFifo(4)
@@ -109,15 +96,5 @@ class TestWrongPathFullSquash:
         fifo.dispatch(1)
         fifo.fill(1, addr=0x100, size=8, data=9)
         fifo.flush_after(0)
-        with pytest.raises(RuntimeError):
-            fifo.retire(1)
-
-    def test_flush_all_with_filled_slots(self):
-        fifo = StoreFifo(4)
-        for seq in (1, 2, 3):
-            fifo.dispatch(seq)
-            fifo.fill(seq, addr=0x100, size=8, data=seq)
-        fifo.flush_all()
-        assert len(fifo) == 0
         with pytest.raises(RuntimeError):
             fifo.retire(1)

@@ -11,22 +11,25 @@ from repro.core import (
     SfcMdtSubsystem,
 )
 from repro.memory import MainMemory, paper_hierarchy
+from repro.pipeline.config import CoreConfig
 from repro.stats import Counters
 
 
 def make_lsq_subsystem(lq=8, sq=8):
     memory = MainMemory()
-    return LSQSubsystem(LSQConfig(lq, sq), memory, paper_hierarchy(),
-                        Counters()), memory
+    return LSQSubsystem(CoreConfig(lsq=LSQConfig(lq, sq)), memory,
+                        paper_hierarchy(), Counters()), memory
 
 
 def make_sfc_mdt(sfc_sets=8, sfc_assoc=2, mdt_sets=16, mdt_assoc=2,
                  fifo=8, output_recovery="flush"):
     memory = MainMemory()
-    subsystem = SfcMdtSubsystem(
-        SFCConfig(sfc_sets, sfc_assoc), MDTConfig(mdt_sets, mdt_assoc),
-        memory, paper_hierarchy(), Counters(),
-        store_fifo_capacity=fifo, output_recovery=output_recovery)
+    config = CoreConfig(sfc=SFCConfig(sfc_sets, sfc_assoc),
+                        mdt=MDTConfig(mdt_sets, mdt_assoc),
+                        store_fifo_capacity=fifo,
+                        output_recovery=output_recovery)
+    subsystem = SfcMdtSubsystem(config, memory, paper_hierarchy(),
+                                Counters())
     return subsystem, memory
 
 
@@ -68,11 +71,13 @@ class TestLSQSubsystem:
         assert sub.violation_extra_penalty == 0
 
     def test_partial_flush_trims_queues(self):
-        sub, _ = make_lsq_subsystem()
+        sub, _ = make_lsq_subsystem(lq=2)
         sub.dispatch_load(1, 0x10)
         sub.dispatch_load(2, 0x14)
         sub.on_partial_flush(1)
-        assert sub.lsq.load_occupancy == 1
+        assert sub.can_dispatch_load()
+        sub.dispatch_load(3, 0x18)
+        assert not sub.can_dispatch_load()
 
 
 class TestSfcMdtLoads:
@@ -211,15 +216,6 @@ class TestSfcMdtStores:
         before = sub.eviction_events
         sub.retire_store(1, 0x100, 8)
         assert sub.eviction_events > before
-
-    def test_full_flush_clears_everything(self):
-        sub, _ = make_sfc_mdt()
-        sub.dispatch_store(1, 0x10)
-        sub.execute_store(1, 0x10, 0x100, 8, 42, watermark=0)
-        sub.on_full_flush()
-        assert sub.sfc.occupancy() == 0
-        assert sub.mdt.occupancy() == 0
-        assert len(sub.store_fifo) == 0
 
     def test_violation_extra_penalty_models_tag_check(self):
         sub, _ = make_sfc_mdt()
