@@ -12,7 +12,12 @@ against committed references:
   those figures -- value-based retirement replay (Section 4) and the
   ablation figures' NOT-ENF predictor, counted-load recovery,
   corrupt-marking output recovery, flush-endpoint corruption tracking
-  and untagged MDT.
+  and untagged MDT;
+* ``digest_sampled.txt``: one digest over sampled mode's answers for the
+  20 Figure-5 benchmarks at scale 200 000 on baseline-sfc-mdt -- the
+  manifest digest plus every ``sampling`` block (interval table and
+  CI).  Most of these checkpoint trains grow past 128 checkpoints, so
+  train thinning is covered too.
 
 Also proves that an attached pipetrace sampler (ring buffer + epoch
 snapshots) leaves a run's cycles and counters bit-identical.
@@ -24,6 +29,8 @@ snapshots) leaves a run's cycles and counters bit-identical.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from itertools import zip_longest
 from pathlib import Path
@@ -53,7 +60,9 @@ from repro.workloads import ALL_BENCHMARKS, suites  # noqa: E402
 RESULTS = ROOT / "benchmarks" / "results"
 REFERENCE = RESULTS / "digest_fig56.txt"
 VARIANTS_REFERENCE = RESULTS / "digest_variants.txt"
+SAMPLED_REFERENCE = RESULTS / "digest_sampled.txt"
 SCALE = 1_000
+SAMPLED_SCALE = 200_000
 
 
 def grid_digest(configs) -> str:
@@ -78,6 +87,20 @@ def variant_configs() -> list:
             counted, corrupt, endpoints, untagged]
 
 
+def sampled_digest() -> str:
+    """SHA-256 over the sampled answers of the Figure-5 benchmarks."""
+    runner = ExperimentRunner(scale=SAMPLED_SCALE, jobs=1, use_cache=False)
+    config = baseline_sfc_mdt_config()
+    for benchmark in suites.FIGURE5_BENCHMARKS:
+        runner.run_sampled(benchmark, config, intervals=3,
+                           warmup_insts=300, interval_insts=1_000)
+    manifest = runner.manifest
+    text = json.dumps([manifest_digest(manifest),
+                       [entry["sampling"] for entry in manifest]],
+                      sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def pinned_lines() -> Dict[Path, List[str]]:
     """The lines each reference file must hold, computed from this tree."""
     fig56 = [baseline_lsq_config(), baseline_sfc_mdt_config(),
@@ -86,6 +109,7 @@ def pinned_lines() -> Dict[Path, List[str]]:
         REFERENCE: [grid_digest(fig56)],
         VARIANTS_REFERENCE: [f"{config.name} {grid_digest([config])}"
                              for config in variant_configs()],
+        SAMPLED_REFERENCE: [sampled_digest()],
     }
 
 

@@ -159,8 +159,6 @@ def simulate_sampled(benchmark: str,
                      scale: int = DEFAULT_SCALE, intervals: int = 10,
                      warmup_insts: int = 1_000,
                      interval_insts: int = 5_000,
-                     checkpoint_every: Optional[int] = None,
-                     horizon: Optional[int] = None,
                      runner: Optional[ExperimentRunner] = None,
                      **runner_kwargs) -> RunRecord:
     """Sampled simulation of one cell: checkpointed fast-forward with
@@ -169,19 +167,16 @@ def simulate_sampled(benchmark: str,
 
     The record's ``ipc`` is the per-interval mean; ``record.sampling``
     carries ``ipc_ci95`` (confidence half-width), the interval table,
-    and the fast-forward/detailed instruction split.  ``horizon``
-    restricts sampling to the first N retired instructions; checkpoint
-    trains are shared across the configs and horizons of one scale (a
-    longer train serves shorter requests as a prefix, a shorter one is
-    extended in place), not across scales, since each scale builds a
-    different program.  See DESIGN.md "Sampling methodology" for the
-    error model and when exact mode is required instead.
+    and the fast-forward/detailed instruction split.  The checkpoint
+    train is one fast-forward pass to the halt, shared by the configs
+    of one benchmark at one scale (not across scales, since each scale
+    builds a different program).  See DESIGN.md "Sampling methodology"
+    for the error model and when exact mode is required instead.
     """
     engine = _runner(scale, runner, **runner_kwargs)
     return engine.run_sampled(
         benchmark, resolve_config(config), intervals=intervals,
-        warmup_insts=warmup_insts, interval_insts=interval_insts,
-        checkpoint_every=checkpoint_every, horizon=horizon)
+        warmup_insts=warmup_insts, interval_insts=interval_insts)
 
 
 def simulate_system(benchmark: str,

@@ -7,12 +7,12 @@ SMARTS-style interval sampler built on top of them.
 """
 
 from .arch import ArchCheckpoint
-from .sampling import (SampledResult, SamplingError, ensure_train,
+from .sampling import (SampledResult, SamplingError, capture_train,
                        sample_run, select_checkpoints, simulate_interval)
 from .store import CheckpointStore, train_key
 
 __all__ = [
     "ArchCheckpoint", "CheckpointStore", "SampledResult", "SamplingError",
-    "ensure_train", "sample_run", "select_checkpoints", "simulate_interval",
+    "capture_train", "sample_run", "select_checkpoints", "simulate_interval",
     "train_key",
 ]

@@ -126,49 +126,36 @@ def _warm_capsule(bpred: Optional[GsharePredictor],
             "caches": hierarchy.export_state()}
 
 
-def _advance_capture(program: Program, checkpoints: List[ArchCheckpoint],
-                     stride: int, warm: bool, horizon: Optional[int],
-                     limit: int, max_checkpoints: int):
-    """Capture a train from where ``checkpoints`` ends: from reset with
-    a position-0 checkpoint when it is empty, else from its last
-    checkpoint (architectural state from the page delta, predictor and
-    cache training from the warm capsule, which restores them exactly).
+def capture_train(program: Program, every: int, warm: bool = True, *,
+                  limit: int = 5_000_000,
+                  max_checkpoints: int = MAX_TRAIN_CHECKPOINTS) -> dict:
+    """Fast-forward ``program`` from reset to the halt, capturing a
+    checkpoint at position 0 and after every ``every`` retired
+    instructions, each with a warm capsule when ``warm``.
 
-    Fast-forwards in ``stride``-sized chunks, appending a checkpoint at
-    every chunk boundary, until the program halts or -- when ``horizon``
-    is given -- the first boundary at or past ``horizon``.  Thinning
-    (drop every other checkpoint, double the stride) keeps the train
-    under ``max_checkpoints`` while always preserving the *last*
-    checkpoint, so an incomplete train can later be resumed from
-    exactly the position its ``total_instructions`` reports.
+    Past ``max_checkpoints`` the train is thinned: every other
+    checkpoint is dropped, the last one is always kept, and the stride
+    doubles.  The pinned sampled answers depend on exactly which
+    checkpoints survive.
 
-    Returns ``(checkpoints, total_instructions, complete, stride)``.
-    The whole advance is a deterministic function of its starting state,
-    which is what makes in-place extension bit-identical to a fresh
-    capture at the longer horizon.
+    Returns ``{"checkpoints", "total_instructions"}``; raises
+    :class:`ExecutionLimitExceeded` when the program does not halt
+    within ``limit`` instructions.
     """
-    resume = checkpoints[-1] if checkpoints else None
-    interp = resume.resume_interpreter(program) if resume \
-        else Interpreter(program)
+    if every < 1:
+        raise ValueError(f"checkpoint interval must be >= 1, got {every}")
+    interp = Interpreter(program)
     bpred = GsharePredictor() if warm else None
     hierarchy = paper_hierarchy() if warm else None
-    if warm and resume is not None:
-        bpred.import_state(resume.warm["bpred"])
-        hierarchy.import_state(resume.warm["caches"])
     base_image = MainMemory()
     base_image.load_segments(program.data)
-    if resume is None:
-        checkpoints.append(ArchCheckpoint.capture(
-            interp, base_image, warm=_warm_capsule(bpred, hierarchy)))
+    checkpoints = [ArchCheckpoint.capture(
+        interp, base_image, warm=_warm_capsule(bpred, hierarchy))]
+    stride = every
     while not interp.halted:
-        position = interp.instructions_retired
-        if horizon is not None and position >= horizon:
-            return checkpoints, position, False, stride
-        budget = min(stride, limit - position)
+        budget = min(stride, limit - interp.instructions_retired)
         if budget <= 0:
-            raise ExecutionLimitExceeded(
-                f"program {program.name!r} did not halt within "
-                f"{limit} instructions")
+            break
         executed = interp.fast_forward(budget, bpred, hierarchy)
         if interp.halted or executed < budget:
             break
@@ -184,57 +171,22 @@ def _advance_capture(program: Program, checkpoints: List[ArchCheckpoint],
         raise ExecutionLimitExceeded(
             f"program {program.name!r} did not halt within "
             f"{limit} instructions")
-    return checkpoints, interp.instructions_retired, True, stride
+    return {"checkpoints": checkpoints,
+            "total_instructions": interp.instructions_retired}
 
 
-def ensure_train(program: Program, every: int, warm: bool = True, *,
-                 horizon: Optional[int] = None, store=None,
-                 limit: int = 5_000_000,
-                 max_checkpoints: int = MAX_TRAIN_CHECKPOINTS) -> dict:
-    """Return a train covering ``horizon`` retired instructions (the
-    full run when None), reusing or extending any train in ``store`` (a
-    :class:`~repro.checkpoint.store.CheckpointStore`, or None).
-
-    The reuse protocol across horizons:
-
-    * :func:`~repro.checkpoint.store.train_key` deliberately excludes
-      the horizon, so every request for the same ``(program, every,
-      warm)`` triple shares one stored train (each scale builds its
-      own program, so trains are not shared across scales);
-    * a stored train that is ``complete`` (ran to halt) or already
-      reaches ``horizon`` is served as-is -- a train captured at a
-      longer horizon satisfies any shorter request as a position
-      prefix;
-    * a shorter stored train is **extended in place**: capture resumes
-      from its last checkpoint, runs forward to the new horizon, and
-      replaces the stored train.  Extension is bit-identical to a fresh
-      capture at the longer horizon, so mixing horizons never
-      recaptures and never changes results.
-
-    Returns ``{"checkpoints", "total_instructions", "complete",
-    "stride"}``, starting with a position-0 checkpoint.
-    """
-    if every < 1:
-        raise ValueError(f"checkpoint interval must be >= 1, got {every}")
-    if horizon is not None and horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+def ensure_train(program: Program, every: int, warm: bool,
+                 store: Optional[CheckpointStore], limit: int) -> tuple:
+    """``(key, train, captured)``: the train of ``program`` at stride
+    ``every`` as ``store`` (or None) holds it under ``key``, else a
+    fresh :func:`capture_train` (``captured``), which the caller stores
+    once it has measured an interval.  The end-to-end benchmark times
+    train capture under this function's name."""
     key = train_key(program.digest(), every, warm)
     train = store.load(key) if store is not None else None
-    if train is None:
-        checkpoints, stride = [], every
-    elif train["complete"] or (horizon is not None
-                               and train["total_instructions"] >= horizon):
-        return train
-    else:
-        checkpoints, stride = list(train["checkpoints"]), train["stride"]
-    checkpoints, total, complete, stride = _advance_capture(
-        program, checkpoints, stride, warm, horizon, limit,
-        max_checkpoints)
-    train = {"checkpoints": checkpoints, "total_instructions": total,
-             "complete": complete, "stride": stride}
-    if store is not None:
-        store.store(key, train)
-    return train
+    if train is not None:
+        return key, train, False
+    return key, capture_train(program, every, warm, limit=limit), True
 
 
 def select_checkpoints(checkpoints: List[ArchCheckpoint], total: int,
@@ -312,35 +264,25 @@ def simulate_interval(program: Program, config: ProcessorConfig,
 
 def sample_run(program: Program, config: ProcessorConfig, *,
                intervals: int = 10, warmup_insts: int = 1_000,
-               interval_insts: int = 5_000,
-               checkpoint_every: Optional[int] = None, warm: bool = True,
+               interval_insts: int = 5_000, warm: bool = True,
                store: Optional[CheckpointStore] = None,
-               limit: int = 5_000_000,
-               horizon: Optional[int] = None) -> SampledResult:
+               limit: int = 5_000_000) -> SampledResult:
     """Sampled detailed simulation of ``program`` under ``config``.
 
-    When a :class:`~repro.checkpoint.store.CheckpointStore` is supplied
-    the checkpoint train is kept content-addressed, so grid cells
-    sharing a benchmark (any config) fast-forward once -- and, with
-    ``horizon``, once across the horizons of one scale: a longer stored
-    train serves any shorter horizon as a prefix, a shorter one is
-    extended in place (see :func:`ensure_train`).
-
-    ``horizon`` restricts sampling to the first ``horizon`` retired
-    instructions instead of the whole run.  Accounting is clamped to
-    ``min(horizon, total)``: instructions the train happens to cover
-    past the requested horizon (checkpoint-boundary overshoot, a longer
-    reused train, the post-halt tail) never widen the sampled span or
-    the eligibility window.
+    The checkpoint train is one pass to the halt at a stride of one
+    window (at least 500 instructions).  With a
+    :class:`~repro.checkpoint.store.CheckpointStore` it is looked up
+    first, and a fresh train is stored only once an interval has been
+    measured: grid cells sharing a benchmark (any config) fast-forward
+    once, and a run with nothing to measure leaves no train behind.
     """
     window = warmup_insts + interval_insts
-    every = checkpoint_every if checkpoint_every else max(window, 500)
-    train = ensure_train(program, every, warm, horizon=horizon,
-                         store=store, limit=limit)
-    checkpoints = train["checkpoints"]
+    every = max(window, 500)
+    key, train, captured = ensure_train(program, every, warm, store,
+                                        limit)
     total = train["total_instructions"]
-    span = total if horizon is None else min(horizon, total)
-    selected = select_checkpoints(checkpoints, span, intervals, window)
+    selected = select_checkpoints(train["checkpoints"], total, intervals,
+                                  window)
     measured = []
     for ckpt in selected:
         result = simulate_interval(program, config, ckpt, warmup_insts,
@@ -351,7 +293,9 @@ def sample_run(program: Program, config: ProcessorConfig, *,
         raise SamplingError(
             f"no measurable interval for {program.name!r}: program "
             f"halts inside every warm-up window (sampled span "
-            f"{span} instructions, warm-up {warmup_insts})")
+            f"{total} instructions, warm-up {warmup_insts})")
+    if captured and store is not None:
+        store.store(key, train)
 
     ipcs = [iv["ipc"] for iv in measured]
     count = len(ipcs)
@@ -378,6 +322,6 @@ def sample_run(program: Program, config: ProcessorConfig, *,
         program_name=program.name, config_name=config.name,
         ipc_mean=mean, ipc_std=std, ipc_ci95=half, intervals=measured,
         counters=counters, cycles=cycles, instructions=instructions,
-        total_instructions=span, detailed_instructions=detailed,
+        total_instructions=total, detailed_instructions=detailed,
         warmup_insts=warmup_insts, interval_insts=interval_insts,
         checkpoint_every=every, warm=warm)

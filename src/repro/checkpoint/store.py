@@ -37,14 +37,10 @@ def _decode(payload: Optional[dict]) -> Optional[dict]:
     try:
         train = {"checkpoints": [ArchCheckpoint.from_dict(entry)
                                  for entry in payload["checkpoints"]],
-                 "total_instructions": int(payload["total_instructions"]),
-                 "complete": bool(payload["complete"]),
-                 "stride": int(payload["stride"])}
+                 "total_instructions": int(payload["total_instructions"])}
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
-    if not train["checkpoints"] or train["stride"] < 1:
-        return None
-    return train
+    return train if train["checkpoints"] else None
 
 
 class CheckpointStore:
@@ -59,17 +55,9 @@ class CheckpointStore:
 
     def load(self, key: str) -> Optional[dict]:
         """The train under ``key``: ``{"checkpoints": [ArchCheckpoint,
-        ...], "total_instructions": int, "complete": bool, "stride":
-        int}``; None on a miss or an entry that does not decode.
-
-        ``complete`` is True when the capture ran the program to halt;
-        an incomplete train covers exactly ``total_instructions``
-        retired instructions and can be *extended in place* by resuming
-        from its last checkpoint (see
-        :func:`repro.checkpoint.sampling.ensure_train`).  ``stride`` is
-        the capture interval in effect at the end of the train (it grows
-        past ``every`` whenever the train was thinned).
-        """
+        ...], "total_instructions": int}``, a whole program run to the
+        halt (see :func:`repro.checkpoint.sampling.capture_train`); None
+        on a miss or an entry that does not decode."""
         train = self._memo.get(key)
         if train is None and self.cache is not None:
             train = _decode(self.cache.load(key))
@@ -83,8 +71,6 @@ class CheckpointStore:
         if self.cache is not None:
             self.cache.store(key, {
                 "total_instructions": train["total_instructions"],
-                "complete": train["complete"],
-                "stride": train["stride"],
                 "checkpoints": [checkpoint.to_dict()
                                 for checkpoint in train["checkpoints"]]})
         self._memo[key] = train

@@ -78,9 +78,10 @@ fast-forwards through the in-order interpreter (checkpointing as it
 goes) and simulates K detailed intervals of ``--warmup-insts`` warm-up
 (counters discarded) plus ``--interval-insts`` measured instructions,
 reporting the per-interval IPC mean with a 95% confidence interval.
-``--checkpoint-every C`` tunes the capture stride.  See DESIGN.md
-"Sampling methodology" for the error model and when exact mode is
-required.
+The checkpoint train is one pass to the halt, cached next to the cell
+results and shared by every config of the benchmark at that scale.
+See DESIGN.md "Sampling methodology" for the error model and when
+exact mode is required.
 
 Each ``run`` mode (exact, sampled, multicore, litmus, ``--riscv``)
 reads only its own mode flags; a flag of another mode exits 2 before
@@ -238,19 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="L",
                      help="sampled mode: measured instructions per "
                           "interval (default 5000)")
-    run.add_argument("--checkpoint-every",
-                     type=_checked(int, _at_least(1)), default=None,
-                     metavar="C",
-                     help="sampled mode: capture a checkpoint every C "
-                          "fast-forwarded instructions (default: one "
-                          "window, warm-up + interval)")
-    run.add_argument("--horizon",
-                     type=_checked(int, _at_least(1)), default=None,
-                     metavar="N",
-                     help="sampled mode: sample only the first N "
-                          "retired instructions; checkpoint trains are "
-                          "reused across horizons (prefix) or extended "
-                          "in place instead of recaptured")
     _add_engine_flags(run)
     _add_output_flags(run)
 
@@ -453,8 +441,6 @@ def _cmd_run_sampled(args) -> int:
             else args.warmup_insts,
             interval_insts=5_000 if args.interval_insts is None
             else args.interval_insts,
-            checkpoint_every=args.checkpoint_every,
-            horizon=args.horizon,
             runner=_build_runner(args))
     except SamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -557,8 +543,8 @@ _RUN_MODES = {
               ("epoch_cycles", "trace_out") + _ENGINE_FLAGS,
               _cmd_run_exact),
     "sampled": ("sampled mode (single-core only)",
-                ("sample_intervals", "warmup_insts", "interval_insts",
-                 "checkpoint_every", "horizon") + _ENGINE_FLAGS,
+                ("sample_intervals", "warmup_insts", "interval_insts")
+                + _ENGINE_FLAGS,
                 _cmd_run_sampled),
     "multicore": ("multicore mode",
                   ("cores", "memory_mode") + _ENGINE_FLAGS,

@@ -95,7 +95,7 @@ TRACE_LIMIT = 5_000_000
 #: Bump whenever the simulator's observable behaviour or the layout of
 #: a cached payload -- a cell result or a checkpoint train -- changes;
 #: every existing cache entry, of either kind, is invalidated.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -436,9 +436,7 @@ class ExperimentRunner:
 
     def run_sampled(self, benchmark: str, config: ProcessorConfig, *,
                     intervals: int = 10, warmup_insts: int = 1_000,
-                    interval_insts: int = 5_000,
-                    checkpoint_every: Optional[int] = None,
-                    horizon: Optional[int] = None) -> RunRecord:
+                    interval_insts: int = 5_000) -> RunRecord:
         """Sampled simulation of one cell: checkpointed fast-forward
         with ``intervals`` detailed windows (see
         :func:`repro.checkpoint.sampling.sample_run`).
@@ -449,21 +447,11 @@ class ExperimentRunner:
         are folded into the key), so they can never shadow or be
         shadowed by exact-mode entries.  The checkpoint train is a
         content-addressed entry of the same cache, shared by every
-        config of a benchmark at this scale -- and, when ``horizon``
-        limits the sampled span, by every horizon (prefix reuse /
-        in-place extension).  Each scale builds a different program, so
-        trains are not shared across scales.
+        config of a benchmark at this scale.  Each scale builds a
+        different program, so trains are not shared across scales.
         """
         params = {"intervals": intervals, "warmup_insts": warmup_insts,
-                  "interval_insts": interval_insts,
-                  "checkpoint_every": checkpoint_every or 0,
-                  # Engine runs are always warm; the key keeps the field
-                  # so sampled-cell cache keys stay byte-stable.
-                  "warm": True}
-        if horizon is not None:
-            # Folded in only when present so pre-existing sampled-cell
-            # cache keys stay byte-stable.
-            params["horizon"] = horizon
+                  "interval_insts": interval_insts}
 
         def simulate() -> dict:
             program = self.program(benchmark)
@@ -471,8 +459,7 @@ class ExperimentRunner:
             sampled = sample_run(
                 program, config, intervals=intervals,
                 warmup_insts=warmup_insts, interval_insts=interval_insts,
-                checkpoint_every=checkpoint_every,
-                store=self._trains, limit=TRACE_LIMIT, horizon=horizon)
+                store=self._trains, limit=TRACE_LIMIT)
             return _payload(sampled, dict(sampled.counters), started,
                             sampling=sampled.sampling_dict())
 

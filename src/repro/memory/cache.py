@@ -107,12 +107,6 @@ class Cache:
         ways.append(line)
         return False
 
-    def flush(self) -> None:
-        """Invalidate every line (statistics are preserved)."""
-        for ways in self._sets:
-            if ways:
-                ways.clear()
-
     # -- warm-state capsules -------------------------------------------------
 
     def export_lines(self) -> List[List[int]]:

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 from repro.checkpoint import (
     ArchCheckpoint,
     CheckpointStore,
-    ensure_train,
+    capture_train,
+    sample_run,
     select_checkpoints,
     train_key,
 )
+from repro.checkpoint import sampling
 from repro.harness.configs import (
     baseline_lsq_config,
     baseline_sfc_mdt_config,
@@ -60,7 +62,7 @@ def _base_image(program):
 
 def _capture(program, every, warm, **kwargs):
     """A fresh train's checkpoints and instruction total."""
-    train = ensure_train(program, every, warm, **kwargs)
+    train = capture_train(program, every, warm, **kwargs)
     return train["checkpoints"], train["total_instructions"]
 
 
@@ -248,7 +250,7 @@ class TestTrainAndStore:
 
     def test_store_round_trip(self, tmp_path):
         program = suites.build("gzip", 2_000)
-        captured = ensure_train(program, 700, True)
+        captured = capture_train(program, 700, True)
         checkpoints = captured["checkpoints"]
         store = _disk_store(tmp_path)
         key = train_key(program.digest(), 700, True)
@@ -267,9 +269,8 @@ class TestTrainAndStore:
         cache = ResultCache(tmp_path)
         cache.store("bad", {"format": 1})
         cache.path("bad").write_text("{not json")
-        cache.store("partial", {"total_instructions": 5, "stride": 1})
-        cache.store("empty", {"total_instructions": 0, "complete": True,
-                              "stride": 0, "checkpoints": []})
+        cache.store("partial", {"total_instructions": 5})
+        cache.store("empty", {"total_instructions": 0, "checkpoints": []})
         store = CheckpointStore(cache)
         for key in ("bad", "partial", "empty", "missing"):
             assert store.load(key) is None
@@ -283,8 +284,7 @@ class TestStoreFaultInjection:
     def _train(program):
         interp = Interpreter(program)
         checkpoint = ArchCheckpoint.capture(interp, _base_image(program))
-        return {"checkpoints": [checkpoint], "total_instructions": 100,
-                "complete": True, "stride": 100}
+        return {"checkpoints": [checkpoint], "total_instructions": 100}
 
     def test_unserializable_capsule_cleans_temp(self, tmp_path):
         # Non-OSError mid-write: json.dumps raises TypeError on the
@@ -316,86 +316,36 @@ class TestStoreFaultInjection:
 def _train_fingerprint(train):
     import json
 
-    return (train["total_instructions"], train["complete"],
-            train["stride"],
+    return (train["total_instructions"],
             [(c.retired, c.pc, tuple(c.regs), sorted(c.pages.items()),
               json.dumps(c.warm, sort_keys=True))
              for c in train["checkpoints"]])
 
 
 class TestEnsureTrain:
-    """Checkpoint-train reuse across horizons: prefix serve + in-place
-    extension, never a recapture.  Each call gets a fresh memo, so what
-    is reused is what the cache holds."""
+    """A train is one capture from reset to the halt; a stored one is
+    served as it is."""
 
-    @pytest.mark.parametrize("warm", [True, False])
-    def test_extension_bit_identical_to_fresh_capture(self, tmp_path,
-                                                      warm):
-        program = suites.build("gzip", 4_000)
-        grown = tmp_path / "grown"
-        fresh = tmp_path / "fresh"
-        short = ensure_train(program, 300, warm, horizon=1_000,
-                             store=_disk_store(grown))
-        assert not short["complete"]
-        assert short["total_instructions"] >= 1_000
-        extended = ensure_train(program, 300, warm, horizon=3_000,
-                                store=_disk_store(grown))
-        reference = ensure_train(program, 300, warm, horizon=3_000,
-                                 store=_disk_store(fresh))
-        assert _train_fingerprint(extended) == \
-            _train_fingerprint(reference)
-        # ... and extending to completion still matches a fresh full run
-        full = ensure_train(program, 300, warm, store=_disk_store(grown))
-        full_ref = ensure_train(program, 300, warm,
-                                store=_disk_store(fresh))
-        assert full["complete"]
-        assert _train_fingerprint(full) == _train_fingerprint(full_ref)
-
-    def test_longer_train_serves_shorter_horizon_without_rewrite(
-            self, tmp_path):
-        program = suites.build("gzip", 4_000)
-        long_train = ensure_train(program, 300, True, horizon=3_000,
-                                  store=_disk_store(tmp_path))
-        path = ResultCache(tmp_path).path(
-            train_key(program.digest(), 300, True))
-        mtime = path.stat().st_mtime_ns
-        short = ensure_train(program, 300, True, horizon=500,
-                             store=_disk_store(tmp_path))
-        assert _train_fingerprint(short) == \
-            _train_fingerprint(long_train)
-        assert path.stat().st_mtime_ns == mtime
-
-    def test_complete_train_serves_any_horizon(self, tmp_path):
-        program = suites.build("gzip", 2_000)
-        full = ensure_train(program, 300, True,
-                            store=_disk_store(tmp_path))
-        assert full["complete"]
-        served = ensure_train(
-            program, 300, True,
-            horizon=full["total_instructions"] * 10,
-            store=_disk_store(tmp_path))
-        assert _train_fingerprint(served) == _train_fingerprint(full)
-
-    def test_memo_alone_serves_one_process(self):
+    def test_memo_alone_serves_one_process(self, monkeypatch):
         program = suites.build("gzip", 2_000)
         store = CheckpointStore()
-        first = ensure_train(program, 300, True, store=store)
-        assert ensure_train(program, 300, True, store=store) is first
+        config = baseline_sfc_mdt_config()
+        first = sample_run(program, config, intervals=2, warmup_insts=100,
+                           interval_insts=200, store=store)
 
-    def test_incomplete_train_positions_resumable(self, tmp_path):
-        # The invariant extension depends on: an incomplete train's
-        # total_instructions is exactly its last checkpoint's position.
-        program = suites.build("gzip", 4_000)
-        train = ensure_train(program, 300, True, horizon=1_500,
-                             store=_disk_store(tmp_path))
-        assert not train["complete"]
-        assert train["checkpoints"][-1].retired == \
-            train["total_instructions"]
+        def recapture(*args, **kwargs):
+            raise AssertionError("the stored train was captured again")
+
+        monkeypatch.setattr(sampling, "capture_train", recapture)
+        again = sample_run(program, config, intervals=2, warmup_insts=100,
+                           interval_insts=200, store=store)
+        assert again.sampling_dict() == first.sampling_dict()
 
     def test_without_store_captures_fresh(self):
         program = suites.build("gzip", 2_000)
-        train = ensure_train(program, 300, True, horizon=900)
-        assert train["total_instructions"] >= 900
+        trace, _ = _full_run(program)
+        train = capture_train(program, 300, True)
+        assert train["total_instructions"] == len(trace)
         assert train["checkpoints"][0].retired == 0
 
 

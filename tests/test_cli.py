@@ -269,8 +269,6 @@ class TestErrorPaths:
         ["run", "gzip", "--cores", "0"],
         ["run", "gzip", "--epoch-cycles", "0"],
         ["run", "gzip", "--warmup-insts", "-5"],
-        ["run", "gzip", "--checkpoint-every", "0"],
-        ["run", "gzip", "--horizon", "-1"],
         ["run", "gzip", "--interval-insts", "0"],
         ["fuzz", "--seconds", "nan"],
         ["fuzz", "--seconds", "inf"],
@@ -288,14 +286,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv", [
         ["run", "gap", "--epoch-cycles", "100"],
-        ["run", "gap", "--horizon", "500"],
-        ["run", "gap", "--checkpoint-every", "500"],
         ["run", "gap", "--warmup-insts", "1000"],
         ["run", "gap", "--interval-insts", "5000"],
         ["run", "gap", "--memory-mode", "shared"],
-        ["run", "gap", "--cores", "2", "--horizon", "500"],
         ["run", "--riscv", str(HAZARD_HEX), "--memory-mode", "private"],
-        ["run", "--riscv", str(HAZARD_HEX), "--horizon", "500"],
         # Litmus and --riscv runs build no engine: --scale and
         # --cache-dir are theirs to refuse.
         pytest.param(["run", "litmus-mp"], id="litmus-mp"),

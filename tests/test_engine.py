@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.checkpoint import train_key
+from repro.checkpoint import capture_train, train_key
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
 from repro.harness.experiment import (
     CACHE_FORMAT,
@@ -127,7 +127,7 @@ class TestCacheKey:
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        payload = {"format": 1, "cycles": 7}
+        payload = {"format": CACHE_FORMAT, "cycles": 7}
         cache.store("k" * 64, payload)
         assert cache.load("k" * 64) == payload
 
@@ -212,13 +212,13 @@ class TestResultCache:
 
     def test_gc_drops_unreadable_and_foreign_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store("good", {"format": 1, "cycles": 7})
+        cache.store("good", {"format": CACHE_FORMAT, "cycles": 7})
         write_foreign(cache, "old", {"format": -1})
         cache.path("corrupt").write_text("{not json")
         (tmp_path / "x.json.tmp.1.ff").write_text("")
         removed = cache.gc()
         assert removed == 3
-        assert cache.load("good") == {"format": 1, "cycles": 7}
+        assert cache.load("good") == {"format": CACHE_FORMAT, "cycles": 7}
         assert not cache.path("old").exists()
         assert not cache.path("corrupt").exists()
 
@@ -277,6 +277,26 @@ class TestTrainEntries:
         assert json.loads(train.read_text())["format"] == CACHE_FORMAT
         cell = runner.cache.path(runner.manifest[-1]["key"])
         assert sorted(tmp_path.iterdir()) == sorted([cell, train])
+
+    def test_older_format_train_is_recaptured(self, tmp_path):
+        """A train an older build stopped at a horizon -- its position-0
+        checkpoint only -- is never served as a whole-program train."""
+        runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
+        program = runner.program("gzip")
+        every = 500  # one 300-instruction window, floored at 500
+        key = train_key(program.digest(), every, True)
+        start = capture_train(program, every)["checkpoints"][0]
+        write_foreign(runner.cache, key, {
+            "format": 1, "complete": False, "stride": every,
+            "total_instructions": 0, "checkpoints": [start.to_dict()]})
+        record = runner.run_sampled("gzip", baseline_sfc_mdt_config(),
+                                    intervals=2, warmup_insts=100,
+                                    interval_insts=200)
+        assert record.sampling["checkpoint_every"] == every
+        assert record.sampling["total_instructions"] == \
+            len(runner.trace("gzip"))
+        stored = json.loads(runner.cache.path(key).read_text())
+        assert stored["format"] == CACHE_FORMAT
 
     def test_reopen_sweeps_hour_old_train_temp(self, tmp_path):
         _, train = self.sampled_train(tmp_path)
