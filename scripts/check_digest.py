@@ -17,7 +17,10 @@ against committed references:
   20 Figure-5 benchmarks at scale 200 000 on baseline-sfc-mdt -- the
   manifest digest plus every ``sampling`` block (interval table and
   CI).  Most of these checkpoint trains grow past 128 checkpoints, so
-  train thinning is covered too.
+  train thinning is covered too;
+* ``digest_multicore.txt``: one digest over every benchmark run 2-up
+  (one replica per core, private memories, shared L2) on the baseline
+  SFC/MDT and the aggressive LSQ core.
 
 Also proves that an attached pipetrace sampler (ring buffer + epoch
 snapshots) leaves a run's cycles and counters bit-identical.
@@ -39,7 +42,7 @@ from typing import Dict, List
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro import Processor  # noqa: E402
+from repro import Processor, api  # noqa: E402
 from repro.core import (  # noqa: E402
     CORRUPTION_ENDPOINTS,
     NOT_ENF,
@@ -61,6 +64,7 @@ RESULTS = ROOT / "benchmarks" / "results"
 REFERENCE = RESULTS / "digest_fig56.txt"
 VARIANTS_REFERENCE = RESULTS / "digest_variants.txt"
 SAMPLED_REFERENCE = RESULTS / "digest_sampled.txt"
+MULTICORE_REFERENCE = RESULTS / "digest_multicore.txt"
 SCALE = 1_000
 SAMPLED_SCALE = 200_000
 
@@ -101,6 +105,15 @@ def sampled_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def multicore_digest() -> str:
+    """Manifest digest over every benchmark replicated on two cores."""
+    runner = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
+    for core in (baseline_sfc_mdt_config(), aggressive_lsq_config()):
+        for benchmark in sorted(ALL_BENCHMARKS):
+            api.simulate_system(benchmark, core, cores=2, runner=runner)
+    return manifest_digest(runner.manifest)
+
+
 def pinned_lines() -> Dict[Path, List[str]]:
     """The lines each reference file must hold, computed from this tree."""
     fig56 = [baseline_lsq_config(), baseline_sfc_mdt_config(),
@@ -110,6 +123,7 @@ def pinned_lines() -> Dict[Path, List[str]]:
         VARIANTS_REFERENCE: [f"{config.name} {grid_digest([config])}"
                              for config in variant_configs()],
         SAMPLED_REFERENCE: [sampled_digest()],
+        MULTICORE_REFERENCE: [multicore_digest()],
     }
 
 

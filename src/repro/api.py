@@ -10,8 +10,8 @@ or ``repro.harness`` internals:
 * :func:`simulate_sampled` -- the same cell under checkpointed
   fast-forward + interval sampling -> RunRecord with a ``sampling``
   block (IPC mean, confidence interval, interval table);
-* :func:`simulate_system` -- one N-core system cell (N-up private-memory
-  replication, or a shared-memory litmus test) -> RunRecord (schema v3);
+* :func:`simulate_system` -- one benchmark replicated N-up over private
+  memories and a shared L2 -> RunRecord (schema v3);
 * :func:`run_litmus` -- a litmus campaign over the shared-memory
   machine, every observed outcome judged by the operational-model
   oracle (:class:`~repro.verify.litmus_oracle.LitmusReport`);
@@ -56,7 +56,7 @@ from .harness import experiment, figures
 from .harness.experiment import DEFAULT_SCALE, ExperimentRunner
 from .isa.interp import run_program
 from .obs.runrecord import RunRecord
-from .pipeline.config import ProcessorConfig, SystemConfig
+from .pipeline.config import ProcessorConfig
 from .pipeline.pipetrace import PipeTracer, trace_run
 from .pipeline.processor import Processor
 from .workloads import ALL_BENCHMARKS, litmus_benchmark_names, suites
@@ -104,8 +104,8 @@ def list_benchmarks() -> List[str]:
 
 
 def list_litmus_tests() -> List[str]:
-    """Litmus-test names accepted by :func:`simulate_system` and
-    :func:`run_litmus` (and by ``repro run`` with ``--cores``)."""
+    """Litmus-test names accepted by :func:`run_litmus` (and by
+    ``repro run`` and ``repro litmus``)."""
     return litmus_benchmark_names()
 
 
@@ -181,35 +181,20 @@ def simulate_sampled(benchmark: str,
 
 def simulate_system(benchmark: str,
                     config: ConfigLike = "baseline-sfc-mdt",
-                    cores: int = 2, memory_mode: Optional[str] = None,
+                    cores: int = 2,
                     scale: int = DEFAULT_SCALE,
                     runner: Optional[ExperimentRunner] = None,
                     **runner_kwargs) -> RunRecord:
-    """Simulate one N-core system cell; returns its :class:`RunRecord`
-    (schema v3 when ``cores > 1``, with per-core counters namespaced as
-    ``core<N>_<name>``).
+    """Simulate a suite benchmark replicated N-up on ``cores`` cores;
+    returns its :class:`RunRecord` (schema v3 when ``cores > 1``, with
+    per-core counters namespaced as ``core<N>_<name>``).
 
-    ``benchmark`` is a regular suite benchmark -- replicated N-up over
-    private memory with a shared L2 -- or a litmus name
-    (:func:`list_litmus_tests`), which runs its per-thread programs over
-    shared memory.  ``config`` names the *core* recipe; ``memory_mode``
-    defaults to ``shared`` for litmus tests and ``private`` otherwise.
-    ``config`` may also be a ready :class:`SystemConfig`, in which case
-    ``cores``/``memory_mode`` are ignored.
-    """
-    from .workloads.litmus import is_litmus
-
-    if isinstance(config, SystemConfig):
-        system_config = config
-    else:
-        core = resolve_config(config)
-        if memory_mode is None:
-            memory_mode = config_presets.MEMORY_SHARED \
-                if is_litmus(benchmark) else config_presets.MEMORY_PRIVATE
-        system_config = SystemConfig(core=core, cores=cores,
-                                     memory_mode=memory_mode)
+    ``config`` names the *core* recipe.  Each replica runs over a
+    private memory image with timing through a shared L2, golden-trace
+    validated.  Litmus tests run over shared memory through
+    :func:`run_litmus` instead."""
     engine = _runner(scale, runner, **runner_kwargs)
-    return engine.run_system(benchmark, system_config)
+    return engine.run_system(benchmark, resolve_config(config), cores)
 
 
 def run_litmus(tests: Optional[Sequence[str]] = None,
@@ -334,7 +319,9 @@ def simulate_riscv(source, config: ConfigLike = "baseline-sfc-mdt",
     oracle), then on the pipeline with golden-trace validation against
     that trace -- a divergence raises
     :class:`~repro.pipeline.processor.SimulationError` rather than
-    returning a record.
+    returning a record, and a program that does not halt within
+    ``max_instructions`` raises
+    :class:`~repro.isa.interp.ExecutionLimitExceeded`.
     """
     from .isa.interp import Interpreter
     from .isa.program import Program

@@ -42,6 +42,7 @@ SINGLE_INTERVAL_ERROR = 0.10
 
 #: Cap on checkpoints kept per train; the capture pass thins the train
 #: (dropping every other checkpoint, doubling the stride) beyond this.
+#: It must be even for thinning to keep the last checkpoint.
 MAX_TRAIN_CHECKPOINTS = 128
 
 #: Dispatch slack appended to each interval's golden suffix trace: fetch
@@ -127,14 +128,13 @@ def _warm_capsule(bpred: Optional[GsharePredictor],
 
 
 def capture_train(program: Program, every: int, warm: bool = True, *,
-                  limit: int = 5_000_000,
-                  max_checkpoints: int = MAX_TRAIN_CHECKPOINTS) -> dict:
+                  limit: int = 5_000_000) -> dict:
     """Fast-forward ``program`` from reset to the halt, capturing a
     checkpoint at position 0 and after every ``every`` retired
     instructions, each with a warm capsule when ``warm``.
 
-    Past ``max_checkpoints`` the train is thinned: every other
-    checkpoint is dropped, the last one is always kept, and the stride
+    Past :data:`MAX_TRAIN_CHECKPOINTS` the train is thinned: every
+    other checkpoint is dropped, the last one is kept, and the stride
     doubles.  The pinned sampled answers depend on exactly which
     checkpoints survive.
 
@@ -161,11 +161,11 @@ def capture_train(program: Program, every: int, warm: bool = True, *,
             break
         checkpoints.append(ArchCheckpoint.capture(
             interp, base_image, warm=_warm_capsule(bpred, hierarchy)))
-        while len(checkpoints) > max_checkpoints:
-            thinned = checkpoints[::2]
-            if thinned[-1] is not checkpoints[-1]:
-                thinned.append(checkpoints[-1])
-            checkpoints = thinned
+        if len(checkpoints) > MAX_TRAIN_CHECKPOINTS:
+            # The train grows one checkpoint at a time, so it is thinned
+            # at the even cap plus one: an odd length, whose [::2] keeps
+            # the last checkpoint.
+            checkpoints = checkpoints[::2]
             stride *= 2
     if not interp.halted:
         raise ExecutionLimitExceeded(

@@ -8,11 +8,12 @@ Subcommands
     figures.
 ``run BENCHMARK``
     Simulate one benchmark under one configuration and print a report.
-    ``--cores N`` runs an N-core system instead: a regular benchmark is
-    replicated N-up over private memories with a shared L2; a litmus
-    name (``litmus-mp``/``litmus-sb``/``litmus-lb``) runs its threads
-    over shared memory and judges the observed outcome against the
-    operational-model oracle (nonzero exit on a forbidden outcome).
+    ``--cores N`` runs the benchmark replicated N-up instead, each core
+    over a private memory with a shared L2.  A litmus name
+    (``litmus-mp``/``litmus-sb``/``litmus-lb``) always runs its threads
+    one per core over shared memory and judges the observed outcome
+    against the operational-model oracle (nonzero exit on a forbidden
+    outcome).
     ``run --riscv FILE`` loads a real RV32 image (``.hex`` text or raw
     little-endian binary) through the RISC-V frontend instead of a
     named benchmark, golden-trace-checked against the interpreter
@@ -101,6 +102,7 @@ from .checkpoint import SamplingError
 from .core import registry
 from .harness.experiment import (DEFAULT_SCALE, ExperimentRunner,
                                  check_jobs, check_scale, check_timeout)
+from .isa.interp import ExecutionLimitExceeded
 from .obs.runrecord import SCHEMA_VERSION
 from .stats.report import format_report
 from .verify.corpus import CorpusError
@@ -208,12 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           "and multicore runs (default 20000)")
     run.add_argument("--cores", type=_checked(int, _at_least(1)),
                      default=1, metavar="N",
-                     help="simulate an N-core system (default 1: the "
-                          "plain single-core pipeline)")
-    run.add_argument("--memory-mode", default=None,
-                     choices=("shared", "private"),
-                     help="multicore memory mode (default: shared for "
-                          "litmus tests, private for benchmarks)")
+                     help="replicate the benchmark on N cores over "
+                          "private memories and a shared L2; a litmus "
+                          "test runs one core per thread (default 1: "
+                          "the plain single-core pipeline)")
     run.add_argument("--epoch-cycles",
                      type=_checked(int, _at_least(1)), default=None,
                      metavar="N",
@@ -419,9 +419,10 @@ def _cmd_run_riscv(args) -> int:
         return 2
     try:
         record = api.simulate_riscv(args.riscv, args.config)
-    except (FileNotFoundError, ValueError) as exc:
-        # DecodeError subclasses ValueError: bad images exit with a
-        # message, not a traceback.
+    except (FileNotFoundError, ValueError,
+            ExecutionLimitExceeded) as exc:
+        # DecodeError subclasses ValueError: bad images, and images that
+        # never halt, exit with a message, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
@@ -477,10 +478,6 @@ def _cmd_run_litmus(args) -> int:
         print(f"error: {args.benchmark} has {test.cores} threads and "
               f"needs --cores {test.cores}", file=sys.stderr)
         return 2
-    if args.memory_mode == "private":
-        print("error: litmus tests require shared memory",
-              file=sys.stderr)
-        return 2
     result = run_litmus_test(test, api.resolve_config(args.config))
     record = RunRecord.from_system_result(result.system_result,
                                           benchmark=args.benchmark)
@@ -507,7 +504,6 @@ def _cmd_run_multicore(args) -> int:
     """``run BENCHMARK --cores N``: an N-up multicore system cell."""
     record = api.simulate_system(args.benchmark, args.config,
                                  cores=args.cores,
-                                 memory_mode=args.memory_mode,
                                  runner=_build_runner(args))
     if args.format == "json":
         _emit(record.to_json(indent=2), args)
@@ -547,9 +543,9 @@ _RUN_MODES = {
                 + _ENGINE_FLAGS,
                 _cmd_run_sampled),
     "multicore": ("multicore mode",
-                  ("cores", "memory_mode") + _ENGINE_FLAGS,
+                  ("cores",) + _ENGINE_FLAGS,
                   _cmd_run_multicore),
-    "litmus": ("litmus mode", ("cores", "memory_mode"), _cmd_run_litmus),
+    "litmus": ("litmus mode", ("cores",), _cmd_run_litmus),
     "riscv": ("--riscv mode", (), _cmd_run_riscv),
 }
 

@@ -9,7 +9,6 @@ from .configs import (
     baseline_sfc_mdt_config,
     fuzz_config_matrix,
     litmus_system_config,
-    multicore_system_config,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "baseline_sfc_mdt_config",
     "fuzz_config_matrix",
     "litmus_system_config",
-    "multicore_system_config",
 ]

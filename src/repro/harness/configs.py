@@ -26,7 +26,6 @@ from ..core.mdt import MDTConfig
 from ..core.predictors import ENF, NOT_ENF, TOTAL, LSQ_MODE, PredictorConfig
 from ..core.sfc import SFCConfig
 from ..pipeline.config import (
-    MEMORY_PRIVATE,
     MEMORY_SHARED,
     SUBSYSTEM_LOAD_REPLAY,
     SUBSYSTEM_LSQ,
@@ -183,18 +182,6 @@ def litmus_system_config(core: Optional[ProcessorConfig] = None,
                         name=name or f"litmus-{core.name}")
 
 
-def multicore_system_config(core: Optional[ProcessorConfig] = None,
-                            cores: int = 2,
-                            name: Optional[str] = None) -> SystemConfig:
-    """A private-memory N-core system: the N-up throughput mode, where
-    each core runs its own image but contends for the shared L2 (full
-    golden-trace validation stays on)."""
-    core = core if core is not None else baseline_sfc_mdt_config()
-    return SystemConfig(core=core, cores=cores,
-                        memory_mode=MEMORY_PRIVATE,
-                        name=name or f"{core.name}-x{cores}")
-
-
 def aggressive_load_replay_config(lq_size: int = 120, sq_size: int = 80,
                                   name: Optional[str] = None
                                   ) -> ProcessorConfig:
@@ -219,7 +206,6 @@ __all__ = [
     "baseline_sfc_mdt_config",
     "fuzz_config_matrix",
     "litmus_system_config",
-    "multicore_system_config",
     "ENF",
     "NOT_ENF",
     "TOTAL",

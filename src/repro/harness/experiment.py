@@ -78,11 +78,12 @@ from ..obs.runrecord import (
     RunRecord,
     validate_record,
 )
-from ..pipeline.config import ProcessorConfig, SystemConfig
+from ..pipeline.config import (MEMORY_PRIVATE, ProcessorConfig,
+                               SystemConfig)
 from ..pipeline.processor import Processor, SimResult
 from ..pipeline.system import System
 from ..stats.counters import Counters
-from ..workloads import litmus, suites
+from ..workloads import suites
 
 #: Default dynamic instruction budget per benchmark run.  Small enough for
 #: a pure-Python cycle-level simulator, large enough for the rates the
@@ -396,43 +397,30 @@ class ExperimentRunner:
             self.program(benchmark), self.trace(benchmark), config))
         return self._rehydrate(config, payload)
 
-    def run_system(self, benchmark: str,
-                   config: SystemConfig) -> RunRecord:
-        """Simulate one N-core system cell (serial, in-process) and
-        return its versioned record (schema v3 when ``cores > 1``).
+    def run_system(self, benchmark: str, core: ProcessorConfig,
+                   cores: int) -> RunRecord:
+        """Simulate ``benchmark`` replicated N-up on ``cores`` copies of
+        ``core`` (serial, in-process) and return its versioned record
+        (schema v3 when ``cores > 1``).
 
-        ``benchmark`` is either a regular suite benchmark -- replicated
-        across every core in ``private`` memory mode for N-up
-        throughput -- or a litmus name (``litmus-mp``, ...), whose
-        per-thread programs run over shared memory.  Cells consult and
-        fill the same persistent result cache as single-core runs (the
-        key hashes the full nested system config)."""
-        self._cached(benchmark, config,
-                     lambda: self._simulate_system(benchmark, config))
+        Each replica runs over a private memory image with timing
+        through a shared L2, golden-trace-validated like a single-core
+        run.  Cells consult and fill the same persistent result cache as
+        single-core runs (the key hashes the full nested system config).
+        Litmus tests run over shared memory through
+        :func:`repro.verify.run_litmus_test` instead."""
+        config = SystemConfig(core=core, cores=cores,
+                              memory_mode=MEMORY_PRIVATE)
+
+        def simulate() -> dict:
+            program, trace = self.program(benchmark), self.trace(benchmark)
+            started = time.perf_counter()
+            result = System([program], config, traces=[trace] * cores).run()
+            return _payload(result, dict(result.counters), started,
+                            cores=cores)
+
+        self._cached(benchmark, config, simulate)
         return self.last_record()
-
-    def _simulate_system(self, benchmark: str,
-                         config: SystemConfig) -> dict:
-        """Simulate one system cell; returns its cacheable payload."""
-        if litmus.is_litmus(benchmark):
-            test = litmus.get_litmus(benchmark)
-            if config.cores != test.cores:
-                raise ValueError(
-                    f"litmus test {test.name!r} needs exactly "
-                    f"{test.cores} cores, got {config.cores}")
-            if not config.shared_memory:
-                raise ValueError(
-                    f"litmus test {test.name!r} requires shared "
-                    f"memory mode, got {config.memory_mode!r}")
-            programs = test.programs()
-            traces = None
-        else:
-            programs = [self.program(benchmark)] * config.cores
-            traces = [self.trace(benchmark)] * config.cores
-        started = time.perf_counter()
-        result = System(programs, config, traces=traces).run()
-        return _payload(result, dict(result.counters), started,
-                        cores=config.cores)
 
     def run_sampled(self, benchmark: str, config: ProcessorConfig, *,
                     intervals: int = 10, warmup_insts: int = 1_000,

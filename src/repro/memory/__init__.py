@@ -10,14 +10,12 @@ from .cache import (
     paper_l2_config,
 )
 from .main_memory import MainMemory
-from .system import MemorySystem
 
 __all__ = [
     "Cache",
     "CacheConfig",
     "CacheHierarchy",
     "MainMemory",
-    "MemorySystem",
     "paper_hierarchy",
     "paper_l1d_config",
     "paper_l1i_config",

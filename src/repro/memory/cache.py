@@ -144,7 +144,7 @@ class CacheHierarchy:
     adds the L2 miss penalty on top.
 
     ``l2`` may be an already-constructed :class:`Cache` instead of a
-    :class:`CacheConfig`: a :class:`~repro.memory.system.MemorySystem`
+    :class:`CacheConfig`: a :class:`~repro.pipeline.system.System`
     hands every core's hierarchy the *same* L2 instance, so cross-core
     L2 sharing (capacity contention, constructive prefetching) is
     modeled while each core keeps private L1s.

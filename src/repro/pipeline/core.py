@@ -222,7 +222,7 @@ class Core:
                  max_instructions: int = 1_000_000,
                  memory: Optional[MainMemory] = None,
                  hierarchy: Optional[CacheHierarchy] = None,
-                 core_id: int = 0, validate: bool = True,
+                 validate: bool = True,
                  idle_skip: bool = True, start_pc: int = 0,
                  start_regs: Optional[List[int]] = None,
                  warm_state: Optional[dict] = None):
@@ -237,7 +237,6 @@ class Core:
         self.memory = memory
         self.hierarchy = hierarchy if hierarchy is not None \
             else paper_hierarchy()
-        self.core_id = core_id
         self.validate_trace = validate
         self.idle_skip = idle_skip
         self.subsystem = registry.SUBSYSTEMS[

@@ -1,8 +1,8 @@
 """N-core system: lockstepped :class:`~repro.pipeline.core.Core` objects
-over one shared :class:`~repro.memory.system.MemorySystem`.
+over one shared L2.
 
 The cycle loop moves up a level here: :meth:`System.step` advances every
-still-running core by exactly one cycle, in ascending ``core_id`` order.
+still-running core by exactly one cycle, in ascending core order.
 Lockstep plus that fixed round-robin order is the system's *coherence
 point*: a store becomes globally visible the moment its core's retire
 stage writes the shared image, and which same-cycle accesses observe it
@@ -10,18 +10,25 @@ is fully determined by core order -- so multicore runs are as
 deterministic and replayable as single-core ones (idle-cycle
 fast-forwarding is disabled on every core to keep their clocks equal).
 
-Memory modes (see :class:`~repro.pipeline.config.SystemConfig`):
+:class:`System` owns the memory side of the machine: one L2
+:class:`~repro.memory.cache.Cache` threaded into every core's
+:class:`~repro.memory.cache.CacheHierarchy` (so cores contend for, and
+constructively share, L2 capacity), per-core L1I/L1D in the paper's
+Figure 4 geometry, and the architectural images.  The memory mode (see
+:class:`~repro.pipeline.config.SystemConfig`) follows the workload:
 
-* ``shared`` -- every core executes over the shared architectural
-  image.  Cross-core interactions (store visibility at retirement,
-  speculative loads reading whatever is currently in the image, per-core
-  SFC/MDT state never snooping other cores) become observable; per-core
-  golden-trace *value* validation is off, because another core's store
-  legitimately changes what a load returns relative to its
-  single-threaded golden trace.  This is the litmus/weak-memory mode.
-* ``private`` -- every core owns a private image (its own program's
-  data) but timing flows through the shared L2, so ordinary benchmarks
-  run N-up with full golden-trace validation intact.
+* ``shared`` -- the litmus tests (:mod:`repro.verify.litmus_oracle`).
+  Every core executes over one shared image.  Loads execute
+  speculatively and out of order against it with no cross-core
+  snooping, so weak-memory outcomes (store buffering, load reordering)
+  become observable; per-core golden-trace *value* validation is off,
+  because another core's store legitimately changes what a load
+  returns relative to its single-threaded golden trace.
+* ``private`` -- N-up benchmark replicas
+  (:meth:`~repro.harness.experiment.ExperimentRunner.run_system`).
+  Every core owns a private image (its own program's data) while
+  timing flows through the shared L2, so full golden-trace validation
+  stays on.
 """
 
 from __future__ import annotations
@@ -30,7 +37,14 @@ from typing import Dict, List, Optional, Sequence
 
 from ..isa.interp import RetireRecord, run_program
 from ..isa.program import Program
-from ..memory.system import MemorySystem
+from ..memory.cache import (
+    Cache,
+    CacheHierarchy,
+    paper_l1d_config,
+    paper_l1i_config,
+    paper_l2_config,
+)
+from ..memory.main_memory import MainMemory
 from .config import SystemConfig
 from .core import Core, SimResult, SimulationError
 
@@ -60,17 +74,6 @@ class SystemResult:
         """Aggregate system IPC (all cores' retirements per cycle)."""
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot (result cache / run manifests)."""
-        return {
-            "program_name": self.program_name,
-            "config": self.config.to_dict(),
-            "cores": self.config.cores,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "counters": dict(self.counters),
-        }
-
     def __repr__(self) -> str:
         return (f"SystemResult({self.program_name} on "
                 f"{self.config.name}: {self.config.cores} cores, "
@@ -79,7 +82,7 @@ class SystemResult:
 
 
 class System:
-    """N lockstepped cores over one shared memory system.
+    """N lockstepped cores over one shared L2.
 
     ``programs`` is one :class:`~repro.isa.program.Program` per core; a
     single program is replicated across every core (the N-up throughput
@@ -106,20 +109,25 @@ class System:
                 f"got {len(traces)} trace(s) for {config.cores} core(s)")
         self.config = config
         self.programs = programs
-        self.memsys = MemorySystem(config.cores,
-                                   shared=config.shared_memory)
-        for core_id, program in enumerate(programs):
-            self.memsys.load_segments(core_id, program.data)
         shared = config.shared_memory
+        #: The shared architectural image (the coherence point); None
+        #: in private mode.
+        self.shared_memory = MainMemory() if shared else None
+        memories = [self.shared_memory] * config.cores if shared \
+            else [MainMemory() for _ in programs]
+        for memory, program in zip(memories, programs):
+            memory.load_segments(program.data)
+        self.l2 = Cache(paper_l2_config())
         self.cores: List[Core] = []
-        for core_id, program in enumerate(programs):
-            trace = traces[core_id] if traces is not None \
+        for index, (program, memory) in enumerate(zip(programs, memories)):
+            trace = traces[index] if traces is not None \
                 else run_program(program, max_instructions)
             self.cores.append(Core(
-                program, config.core, trace=trace,
-                memory=self.memsys.memory(core_id),
-                hierarchy=self.memsys.hierarchy(core_id),
-                core_id=core_id, validate=not shared, idle_skip=False))
+                program, config.core, trace=trace, memory=memory,
+                hierarchy=CacheHierarchy(l1i=paper_l1i_config(),
+                                         l1d=paper_l1d_config(),
+                                         l2=self.l2),
+                validate=not shared, idle_skip=False))
         self.cycle = 0
 
     @property
@@ -129,7 +137,7 @@ class System:
     # ------------------------------------------------------------------ cycle
 
     def step(self) -> None:
-        """Advance every still-running core by one cycle, in core-id
+        """Advance every still-running core by one cycle, in core
         order (the deterministic coherence order)."""
         for core in self.cores:
             if not core.done:
@@ -143,7 +151,7 @@ class System:
         max_cycles = self.config.core.max_cycles
         while not self.done:
             if self.cycle > max_cycles:
-                stuck = [core.core_id for core in self.cores
+                stuck = [index for index, core in enumerate(self.cores)
                          if not core.done]
                 raise SimulationError(
                     f"system exceeded {max_cycles} cycles with "
@@ -157,18 +165,13 @@ class System:
         core_results = [core.finalize() for core in self.cores]
         cycles = max((core.cycle for core in self.cores), default=0)
         merged: Dict[str, float] = {}
-        for core_id, result in enumerate(core_results):
+        for index, result in enumerate(core_results):
             for name, value in result.counters.as_dict().items():
-                merged[f"core{core_id}_{name}"] = value
-        merged.update(self.memsys.stats())
+                merged[f"core{index}_{name}"] = value
+        merged["l2_accesses"] = self.l2.accesses
+        merged["l2_misses"] = self.l2.misses
+        merged["l2_miss_rate"] = self.l2.miss_rate
         merged["cycles"] = cycles
         merged["retired_instructions"] = sum(result.instructions
                                              for result in core_results)
         return SystemResult(self.config, core_results, cycles, merged)
-
-    # ------------------------------------------------------------------ views
-
-    @property
-    def shared_memory(self):
-        """The shared architectural image (the coherence point)."""
-        return self.memsys.shared_memory

@@ -6,9 +6,10 @@ import pytest
 
 from repro import Processor, api
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
+from repro.isa.interp import run_program
 from repro.obs.runrecord import RunRecord
 from repro.stats.report import format_report
-from repro.workloads import ALL_BENCHMARKS
+from repro.workloads import ALL_BENCHMARKS, suites
 from tests.conftest import assemble, counted_loop_program
 
 
@@ -155,21 +156,19 @@ class TestSimulateSystem:
         assert record.counters["core1_retired_instructions"] > 0
         assert "l2_miss_rate" in record.counters
 
-    def test_litmus_benchmark_defaults_to_shared(self):
-        record = api.simulate_system("litmus-mp",
+    def test_litmus_name_is_not_a_benchmark(self):
+        # Litmus tests run over shared memory through run_litmus only.
+        with pytest.raises(KeyError, match="unknown benchmark"):
+            api.simulate_system("litmus-mp", **quiet_runner_kwargs())
+
+    def test_every_replica_retires_the_whole_program(self):
+        record = api.simulate_system("crafty", cores=2, scale=5000,
                                      **quiet_runner_kwargs())
-        assert record.cores == 2
-        assert record.benchmark == "litmus-mp"
-
-    def test_litmus_with_private_memory_rejected(self):
-        with pytest.raises(ValueError, match="shared"):
-            api.simulate_system("litmus-mp", memory_mode="private",
-                                **quiet_runner_kwargs())
-
-    def test_litmus_wrong_core_count_rejected(self):
-        with pytest.raises(ValueError, match="cores"):
-            api.simulate_system("litmus-mp", cores=3,
-                                **quiet_runner_kwargs())
+        length = len(run_program(suites.build("crafty", 5000)))
+        assert length == 5417
+        for core in range(2):
+            assert record.counters[
+                f"core{core}_retired_instructions"] == length
 
     def test_list_litmus_tests(self):
         assert api.list_litmus_tests() == ["litmus-lb", "litmus-mp",

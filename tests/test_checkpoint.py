@@ -60,9 +60,9 @@ def _base_image(program):
     return memory
 
 
-def _capture(program, every, warm, **kwargs):
+def _capture(program, every, warm):
     """A fresh train's checkpoints and instruction total."""
-    train = capture_train(program, every, warm, **kwargs)
+    train = capture_train(program, every, warm)
     return train["checkpoints"], train["total_instructions"]
 
 
@@ -222,14 +222,18 @@ class TestCoreRestore:
 
 
 class TestTrainAndStore:
-    def test_thinning_caps_train_length(self):
+    def test_thinning_caps_train_length(self, monkeypatch):
+        monkeypatch.setattr(sampling, "MAX_TRAIN_CHECKPOINTS", 16)
         program = suites.build("gzip", 3_000)
-        checkpoints, total = _capture(program, 10, False,
-                                      max_checkpoints=16)
+        checkpoints, total = _capture(program, 10, False)
         assert len(checkpoints) <= 16
         positions = [c.retired for c in checkpoints]
-        assert positions == sorted(positions)
-        assert positions[0] == 0
+        stride = positions[1] - positions[0]
+        assert stride > 10  # thinned at least once
+        # From 0, one stride apart, and the last within one stride of
+        # the halt: thinning never drops the last checkpoint.
+        assert positions == list(range(0, positions[-1] + 1, stride))
+        assert 0 < total - positions[-1] <= stride
 
     def test_select_checkpoints_spacing(self):
         program = suites.build("gzip", 2_000)

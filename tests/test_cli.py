@@ -288,8 +288,6 @@ class TestErrorPaths:
         ["run", "gap", "--epoch-cycles", "100"],
         ["run", "gap", "--warmup-insts", "1000"],
         ["run", "gap", "--interval-insts", "5000"],
-        ["run", "gap", "--memory-mode", "shared"],
-        ["run", "--riscv", str(HAZARD_HEX), "--memory-mode", "private"],
         # Litmus and --riscv runs build no engine: --scale and
         # --cache-dir are theirs to refuse.
         pytest.param(["run", "litmus-mp"], id="litmus-mp"),
@@ -437,10 +435,6 @@ class TestMulticoreCli:
     def test_run_litmus_wrong_cores_rejected(self, capsys):
         assert main(["run", "litmus-mp", "--cores", "3"]) == 2
         assert "needs --cores 2" in capsys.readouterr().err
-
-    def test_run_litmus_private_memory_rejected(self, capsys):
-        assert main(["run", "litmus-mp", "--memory-mode", "private"]) == 2
-        assert "shared memory" in capsys.readouterr().err
 
     def test_run_litmus_trace_flags_rejected(self, capsys):
         assert main(["run", "litmus-mp", "--epoch-cycles", "100",

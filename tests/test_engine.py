@@ -576,12 +576,18 @@ class TestRunSystem:
 
     def test_multicore_cell_cached(self, tmp_path):
         runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
-        cold = runner.run_system("gap", self.make_config())
-        warm = runner.run_system("gap", self.make_config())
+        cold = runner.run_system("gap", baseline_sfc_mdt_config(), 2)
+        warm = runner.run_system("gap", baseline_sfc_mdt_config(), 2)
         assert [e["cache_hit"] for e in runner.manifest] == [False, True]
         assert cold.cycles == warm.cycles
         assert cold.counters == warm.counters
         assert warm.cores == 2
+
+    def test_key_is_the_private_system_config_key(self, tmp_path):
+        # An N-up cell is cached under its private-memory SystemConfig.
+        runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
+        record = runner.run_system("gap", baseline_sfc_mdt_config(), 2)
+        assert record.key == cache_key("gap", SCALE, self.make_config())
 
     def test_system_key_distinct_from_core_key(self):
         core = baseline_sfc_mdt_config()
@@ -593,21 +599,3 @@ class TestRunSystem:
                                                          memory_mode=m))
                 for n in (1, 2) for m in ("shared", "private")}
         assert len(keys) == 4
-
-    def test_litmus_cell_via_engine(self, tmp_path):
-        from repro.pipeline import SystemConfig
-        runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
-        config = SystemConfig(core=baseline_sfc_mdt_config(), cores=2,
-                              memory_mode="shared")
-        record = runner.run_system("litmus-mp", config)
-        assert record.benchmark == "litmus-mp"
-        assert record.cores == 2
-
-    def test_litmus_config_mismatch_rejected(self, tmp_path):
-        runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
-        with pytest.raises(ValueError, match="needs exactly 2"):
-            runner.run_system("litmus-mp", self.make_config(
-                cores=3, memory_mode="shared"))
-        with pytest.raises(ValueError, match="shared"):
-            runner.run_system("litmus-mp", self.make_config(
-                cores=2, memory_mode="private"))

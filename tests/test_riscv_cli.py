@@ -4,6 +4,7 @@ subcommand."""
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -77,6 +78,17 @@ class TestRunRiscv:
         bad.write_text("zzzz\n")
         assert main(["run", "--riscv", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_halting_image_exits_with_message(self, tmp_path, capsys,
+                                                  monkeypatch):
+        loop = tmp_path / "loop.hex"
+        loop.write_text("0000006f\n")  # jal x0, 0
+        monkeypatch.setattr(api, "simulate_riscv", functools.partial(
+            api.simulate_riscv, max_instructions=1_000))
+        assert main(["run", "--riscv", str(loop)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "did not halt within 1000" in err
 
     def test_riscv_excludes_multicore_and_sampling(self, capsys):
         assert main(["run", "--riscv", str(HAZARD_HEX),

@@ -118,17 +118,6 @@ class TestCounterNamespacing:
             counters["core1_retired_instructions"]
         assert result.instructions == counters["retired_instructions"]
 
-    def test_to_dict_roundtrips_through_json(self):
-        import json
-
-        program = assemble(counted_loop_program)
-        config = SystemConfig(core=_baseline(), cores=2)
-        result = System([program], config).run()
-        payload = json.loads(json.dumps(result.to_dict()))
-        assert payload["cores"] == 2
-        assert payload["cycles"] == result.cycles
-        assert payload["config"]["core"]["name"] == _baseline().name
-
 
 def _baseline():
     from repro.harness import baseline_sfc_mdt_config
