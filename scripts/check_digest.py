@@ -20,7 +20,12 @@ against committed references:
   train thinning is covered too;
 * ``digest_multicore.txt``: one digest over every benchmark run 2-up
   (one replica per core, private memories, shared L2) on the baseline
-  SFC/MDT and the aggressive LSQ core.
+  SFC/MDT and the aggressive LSQ core;
+* ``digest_trains.txt``: one digest over every checkpoint of the
+  Figure-5 benchmarks' trains at scale 200 000 and the sampled pin's
+  stride -- registers, PC, memory pages and the warm state each capsule
+  restores into a fresh predictor and hierarchy, so the digest does not
+  depend on how capsules are encoded.
 
 Also proves that an attached pipetrace sampler (ring buffer + epoch
 snapshots) leaves a run's cycles and counters bit-identical.
@@ -43,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro import Processor, api  # noqa: E402
+from repro.branch.gshare import GsharePredictor  # noqa: E402
+from repro.checkpoint import capture_train  # noqa: E402
 from repro.core import (  # noqa: E402
     CORRUPTION_ENDPOINTS,
     NOT_ENF,
@@ -56,6 +63,7 @@ from repro.harness.configs import (  # noqa: E402
     baseline_sfc_mdt_config,
 )
 from repro.harness.experiment import ExperimentRunner  # noqa: E402
+from repro.memory.cache import paper_hierarchy  # noqa: E402
 from repro.perf import manifest_digest  # noqa: E402
 from repro.pipeline.pipetrace import PipeTracer  # noqa: E402
 from repro.workloads import ALL_BENCHMARKS, suites  # noqa: E402
@@ -65,8 +73,11 @@ REFERENCE = RESULTS / "digest_fig56.txt"
 VARIANTS_REFERENCE = RESULTS / "digest_variants.txt"
 SAMPLED_REFERENCE = RESULTS / "digest_sampled.txt"
 MULTICORE_REFERENCE = RESULTS / "digest_multicore.txt"
+TRAINS_REFERENCE = RESULTS / "digest_trains.txt"
 SCALE = 1_000
 SAMPLED_SCALE = 200_000
+#: The sampled pin's stride: one 300 + 1 000-instruction window.
+SAMPLED_STRIDE = 1_300
 
 
 def grid_digest(configs) -> str:
@@ -105,6 +116,30 @@ def sampled_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def train_digest() -> str:
+    """SHA-256 over every checkpoint of the Figure-5 trains, warm state
+    read back through a fresh predictor and hierarchy."""
+    digest = hashlib.sha256()
+    for benchmark in suites.FIGURE5_BENCHMARKS:
+        train = capture_train(suites.build(benchmark, SAMPLED_SCALE),
+                              SAMPLED_STRIDE)
+        rows = []
+        for ckpt in train["checkpoints"]:
+            bpred = GsharePredictor()
+            bpred.import_state(ckpt.warm["bpred"])
+            hierarchy = paper_hierarchy()
+            hierarchy.import_state(ckpt.warm["caches"])
+            rows.append([ckpt.retired, ckpt.pc, ckpt.regs, ckpt.halted,
+                         sorted((index, page.hex())
+                                for index, page in ckpt.pages.items()),
+                         bpred._counters, bpred._history,
+                         sorted(bpred._indirect_targets.items()),
+                         hierarchy.export_state()])
+        digest.update(json.dumps(
+            [benchmark, train["total_instructions"], rows]).encode())
+    return digest.hexdigest()
+
+
 def multicore_digest() -> str:
     """Manifest digest over every benchmark replicated on two cores."""
     runner = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
@@ -124,6 +159,7 @@ def pinned_lines() -> Dict[Path, List[str]]:
                              for config in variant_configs()],
         SAMPLED_REFERENCE: [sampled_digest()],
         MULTICORE_REFERENCE: [multicore_digest()],
+        TRAINS_REFERENCE: [train_digest()],
     }
 
 

@@ -80,14 +80,15 @@ class GsharePredictor:
 
     def export_state(self) -> Dict:
         """Snapshot the *trained* state (counter table, global history,
-        indirect-target cache) for a checkpoint warm capsule.
+        indirect-target cache) for a checkpoint warm capsule.  The
+        counters travel as one hex string, a byte per counter.
 
         Prediction statistics and the oracle RNG are deliberately
         excluded: a restored predictor starts counting from zero so a
         sampled interval reports only its own predictions.
         """
         return {
-            "counters": list(self._counters),
+            "counters": bytes(self._counters).hex(),
             "history": self._history,
             "indirect": {str(pc): target for pc, target
                          in self._indirect_targets.items()},
@@ -95,7 +96,7 @@ class GsharePredictor:
 
     def import_state(self, state: Dict) -> None:
         """Restore trained state from :meth:`export_state` output."""
-        counters = list(state["counters"])
+        counters = bytes.fromhex(state["counters"])
         if len(counters) != len(self._counters):
             raise ValueError(
                 f"warm capsule has {len(counters)} counters; this "

@@ -14,6 +14,8 @@ import hashlib
 import json
 from typing import Dict, Optional
 
+from ..branch.gshare import GsharePredictor
+from ..memory.cache import paper_hierarchy
 from .arch import ArchCheckpoint
 
 
@@ -31,13 +33,20 @@ def train_key(program_digest: str, every: int, warm: bool) -> str:
 
 
 def _decode(payload: Optional[dict]) -> Optional[dict]:
-    """The train in a cache entry; None for no entry or a bad one."""
+    """The train in a cache entry; None for no entry or a bad one,
+    including one whose warm capsules do not import into the predictor
+    and hierarchy every capture and window uses."""
     if payload is None:
         return None
     try:
         train = {"checkpoints": [ArchCheckpoint.from_dict(entry)
                                  for entry in payload["checkpoints"]],
                  "total_instructions": int(payload["total_instructions"])}
+        bpred, hierarchy = GsharePredictor(), paper_hierarchy()
+        for checkpoint in train["checkpoints"]:
+            if checkpoint.warm is not None:
+                bpred.import_state(checkpoint.warm["bpred"])
+                hierarchy.import_state(checkpoint.warm["caches"])
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
     return train if train["checkpoints"] else None

@@ -96,7 +96,7 @@ TRACE_LIMIT = 5_000_000
 #: Bump whenever the simulator's observable behaviour or the layout of
 #: a cached payload -- a cell result or a checkpoint train -- changes;
 #: every existing cache entry, of either kind, is invalidated.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"

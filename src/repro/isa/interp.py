@@ -344,17 +344,26 @@ class Interpreter:
         (same registers, memory, PC, retire count afterwards), but
         dispatches from the predecoded dense arrays
         (:mod:`repro.isa.predecode`) and executes straight-line basic
-        blocks as compiled "superinstruction" functions, which is what
-        makes checkpoint-based sampling faster than full detailed
-        simulation.
+        blocks, with the conditional branch that ends them, as compiled
+        "superinstruction" functions, which is what makes
+        checkpoint-based sampling faster than full detailed simulation.
 
         ``bpred``/``hierarchy`` optionally train warm state along the
-        way: every conditional branch predicts + updates ``bpred`` (a
-        :class:`~repro.branch.gshare.GsharePredictor`, trained without
-        the oracle so no RNG state is consumed) and every fetch/access
-        touches ``hierarchy`` (a
-        :class:`~repro.memory.cache.CacheHierarchy`), filling tag arrays
-        the way a warm pipeline would have.
+        way: every conditional branch trains ``bpred`` (a
+        :class:`~repro.branch.gshare.GsharePredictor`; its counters and
+        global history are updated inline, without the oracle, so no RNG
+        state is consumed) and every fetch/access touches ``hierarchy``
+        (a :class:`~repro.memory.cache.CacheHierarchy`), filling tag
+        arrays the way a warm pipeline would have.  A compiled block
+        tests inline whether a touch's line is already MRU in its L1 and
+        then skips the call: it would change no tag state.
+
+        The warm state this leaves -- every ``export_state()`` capsule
+        -- is bit-identical to :meth:`fast_forward_reference`'s.  The
+        statistics of ``bpred`` and ``hierarchy`` are not: skipped
+        touches are not counted in ``Cache.accesses``, and inline
+        training counts no ``GsharePredictor`` predictions or
+        mispredictions.
 
         Returns the number of instructions actually executed (less than
         ``count`` only if the program halts first).
@@ -377,114 +386,148 @@ class Interpreter:
         n = pd.length
         pad_end = n + WRONG_PATH_PAD
         warm = hierarchy is not None
-        il = hierarchy.inst_latency if warm else None
-        dl = hierarchy.data_latency if warm else None
         if warm:
-            get_block = pd.warm_block_getter(hierarchy.l1i._line_shift)
+            il = hierarchy.inst_latency
+            dl = hierarchy.data_latency
+            l1i = hierarchy.l1i
+            l1d = hierarchy.l1d
+            isets = l1i._sets
+            dsets = l1d._sets
+            geometry = (l1i._line_shift, l1i._set_mask,
+                        l1d._line_shift, l1d._set_mask)
         else:
-            get_block = pd.cold_block
+            il = dl = isets = dsets = geometry = None
+        blocks = pd.blocks(geometry)
+        counters = None
+        if bpred is not None:
+            counters = bpred._counters
+            table_mask = bpred._mask
+            history_mask = bpred._history_mask
+            history = bpred._history
         pc = self.pc
-        executed = 0
+        left = count
         halted = False
-        while executed < count:
-            index = pc >> 2
-            if pc & 3 or not 0 <= index < n:
-                # Pad semantics, identical to Program.fetch.
-                if warm:
-                    il(pc)
-                if pc & 3 or n <= index < pad_end:
-                    pc += INSTRUCTION_BYTES  # implicit nop
-                    executed += 1
-                    continue
-                halted = True  # implicit halt; pc does not advance
-                executed += 1
-                break
-            run = run_len[index]
-            if run:
-                # Straight-line body: compiled superinstruction when the
-                # budget allows a whole block, else the scalar tail below.
-                steps = count - executed
-                if run <= steps:
-                    blk = get_block(index)
-                    if blk is not None:
-                        fn, blen = blk
-                        fn(regs, rdint, wrint, execute_op, il, dl)
-                        executed += blen
+        try:
+            while left > 0:
+                index = pc >> 2
+                if pc & 3 or not 0 <= index < n:
+                    # Pad semantics, identical to Program.fetch.
+                    if warm:
+                        il(pc)
+                    left -= 1
+                    if pc & 3 or n <= index < pad_end:
+                        pc += INSTRUCTION_BYTES  # implicit nop
+                        continue
+                    halted = True  # implicit halt; pc does not advance
+                    break
+                blk = blocks.get(index)
+                if blk is None and run_len[index]:
+                    blk = pd.compile_block(index, geometry)
+                if blk is not None and blk[1] <= left:
+                    # A compiled block that fits the budget; one that
+                    # ends at a conditional branch returns its outcome.
+                    fn, blen = blk
+                    taken = fn(regs, rdint, wrint, execute_op, il, dl,
+                               isets, dsets)
+                    left -= blen
+                    if taken is None:
                         pc += blen << 2
                         continue
-                    steps = run
+                    index += blen - 1
+                elif run_len[index]:
+                    # Straight-line instructions the budget (or the
+                    # compiled-block cap) leaves to the scalar tail.
+                    steps = min(run_len[index], left)
+                    for i in range(index, index + steps):
+                        k = kind[i]
+                        if warm:
+                            il(i << 2)
+                        if k == K_ALU:
+                            rd = p_rd[i]
+                            if rd:
+                                regs[rd] = execute_op(
+                                    p_op[i], regs[p_rs1[i]],
+                                    regs[p_rs2[i]], p_imm[i])
+                            else:
+                                execute_op(p_op[i], regs[p_rs1[i]],
+                                           regs[p_rs2[i]], p_imm[i])
+                        elif k == K_LOAD:
+                            addr = (regs[p_rs1[i]] + p_imm[i]) & MASK64
+                            if warm:
+                                dl(addr)
+                            value = load_value(memory, p_op[i], addr)
+                            rd = p_rd[i]
+                            if rd:
+                                regs[rd] = value
+                        elif k == K_STORE:
+                            addr = (regs[p_rs1[i]] + p_imm[i]) & MASK64
+                            size = p_size[i]
+                            if warm:
+                                dl(addr)
+                            wrint(addr, size,
+                                  regs[p_rs2[i]] & ((1 << (8 * size)) - 1))
+                        # K_NOP: nothing to do
+                    left -= steps
+                    pc += steps << 2
+                    continue
                 else:
-                    steps = min(steps, run)
-                for i in range(index, index + steps):
-                    k = kind[i]
+                    # Block terminator: one control (or halt) instruction.
                     if warm:
-                        il(i << 2)
-                    if k == K_ALU:
-                        rd = p_rd[i]
+                        il(pc)
+                    left -= 1
+                    k = kind[index]
+                    if k == K_BRANCH:
+                        taken = branch_taken(p_op[index], regs[p_rs1[index]],
+                                             regs[p_rs2[index]])
+                    elif k == K_J:
+                        pc = p_imm[index]
+                        continue
+                    elif k == K_JAL:
+                        rd = p_rd[index]
                         if rd:
-                            regs[rd] = execute_op(
-                                p_op[i], regs[p_rs1[i]], regs[p_rs2[i]],
-                                p_imm[i])
-                        else:
-                            execute_op(p_op[i], regs[p_rs1[i]],
-                                       regs[p_rs2[i]], p_imm[i])
-                    elif k == K_LOAD:
-                        addr = (regs[p_rs1[i]] + p_imm[i]) & MASK64
-                        if warm:
-                            dl(addr)
-                        value = load_value(memory, p_op[i], addr)
-                        rd = p_rd[i]
+                            regs[rd] = (pc + INSTRUCTION_BYTES) & MASK64
+                        pc = p_imm[index]
+                        continue
+                    elif k == K_JR:
+                        target = regs[p_rs1[index]]
+                        if bpred is not None:
+                            bpred.update_indirect(pc, target)
+                        pc = target
+                        continue
+                    elif k == K_JALR:
+                        target = (regs[p_rs1[index]] + p_imm[index]) \
+                            & MASK64 & ~1
+                        if bpred is not None:
+                            bpred.update_indirect(pc, target)
+                        rd = p_rd[index]
                         if rd:
-                            regs[rd] = value
-                    elif k == K_STORE:
-                        addr = (regs[p_rs1[i]] + p_imm[i]) & MASK64
-                        size = p_size[i]
-                        if warm:
-                            dl(addr)
-                        wrint(addr, size,
-                              regs[p_rs2[i]] & ((1 << (8 * size)) - 1))
-                    # K_NOP: nothing to do
-                executed += steps
-                pc += steps << 2
-                continue
-            # Block terminator: a single control (or halt) instruction.
-            if warm:
-                il(pc)
-            k = kind[index]
-            if k == K_BRANCH:
-                taken = branch_taken(p_op[index], regs[p_rs1[index]],
-                                     regs[p_rs2[index]])
-                if bpred is not None:
-                    bpred.update(pc, taken, bpred.predict(pc))
-                pc = p_imm[index] if taken else pc + INSTRUCTION_BYTES
-            elif k == K_J:
-                pc = p_imm[index]
-            elif k == K_JAL:
-                rd = p_rd[index]
-                if rd:
-                    regs[rd] = (pc + INSTRUCTION_BYTES) & MASK64
-                pc = p_imm[index]
-            elif k == K_JR:
-                target = regs[p_rs1[index]]
-                if bpred is not None:
-                    bpred.update_indirect(pc, target)
-                pc = target
-            elif k == K_JALR:
-                target = (regs[p_rs1[index]] + p_imm[index]) & MASK64 & ~1
-                if bpred is not None:
-                    bpred.update_indirect(pc, target)
-                rd = p_rd[index]
-                if rd:
-                    regs[rd] = (pc + INSTRUCTION_BYTES) & MASK64
-                pc = target
-            else:  # K_HALT
-                halted = True
-                executed += 1
-                break
-            executed += 1
+                            regs[rd] = (pc + INSTRUCTION_BYTES) & MASK64
+                        pc = target
+                        continue
+                    else:  # K_HALT
+                        halted = True
+                        break
+                # The conditional branch at ``index`` resolved ``taken``:
+                # train gshare as ``update(pc, taken, predict(pc))`` does.
+                if counters is not None:
+                    slot = (index ^ history) & table_mask
+                    counter = counters[slot]
+                    if taken:
+                        if counter < 3:
+                            counters[slot] = counter + 1
+                        history = ((history << 1) | 1) & history_mask
+                    else:
+                        if counter:
+                            counters[slot] = counter - 1
+                        history = (history << 1) & history_mask
+                pc = p_imm[index] if taken else (index + 1) << 2
+        finally:
+            if counters is not None:
+                bpred._history = history
         self.pc = pc
         if halted:
             self.halted = True
+        executed = count - left
         self.instructions_retired += executed
         return executed
 

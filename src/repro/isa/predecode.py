@@ -6,9 +6,11 @@ dispatch *kind* (ALU / load / store / branch / jump flavour / halt / nop),
 the memory access size, and the straight-line run length starting at each
 instruction.  The fast-forward engine dispatches from these arrays instead
 of fetching :class:`~repro.isa.instructions.Instruction` objects, and
-compiles each basic block's straight-line body into a single Python
-function (a "superinstruction") so hot loops execute without
-per-instruction dispatch overhead.
+compiles each basic block's straight-line body, with the conditional
+branch that ends it, into a single Python function (a
+"superinstruction") so hot loops execute without per-instruction
+dispatch overhead.  Blocks live in one table per warm cache geometry,
+plus the cold table.
 
 Predecoded images are cached globally, keyed by the program's content
 digest, so the fast-forward engine, the architectural oracle
@@ -30,9 +32,16 @@ instructions through :meth:`Interpreter.step`:
   I-cache line crossings.  Within a straight-line run every skipped touch
   hits the line touched by the immediately preceding instruction, which is
   MRU by construction (data accesses never touch the L1I), so the skipped
-  touches are tag-state no-ops: the resulting warm capsule
-  (``CacheHierarchy.export_state`` -- tag arrays only, no hit/miss stats)
-  is bit-identical to per-instruction touching.
+  touches are tag-state no-ops;
+* every emitted touch, instruction or data, first tests inline whether
+  its line is already the MRU way of its L1 set, and calls the hierarchy
+  only when it is not.  An MRU hit reorders nothing and reaches no other
+  level, so the resulting warm capsule (``CacheHierarchy.export_state``
+  -- tag arrays only, no hit/miss stats) is bit-identical to
+  per-instruction touching;
+* a folded branch evaluates ``branch_taken``'s comparison inline and
+  returns the outcome; the dispatcher trains the predictor and picks the
+  next PC.
 """
 
 from __future__ import annotations
@@ -72,11 +81,17 @@ _SIGNED_LOADS = {
 #: Longest straight-line run compiled into a single block; longer runs are
 #: chained block-to-block by the dispatcher.
 MAX_BLOCK_INSTRUCTIONS = 256
-#: Per-variant cap on compiled entry points -- a backstop against
+#: Per-table cap on compiled entry points -- a backstop against
 #: pathological programs where every branch lands on a fresh offset.
 MAX_COMPILED_BLOCKS = 2048
 
 _M = "0xffffffffffffffff"
+
+#: A warm block table's cache geometry: (L1I line shift, L1I set mask,
+#: L1D line shift, L1D set mask).
+Geometry = Tuple[int, int, int, int]
+#: A compiled block: its function and how many instructions it retires.
+Block = Tuple[Callable, int]
 
 
 def _kind_of(op: int) -> int:
@@ -104,6 +119,17 @@ def _kind_of(op: int) -> int:
 def _signed(expr: str) -> str:
     """Expression computing ``to_signed`` of a 64-bit unsigned expression."""
     return f"({expr} - (({expr} >> 63) << 64))"
+
+
+#: ``branch_taken``'s comparisons, inline, by conditional-branch opcode.
+_BRANCH_CONDITIONS = {
+    ops.BEQ: "{a} == {b}",
+    ops.BNE: "{a} != {b}",
+    ops.BLT: _signed("{a}") + " < " + _signed("{b}"),
+    ops.BGE: _signed("{a}") + " >= " + _signed("{b}"),
+    ops.BLTU: "{a} < {b}",
+    ops.BGEU: "{a} >= {b}",
+}
 
 
 def _alu_expr(op: int, a: str, b: str, imm: int) -> Optional[str]:
@@ -186,11 +212,10 @@ def _w_alu_stmts(op: int, target: str, a: str, b: str,
 
 
 class PredecodedProgram:
-    """Dense-array form of a program plus its compiled block cache."""
+    """Dense-array form of a program plus its compiled block tables."""
 
     __slots__ = ("digest", "name", "length", "op", "rd", "rs1", "rs2",
-                 "imm", "kind", "size", "run_len",
-                 "_cold_blocks", "_warm_blocks")
+                 "imm", "kind", "size", "run_len", "_blocks")
 
     def __init__(self, instructions: List[Instruction], digest: str,
                  name: str = "program"):
@@ -213,10 +238,9 @@ class PredecodedProgram:
             if self.kind[i] in straight:
                 run_len[i] = (run_len[i + 1] + 1) if i + 1 < n else 1
         self.run_len = run_len
-        # entry index -> (fn, block length); warm variants keyed per
-        # I-cache line shift so touch emission matches the hierarchy.
-        self._cold_blocks: Dict[int, Tuple[Callable, int]] = {}
-        self._warm_blocks: Dict[Tuple[int, int], Tuple[Callable, int]] = {}
+        # geometry -> {entry index -> (fn, block length)}: one table for
+        # cold blocks (None) and one per warm cache geometry.
+        self._blocks: Dict[Optional[Geometry], Dict[int, Block]] = {}
 
     # -- round-trip ---------------------------------------------------------
 
@@ -227,49 +251,59 @@ class PredecodedProgram:
 
     # -- block compilation --------------------------------------------------
 
-    def cold_block(self, index: int) -> Optional[Tuple[Callable, int]]:
-        """Compiled block starting at ``index`` without cache training."""
-        blk = self._cold_blocks.get(index)
-        if blk is None:
-            if len(self._cold_blocks) >= MAX_COMPILED_BLOCKS:
-                return None
-            blk = self._cold_blocks[index] = self._compile(index, None)
+    def blocks(self, geometry: Optional[Geometry]) -> Dict[int, Block]:
+        """The table of blocks compiled for ``geometry``: ``None`` for
+        cold blocks, else the warm hierarchy's ``(L1I line shift, L1I
+        set mask, L1D line shift, L1D set mask)``.  The dispatcher reads
+        it directly and calls :meth:`compile_block` on a miss."""
+        table = self._blocks.get(geometry)
+        if table is None:
+            table = self._blocks[geometry] = {}
+        return table
+
+    def compile_block(self, index: int, geometry: Optional[Geometry]
+                      ) -> Optional[Block]:
+        """Compile the block at ``index`` into ``geometry``'s table; None
+        once that table holds :data:`MAX_COMPILED_BLOCKS`."""
+        table = self.blocks(geometry)
+        if len(table) >= MAX_COMPILED_BLOCKS:
+            return None
+        blk = table[index] = self._compile(index, geometry)
         return blk
 
-    def warm_block_getter(self, line_shift: int) -> Callable:
-        """Block lookup bound to one I-cache line geometry."""
-        warm_blocks = self._warm_blocks
-
-        def get(index: int) -> Optional[Tuple[Callable, int]]:
-            key = (line_shift, index)
-            blk = warm_blocks.get(key)
-            if blk is None:
-                if len(warm_blocks) >= MAX_COMPILED_BLOCKS:
-                    return None
-                blk = warm_blocks[key] = self._compile(index, line_shift)
-            return blk
-
-        return get
-
-    def _compile(self, start: int, line_shift: Optional[int]
-                 ) -> Tuple[Callable, int]:
+    def _compile(self, start: int, geometry: Optional[Geometry]) -> Block:
         """Compile the straight-line run at ``start`` into one function.
 
         The function body is pure array-free Python over the register
         file and bound memory accessors; signature
-        ``_blk(regs, rdint, wrint, xop, il, dl)`` where ``il``/``dl`` are
-        the hierarchy's inst/data latency hooks (unused when cold).
+        ``_blk(regs, rdint, wrint, xop, il, dl, isets, dsets)`` where
+        ``il``/``dl`` are the hierarchy's inst/data latency hooks and
+        ``isets``/``dsets`` its L1I/L1D set lists (unused when cold).
+        When the run ends at a conditional branch that the block cap did
+        not cut off, the block also evaluates that branch and returns
+        whether it is taken (its length then counts the branch);
+        otherwise it returns None.
         """
-        blen = min(self.run_len[start], MAX_BLOCK_INSTRUCTIONS)
-        warm = line_shift is not None
+        run = self.run_len[start]
+        end = start + min(run, MAX_BLOCK_INSTRUCTIONS)
+        if end == start + run and end < self.length \
+                and self.op[end] in _BRANCH_CONDITIONS:
+            end += 1  # fold the terminating branch into the block
+        warm = geometry is not None
+        if warm:
+            ishift, imask, dshift, dmask = geometry
         body: List[str] = []
         emit = body.append
         prev_line = None
-        for i in range(start, start + blen):
+        for i in range(start, end):
             if warm:
-                line = (i << 2) >> line_shift
+                # An instruction touch that finds its line MRU changes
+                # no tag state: only the first instruction of each line
+                # is tested, and the hierarchy is called on a miss.
+                line = (i << 2) >> ishift
                 if line != prev_line:
-                    emit(f"il({i << 2})")
+                    emit(f"_w = isets[{line & imask}]")
+                    emit(f"if not _w or _w[-1] != {line}: il({i << 2})")
                     prev_line = line
             k = self.kind[i]
             if k == K_NOP:
@@ -281,6 +315,9 @@ class PredecodedProgram:
             imm = self.imm[i]
             a = f"regs[{rs1}]"
             b = f"regs[{rs2}]"
+            if k == K_BRANCH:
+                emit("return " + _BRANCH_CONDITIONS[op].format(a=a, b=b))
+                continue
             if k == K_ALU:
                 target = f"regs[{rd}]"
                 if rd == 0:
@@ -303,7 +340,10 @@ class PredecodedProgram:
             addr = f"({a} + {imm}) & {_M}" if imm else a
             emit(f"_a = {addr}")
             if warm:
-                emit("dl(_a)")
+                # Same MRU test as an instruction touch, on the L1D.
+                emit(f"_l = _a >> {dshift}")
+                emit(f"_w = dsets[_l & {dmask}]")
+                emit("if not _w or _w[-1] != _l: dl(_a)")
             if k == K_LOAD:
                 signed = _SIGNED_LOADS.get(op)
                 if signed is not None:
@@ -322,12 +362,12 @@ class PredecodedProgram:
                 emit(f"wrint(_a, {size}, {b} & {mask})")
         if not body:
             body.append("pass")
-        src = ("def _blk(regs, rdint, wrint, xop, il, dl):\n    "
-               + "\n    ".join(body) + "\n")
+        src = ("def _blk(regs, rdint, wrint, xop, il, dl, isets, dsets):"
+               "\n    " + "\n    ".join(body) + "\n")
         namespace: Dict[str, Callable] = {}
         exec(compile(src, f"<predecode:{self.name}:{start}>", "exec"),
              {"__builtins__": {}}, namespace)
-        return namespace["_blk"], blen
+        return namespace["_blk"], end - start
 
 
 # -- digest-keyed global cache ----------------------------------------------

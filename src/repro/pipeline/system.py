@@ -108,7 +108,6 @@ class System:
             raise ValueError(
                 f"got {len(traces)} trace(s) for {config.cores} core(s)")
         self.config = config
-        self.programs = programs
         shared = config.shared_memory
         #: The shared architectural image (the coherence point); None
         #: in private mode.

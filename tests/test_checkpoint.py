@@ -275,8 +275,16 @@ class TestTrainAndStore:
         cache.path("bad").write_text("{not json")
         cache.store("partial", {"total_instructions": 5})
         cache.store("empty", {"total_instructions": 0, "checkpoints": []})
+        # Well-formed but for one warm capsule, whose gshare counters
+        # are hex of the wrong length: it would fail every window.
+        train = capture_train(suites.build("gzip", 2_000), 700, True)
+        entries = [checkpoint.to_dict() for checkpoint in train["checkpoints"]]
+        entries[-1]["warm"]["bpred"]["counters"] = "02" * 10
+        cache.store("bad-capsule", {
+            "total_instructions": train["total_instructions"],
+            "checkpoints": entries})
         store = CheckpointStore(cache)
-        for key in ("bad", "partial", "empty", "missing"):
+        for key in ("bad", "partial", "empty", "bad-capsule", "missing"):
             assert store.load(key) is None
 
 
@@ -368,6 +376,14 @@ class TestWarmCapsules:
         assert fresh._history == trained._history
         assert fresh.predict_indirect(64) == 1024
         assert fresh.predictions == 0  # stats start from zero
+
+    def test_gshare_import_rejects_non_hex_counters(self):
+        from repro.branch.gshare import GsharePredictor
+
+        state = GsharePredictor().export_state()
+        state["counters"] = "zz" * (len(state["counters"]) // 2)
+        with pytest.raises(ValueError):
+            GsharePredictor().import_state(state)
 
     def test_gshare_import_rejects_geometry_mismatch(self):
         from repro.branch.gshare import GsharePredictor

@@ -20,6 +20,7 @@ from repro.harness.experiment import (
     cache_key,
 )
 from repro.harness.figures import manifest_table
+from repro.perf import manifest_digest
 
 BENCHMARKS = ["gap", "crafty"]
 SCALE = 1200
@@ -297,6 +298,24 @@ class TestTrainEntries:
             len(runner.trace("gzip"))
         stored = json.loads(runner.cache.path(key).read_text())
         assert stored["format"] == CACHE_FORMAT
+
+    def test_train_with_bad_capsule_is_recaptured(self, tmp_path):
+        """A train whose warm capsules do not import is a miss: the next
+        run answers as a fresh run does and rewrites the entry."""
+        runner, train = self.sampled_train(tmp_path)
+        fresh = runner.manifest[-1]
+        stored = train.read_text()
+        corrupt = json.loads(stored)
+        for checkpoint in corrupt["checkpoints"]:
+            checkpoint["warm"]["bpred"]["counters"] = "02" * 10
+        train.write_text(json.dumps(corrupt))
+        runner.cache.path(fresh["key"]).unlink()
+        again, path = self.sampled_train(tmp_path)
+        entry = again.manifest[-1]
+        assert path == train and entry["cache_hit"] is False
+        assert manifest_digest([entry]) == manifest_digest([fresh])
+        assert entry["sampling"] == fresh["sampling"]
+        assert json.loads(train.read_text()) == json.loads(stored)
 
     def test_reopen_sweeps_hour_old_train_temp(self, tmp_path):
         _, train = self.sampled_train(tmp_path)

@@ -119,7 +119,7 @@ class TestPredecodeCache:
         # the program must still pickle.
         program = build("gzip", scale=2_000)
         Interpreter(program).fast_forward(1_000)
-        assert program.predecoded()._cold_blocks
+        assert program.predecoded().blocks(None)
         clone = pickle.loads(pickle.dumps(program))
         assert clone.digest() == program.digest()
 
@@ -290,24 +290,57 @@ class TestBlockDispatchEdges:
             (stepped.pc, stepped.regs, stepped.halted)
 
     def test_warm_capsule_identical_to_reference_on_kernels(self):
-        """On real kernels run to the halt, cold and warm, the engine
-        ends in the reference's full state; warm, its line-crossing-only
-        I-cache touches leave the same tag state as the reference's
+        """On real kernels run to the halt, cold, warm, and with only the
+        predictor or only the hierarchy (inline gshare training and
+        inline MRU tests are separate code), the engine ends in the
+        reference's full state; warm, its line-crossing-only I-cache
+        touches leave the same tag state as the reference's
         per-instruction touches."""
+        modes = ((False, False), (True, True), (True, False), (False, True))
         for name in ("gzip", "mcf", "equake"):
             program = build(name, scale=3_000)
-            for warm in (False, True):
+            for with_bpred, with_hierarchy in modes:
+                mode = (name, with_bpred, with_hierarchy)
                 engine = Interpreter(program)
-                e_bpred = GsharePredictor() if warm else None
-                e_hier = paper_hierarchy() if warm else None
+                e_bpred = GsharePredictor() if with_bpred else None
+                e_hier = paper_hierarchy() if with_hierarchy else None
                 engine.fast_forward(50_000, e_bpred, e_hier)
                 reference = Interpreter(program)
-                r_bpred = GsharePredictor() if warm else None
-                r_hier = paper_hierarchy() if warm else None
+                r_bpred = GsharePredictor() if with_bpred else None
+                r_hier = paper_hierarchy() if with_hierarchy else None
                 reference.fast_forward_reference(50_000, r_bpred, r_hier)
-                assert engine.halted, name
+                assert engine.halted, mode
                 assert _state(engine, e_bpred, e_hier) == \
-                    _state(reference, r_bpred, r_hier), (name, warm)
+                    _state(reference, r_bpred, r_hier), mode
+
+    def test_budget_cut_at_branch_terminator(self):
+        """A block that ends in a conditional branch runs only when its
+        run and the branch both fit the budget: a cut at any point of
+        the first two iterations of a counted loop, the branch included,
+        resumes to the reference's full state."""
+        a = Assembler()
+        a.li("r1", 0x3000)
+        a.li("r2", 5)
+        a.label("loop")
+        a.ld("r3", "r1")
+        a.addi("r3", "r3", 7)
+        a.sd("r3", "r1", 8)
+        a.addi("r1", "r1", 8)
+        a.addi("r2", "r2", -1)
+        a.bne("r2", "r0", "loop")
+        a.halt()
+        program = a.build()
+        for k in range(2 + 2 * 6 + 1):
+            engine = Interpreter(program)
+            e_bpred, e_hier = GsharePredictor(), paper_hierarchy()
+            assert engine.fast_forward(k, e_bpred, e_hier) == k
+            rest = engine.fast_forward(10_000, e_bpred, e_hier)
+            assert engine.halted
+            reference = Interpreter(program)
+            r_bpred, r_hier = GsharePredictor(), paper_hierarchy()
+            reference.fast_forward_reference(k + rest, r_bpred, r_hier)
+            assert _state(engine, e_bpred, e_hier) == \
+                _state(reference, r_bpred, r_hier), k
 
 
 class TestPredecodedProgramShape:
@@ -315,8 +348,10 @@ class TestPredecodedProgramShape:
         program = build("gzip", scale=2_000)
         pd = PredecodedProgram(program.instructions, program.digest())
         entry = next(i for i in range(pd.length) if pd.run_len[i])
-        blk1 = pd.cold_block(entry)
-        blk2 = pd.cold_block(entry)
-        assert blk1 is blk2 and blk1 is not None
-        fn, blen = blk1
-        assert 1 <= blen <= min(pd.run_len[entry], MAX_BLOCK_INSTRUCTIONS)
+        table = pd.blocks(None)
+        assert pd.blocks(None) is table and not table
+        blk = pd.compile_block(entry, None)
+        assert table == {entry: blk}
+        fn, blen = blk
+        # The run, plus the conditional branch that ends it, if any.
+        assert 1 <= blen <= min(pd.run_len[entry], MAX_BLOCK_INSTRUCTIONS) + 1
