@@ -23,9 +23,12 @@ against committed references:
   SFC/MDT and the aggressive LSQ core;
 * ``digest_trains.txt``: one digest over every checkpoint of the
   Figure-5 benchmarks' trains at scale 200 000 and the sampled pin's
-  stride -- registers, PC, memory pages and the warm state each capsule
+  stride, and one over the RV32 conformance programs' trains at stride
+  3 -- registers, PC, memory pages and the warm state each capsule
   restores into a fresh predictor and hierarchy, so the digest does not
-  depend on how capsules are encoded.
+  depend on how capsules are encoded.  The Figure-5 kernels execute no
+  JR or JALR; an RV32 program executes JALR, so the second line covers
+  the indirect targets fast-forward trains.
 
 Also proves that an attached pipetrace sampler (ring buffer + epoch
 snapshots) leaves a run's cycles and counters bit-identical.
@@ -78,6 +81,9 @@ SCALE = 1_000
 SAMPLED_SCALE = 200_000
 #: The sampled pin's stride: one 300 + 1 000-instruction window.
 SAMPLED_STRIDE = 1_300
+#: The RV32 trains' stride: the conformance programs are short (and
+#: their builds ignore the scale).
+RV32_STRIDE = 3
 
 
 def grid_digest(configs) -> str:
@@ -116,13 +122,12 @@ def sampled_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def train_digest() -> str:
-    """SHA-256 over every checkpoint of the Figure-5 trains, warm state
-    read back through a fresh predictor and hierarchy."""
+def train_digest(benchmarks, scale: int, stride: int) -> str:
+    """SHA-256 over every checkpoint of the benchmarks' trains, in order,
+    warm state read back through a fresh predictor and hierarchy."""
     digest = hashlib.sha256()
-    for benchmark in suites.FIGURE5_BENCHMARKS:
-        train = capture_train(suites.build(benchmark, SAMPLED_SCALE),
-                              SAMPLED_STRIDE)
+    for benchmark in benchmarks:
+        train = capture_train(suites.build(benchmark, scale), stride)
         rows = []
         for ckpt in train["checkpoints"]:
             bpred = GsharePredictor()
@@ -159,7 +164,11 @@ def pinned_lines() -> Dict[Path, List[str]]:
                              for config in variant_configs()],
         SAMPLED_REFERENCE: [sampled_digest()],
         MULTICORE_REFERENCE: [multicore_digest()],
-        TRAINS_REFERENCE: [train_digest()],
+        TRAINS_REFERENCE: [
+            train_digest(suites.FIGURE5_BENCHMARKS, SAMPLED_SCALE,
+                         SAMPLED_STRIDE),
+            train_digest(suites.suite("riscv-conformance"), 0, RV32_STRIDE),
+        ],
     }
 
 

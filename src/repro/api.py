@@ -131,15 +131,28 @@ def list_figures() -> List[str]:
     return sorted(FIGURES)
 
 
-def _runner(scale: int, runner: Optional[ExperimentRunner],
+def _runner(scale: Optional[int], runner: Optional[ExperimentRunner],
+            default_scale: int = DEFAULT_SCALE,
             **runner_kwargs) -> ExperimentRunner:
-    if runner is not None:
-        return runner
-    return ExperimentRunner(scale=scale, **runner_kwargs)
+    """``runner``, which then takes no engine kwargs and no other scale,
+    else a fresh engine at ``scale`` (``default_scale`` when None)."""
+    if runner is None:
+        return ExperimentRunner(
+            scale=default_scale if scale is None else scale,
+            **runner_kwargs)
+    if runner_kwargs:
+        raise ValueError(
+            f"runner= is given, so {', '.join(sorted(runner_kwargs))} "
+            f"cannot configure it; set them on the runner")
+    if scale is not None and scale != runner.scale:
+        raise ValueError(
+            f"scale={scale} does not match the runner's scale "
+            f"{runner.scale}")
+    return runner
 
 
 def simulate(benchmark: str, config: ConfigLike = "baseline-sfc-mdt",
-             scale: int = DEFAULT_SCALE,
+             scale: Optional[int] = None,
              runner: Optional[ExperimentRunner] = None,
              **runner_kwargs) -> RunRecord:
     """Simulate one benchmark under one configuration.
@@ -147,7 +160,11 @@ def simulate(benchmark: str, config: ConfigLike = "baseline-sfc-mdt",
     Returns the versioned :class:`RunRecord` of the cell (also appended
     to the runner's manifest).  ``runner_kwargs`` (``jobs``,
     ``cache_dir``, ``use_cache``) configure a fresh
-    :class:`ExperimentRunner` when none is supplied.
+    :class:`ExperimentRunner` at ``scale`` (``DEFAULT_SCALE`` when None)
+    when none is supplied.  A supplied ``runner`` brings its own scale
+    and settings: ``runner_kwargs``, or a ``scale`` other than the
+    runner's, raise ``ValueError``, here and in every call below that
+    takes a runner.
     """
     engine = _runner(scale, runner, **runner_kwargs)
     engine.run(benchmark, resolve_config(config))
@@ -156,7 +173,7 @@ def simulate(benchmark: str, config: ConfigLike = "baseline-sfc-mdt",
 
 def simulate_sampled(benchmark: str,
                      config: ConfigLike = "baseline-sfc-mdt",
-                     scale: int = DEFAULT_SCALE, intervals: int = 10,
+                     scale: Optional[int] = None, intervals: int = 10,
                      warmup_insts: int = 1_000,
                      interval_insts: int = 5_000,
                      runner: Optional[ExperimentRunner] = None,
@@ -182,7 +199,7 @@ def simulate_sampled(benchmark: str,
 def simulate_system(benchmark: str,
                     config: ConfigLike = "baseline-sfc-mdt",
                     cores: int = 2,
-                    scale: int = DEFAULT_SCALE,
+                    scale: Optional[int] = None,
                     runner: Optional[ExperimentRunner] = None,
                     **runner_kwargs) -> RunRecord:
     """Simulate a suite benchmark replicated N-up on ``cores`` cores;
@@ -219,7 +236,7 @@ def run_litmus(tests: Optional[Sequence[str]] = None,
 def compare(benchmark: str,
             configs: Sequence[ConfigLike] = ("baseline-lsq",
                                              "baseline-sfc-mdt"),
-            scale: int = DEFAULT_SCALE,
+            scale: Optional[int] = None,
             runner: Optional[ExperimentRunner] = None,
             **runner_kwargs) -> List[RunRecord]:
     """One benchmark under several configurations (grid-parallel and
@@ -239,7 +256,7 @@ def compare(benchmark: str,
 
 def run_suite(benchmarks: Optional[Sequence[str]] = None,
               configs: Optional[Sequence[ConfigLike]] = None,
-              scale: int = DEFAULT_SCALE,
+              scale: Optional[int] = None,
               jobs: Optional[int] = None,
               cell_timeout: Optional[float] = None,
               runner: Optional[ExperimentRunner] = None,
@@ -270,18 +287,19 @@ def run_suite(benchmarks: Optional[Sequence[str]] = None,
             for entry in engine.manifest[start:]]
 
 
-def run_figure(name: str, scale: int = 8_000,
+def run_figure(name: str, scale: Optional[int] = None,
                runner: Optional[ExperimentRunner] = None,
                **runner_kwargs) -> "figures.FigureResult":
-    """Regenerate one of the paper's figures/tables."""
+    """Regenerate one of the paper's figures/tables, at scale 8 000 when
+    neither ``scale`` nor ``runner`` sets one."""
     try:
         generator = FIGURES[name]
     except KeyError:
         raise KeyError(
             f"unknown figure {name!r}; available: "
             f"{', '.join(sorted(FIGURES))}") from None
-    return generator(scale=scale, runner=_runner(scale, runner,
-                                                 **runner_kwargs))
+    engine = _runner(scale, runner, 8_000, **runner_kwargs)
+    return generator(scale=engine.scale, runner=engine)
 
 
 def fuzz(iterations: Optional[int] = None,

@@ -95,12 +95,19 @@ class GsharePredictor:
         }
 
     def import_state(self, state: Dict) -> None:
-        """Restore trained state from :meth:`export_state` output."""
+        """Restore trained state from :meth:`export_state` output;
+        raises ``ValueError`` for counters this predictor cannot hold
+        (another count, or a value above 3)."""
         counters = bytes.fromhex(state["counters"])
         if len(counters) != len(self._counters):
             raise ValueError(
                 f"warm capsule has {len(counters)} counters; this "
                 f"predictor has {len(self._counters)}")
+        if max(counters) > 3:
+            slot = next(i for i, value in enumerate(counters) if value > 3)
+            raise ValueError(
+                f"warm capsule counter {slot} is {counters[slot]}; a "
+                f"2-bit counter is at most 3")
         self._counters[:] = counters
         self._history = state["history"] & self._history_mask
         self._indirect_targets = {int(pc): target for pc, target

@@ -62,9 +62,10 @@ class ArchCheckpoint:
 
         ``base_image`` is the pristine program image used to compute the
         memory page delta; build it once per program and reuse it across
-        captures.
+        captures.  The program digest is the one the interpreter's
+        predecode holds, so a train hashes its program once.
         """
-        return cls(program_digest=interp.program.digest(),
+        return cls(program_digest=interp._predecoded().digest,
                    retired=interp.instructions_retired,
                    pc=interp.pc,
                    regs=list(interp.regs),

@@ -72,6 +72,40 @@ class TestCompare:
         assert records[1].ok and records[1].cycles > 0
 
 
+class TestRunnerArgument:
+    """A supplied runner brings its own scale and engine settings."""
+
+    @staticmethod
+    def _runner():
+        from repro.harness.experiment import ExperimentRunner
+
+        return ExperimentRunner(scale=1200, **quiet_runner_kwargs())
+
+    def test_mismatched_scale_raises(self):
+        runner = self._runner()
+        calls = [lambda **kw: api.simulate("gap", "baseline-lsq", **kw),
+                 lambda **kw: api.simulate_sampled("gap", **kw),
+                 lambda **kw: api.simulate_system("gap", **kw),
+                 lambda **kw: api.compare("gap", **kw),
+                 lambda **kw: api.run_suite(["gap"], **kw),
+                 lambda **kw: api.run_figure("fig5", **kw)]
+        for call in calls:
+            with pytest.raises(ValueError, match="scale=1000"):
+                call(scale=1000, runner=runner)
+            with pytest.raises(ValueError, match="use_cache"):
+                call(runner=runner, use_cache=False)
+        assert runner.manifest == []
+
+    def test_runner_alone_sets_the_scale(self):
+        record = api.simulate("gap", "baseline-lsq", runner=self._runner())
+        assert record.scale == 1200
+
+    def test_matching_scale_runs(self):
+        record = api.simulate("gap", "baseline-lsq", scale=1200,
+                              runner=self._runner())
+        assert record.scale == 1200
+
+
 class TestRunFigure:
     def test_figure_smoke(self):
         figure = api.run_figure("window-scaling", scale=1200,

@@ -235,6 +235,21 @@ class TestTrainAndStore:
         assert positions == list(range(0, positions[-1] + 1, stride))
         assert 0 < total - positions[-1] <= stride
 
+    def test_capture_hashes_the_program_once(self, monkeypatch):
+        from repro.isa.program import Program
+
+        calls = []
+        digest = Program.digest
+
+        def counting(program):
+            calls.append(program.name)
+            return digest(program)
+
+        monkeypatch.setattr(Program, "digest", counting)
+        checkpoints, _ = _capture(suites.build("gzip", 2_000), 100, True)
+        assert len(checkpoints) >= 10
+        assert len(calls) <= 2
+
     def test_select_checkpoints_spacing(self):
         program = suites.build("gzip", 2_000)
         checkpoints, total = _capture(program, 200, False)
@@ -283,8 +298,14 @@ class TestTrainAndStore:
         cache.store("bad-capsule", {
             "total_instructions": train["total_instructions"],
             "checkpoints": entries})
+        # The right length, but 255-valued counters: they would predict.
+        entries[-1]["warm"]["bpred"]["counters"] = "ff" * 4096
+        cache.store("bad-counter", {
+            "total_instructions": train["total_instructions"],
+            "checkpoints": entries})
         store = CheckpointStore(cache)
-        for key in ("bad", "partial", "empty", "bad-capsule", "missing"):
+        for key in ("bad", "partial", "empty", "bad-capsule", "bad-counter",
+                    "missing"):
             assert store.load(key) is None
 
 
@@ -384,6 +405,16 @@ class TestWarmCapsules:
         state["counters"] = "zz" * (len(state["counters"]) // 2)
         with pytest.raises(ValueError):
             GsharePredictor().import_state(state)
+
+    def test_gshare_import_rejects_counter_above_3(self):
+        from repro.branch.gshare import GsharePredictor
+
+        state = GsharePredictor().export_state()
+        state["counters"] = "02" * 7 + "ff" + "02" * 4088
+        fresh = GsharePredictor()
+        with pytest.raises(ValueError, match="counter 7 is 255"):
+            fresh.import_state(state)
+        assert fresh._counters == [2] * 4096
 
     def test_gshare_import_rejects_geometry_mismatch(self):
         from repro.branch.gshare import GsharePredictor

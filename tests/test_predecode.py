@@ -12,18 +12,22 @@ The contracts:
   and bit-identical (registers, memory digest, retire count, warm
   bpred/cache capsules) to the per-instruction reference engine, with
   and without warm-state training, at every cut point -- including cuts
-  that land mid-block, past the halt, and in the wrong-path pad.
+  that land mid-block, past the halt, and in the wrong-path pad -- and
+  with a full block table;
+* the warm training both share trains the predictor and the cache as
+  the pipeline would.
 """
 
 from __future__ import annotations
 
 import pickle
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.branch.gshare import GsharePredictor
-from repro.isa import Assembler, Interpreter
+from repro.isa import Assembler, Interpreter, predecode
 from repro.isa import instructions as ops
 from repro.isa.instructions import Instruction
 from repro.isa.predecode import (
@@ -35,10 +39,15 @@ from repro.isa.program import WRONG_PATH_PAD, Program
 from repro.memory.cache import paper_hierarchy
 from repro.memory.main_memory import MainMemory
 from repro.workloads import random_program
+from repro.workloads.riscv_randprog import riscv_fuzz_program
 from repro.workloads.suites import ALL_BENCHMARKS, RISCV_BENCHMARKS, build
 
 _SLOW = settings(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
+
+#: Random programs of both frontends: native ones execute no jump, RV32
+#: ones execute JAL and JALR.
+_GENERATORS = st.sampled_from([random_program, riscv_fuzz_program])
 
 
 def _tuples(program):
@@ -135,11 +144,13 @@ class TestDifferential:
     """fast_forward == N x step == fast_forward_reference, bit-exact."""
 
     @_SLOW
-    @given(seed=st.integers(min_value=0, max_value=10_000),
+    @given(generate=_GENERATORS,
+           seed=st.integers(min_value=0, max_value=10_000),
            frac=st.floats(min_value=0.0, max_value=1.2),
            warm=st.booleans())
-    def test_engine_matches_reference_and_stepping(self, seed, frac, warm):
-        program = random_program(seed)
+    def test_engine_matches_reference_and_stepping(self, generate, seed,
+                                                   frac, warm):
+        program = generate(seed)
         total = len(Interpreter(program).run(500_000))
         k = int(frac * total)  # up to 20% past the halt
 
@@ -167,13 +178,14 @@ class TestDifferential:
         assert engine.memory.digest() == stepped.memory.digest()
 
     @_SLOW
-    @given(seed=st.integers(min_value=0, max_value=10_000),
+    @given(generate=_GENERATORS,
+           seed=st.integers(min_value=0, max_value=10_000),
            cuts=st.lists(st.integers(min_value=1, max_value=500),
                          min_size=1, max_size=4))
-    def test_resumable_in_arbitrary_chunks(self, seed, cuts):
+    def test_resumable_in_arbitrary_chunks(self, generate, seed, cuts):
         """Chunked fast-forwarding (the checkpoint capture pattern)
         equals one uninterrupted reference pass of the same length."""
-        program = random_program(seed)
+        program = generate(seed)
         engine = Interpreter(program)
         e_bpred, e_hier = GsharePredictor(), paper_hierarchy()
         for cut in cuts:
@@ -225,7 +237,7 @@ class TestR0LoadUnification:
         assert self._reads(lambda i: i.fast_forward(100)) == by_step
         assert self._reads(
             lambda i: i.fast_forward_reference(100)) == by_step
-        # mid-block budget cut: the scalar tail path reads too
+        # mid-block budget cut: the stepped path reads too
         assert self._reads(lambda i: (i.fast_forward(4),
                                       i.fast_forward(100))) == by_step
 
@@ -313,6 +325,28 @@ class TestBlockDispatchEdges:
                 assert _state(engine, e_bpred, e_hier) == \
                     _state(reference, r_bpred, r_hier), mode
 
+    def test_full_block_table_steps_every_run(self, monkeypatch):
+        """With no room in the block table, every run and conditional
+        branch is stepped (J and JAL stay inline): warm, the engine still
+        ends in the reference's full state and in N x step()'s."""
+        monkeypatch.setattr(predecode, "MAX_COMPILED_BLOCKS", 0)
+        monkeypatch.setattr(predecode, "_CACHE", {})
+        for name in ("gzip", "mcf"):
+            program = build(name, scale=2_000)
+            engine = Interpreter(program)
+            e_bpred, e_hier = GsharePredictor(), paper_hierarchy()
+            engine.fast_forward(10 ** 6, e_bpred, e_hier)
+            assert engine.halted, name
+            assert not any(program.predecoded()._blocks.values()), name
+            reference = Interpreter(program)
+            r_bpred, r_hier = GsharePredictor(), paper_hierarchy()
+            reference.fast_forward_reference(10 ** 6, r_bpred, r_hier)
+            assert _state(engine, e_bpred, e_hier) == \
+                _state(reference, r_bpred, r_hier), name
+            stepped = Interpreter(program)
+            stepped.run(10 ** 6)
+            assert _state(engine) == _state(stepped), name
+
     def test_budget_cut_at_branch_terminator(self):
         """A block that ends in a conditional branch runs only when its
         run and the branch both fit the budget: a cut at any point of
@@ -341,6 +375,75 @@ class TestBlockDispatchEdges:
             reference.fast_forward_reference(k + rest, r_bpred, r_hier)
             assert _state(engine, e_bpred, e_hier) == \
                 _state(reference, r_bpred, r_hier), k
+
+
+#: The reference, the engine, and the engine one instruction at a time:
+#: a budget of one fits no longer block, so the engine steps every run
+#: longer than one instruction and every conditional branch.
+_TRAINERS = {
+    "reference": lambda i, n, b, h: i.fast_forward_reference(n, b, h),
+    "engine": lambda i, n, b, h: i.fast_forward(n, b, h),
+    "engine-by-one": lambda i, n, b, h: [i.fast_forward(1, b, h)
+                                         for _ in range(n)],
+}
+
+
+def _trained(program, count, trainer):
+    """The interpreter, predictor and hierarchy ``trainer`` leaves after
+    ``count`` instructions of ``program``."""
+    interp = Interpreter(program)
+    bpred, hierarchy = GsharePredictor(), paper_hierarchy()
+    _TRAINERS[trainer](interp, count, bpred, hierarchy)
+    return interp, bpred, hierarchy
+
+
+@pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+class TestStepTraining:
+    """The warm training of every engine path, checked against the
+    predictor and the cache themselves."""
+
+    def test_indirect_jumps_train_their_targets(self, trainer):
+        a = Assembler()
+        a.li("r1", 16)
+        a.jalr("r2", "r1", 4)   # pc 4 -> 20
+        for _ in range(3):
+            a.halt()
+        a.li("r3", 32)          # pc 20
+        a.jr("r3")              # pc 24 -> 32
+        a.halt()
+        a.halt()
+        interp, bpred, _ = _trained(a.build(), 4, trainer)
+        assert interp.pc == 32
+        assert bpred.predict_indirect(4) == 20
+        assert bpred.predict_indirect(24) == 32
+
+    def test_branches_train_as_update_does(self, trainer):
+        a = Assembler()
+        a.li("r1", 1)
+        a.bne("r1", "r0", 12)   # pc 4, taken
+        a.halt()
+        a.beq("r1", "r0", 20)   # pc 12, not taken
+        a.halt()
+        interp, bpred, _ = _trained(a.build(), 3, trainer)
+        assert interp.pc == 16
+        expected = GsharePredictor()
+        for pc, taken in ((4, True), (12, False)):
+            expected.update(pc, taken, expected.predict(pc))
+        assert expected._counters != GsharePredictor()._counters
+        assert (bpred._counters, bpred._history) == \
+            (expected._counters, expected._history)
+
+    def test_load_line_is_mru_in_its_l1d_set(self, trainer):
+        a = Assembler()
+        a.li("r1", 0x2000)
+        a.ld("r1", "r1", 8)     # overwrites its own base register
+        a.addi("r3", "r3", 1)
+        a.halt()
+        _, _, hierarchy = _trained(a.build(), 3, trainer)
+        config = hierarchy.l1d.config
+        line = 0x2008 // config.line_bytes
+        sets = hierarchy.l1d.export_lines()
+        assert sets[line % config.num_sets][-1] == line
 
 
 class TestPredecodedProgramShape:
