@@ -5,14 +5,11 @@ every observed outcome against the operational-model oracle.
 Runs the classic trio (message passing, store buffering, load
 buffering) on a 2-core shared-memory system, prints what the machine
 actually produced next to what the model allows, then demonstrates the
-oracle catching a forbidden outcome (LB's causal cycle) and finishes
-with an ordinary benchmark run N-up over private memories and a shared
-L2.
+oracle catching a forbidden outcome (LB's causal cycle).
 
 Run:  python examples/multicore_litmus.py
 """
 
-from repro.api import simulate_system
 from repro.verify import LitmusOracle, run_litmus_suite
 from repro.workloads import LITMUS_TESTS
 
@@ -35,24 +32,9 @@ def forbidden_outcome_demo():
     print()
 
 
-def n_up_throughput():
-    print("=== 2-up benchmark over a shared L2 (private memories) ===\n")
-    record = simulate_system("gap", "baseline-sfc-mdt", cores=2,
-                             scale=2000, jobs=1, use_cache=False)
-    print(f"{record.benchmark} x{record.cores} on {record.config_name}: "
-          f"aggregate IPC {record.ipc:.3f}")
-    for core_id in range(record.cores):
-        cycles = record.metric(f"core{core_id}_cycles")
-        insts = record.metric(f"core{core_id}_retired_instructions")
-        print(f"  core{core_id}: {int(insts)} insts, {int(cycles)} "
-              f"cycles, IPC {insts / cycles:.3f}")
-    print(f"  shared L2 miss rate: {record.metric('l2_miss_rate'):.3f}")
-
-
 def main():
     litmus_campaign()
     forbidden_outcome_demo()
-    n_up_throughput()
 
 
 if __name__ == "__main__":

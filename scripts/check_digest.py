@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """Bit-exactness gate: the observability layer must not perturb results.
 
-Runs two sets of grids at a small scale, each benchmark under each
-configuration, and compares their manifest digests -- SHA-256s over
-every architected outcome (config, cycles, IPC, all counters) --
-against committed references:
+Computes SHA-256 digests over every architected outcome (config,
+cycles, IPC, all counters) of small grids, sampled answers, litmus runs
+and checkpoint trains, and compares them against committed references:
 
 * ``digest_fig56.txt``: one digest over the fig5 + fig6 grid (the four
   baseline and aggressive configurations);
@@ -18,9 +17,10 @@ against committed references:
   manifest digest plus every ``sampling`` block (interval table and
   CI).  Most of these checkpoint trains grow past 128 checkpoints, so
   train thinning is covered too;
-* ``digest_multicore.txt``: one digest over every benchmark run 2-up
-  (one replica per core, private memories, shared L2) on the baseline
-  SFC/MDT and the aggressive LSQ core;
+* ``digest_litmus.txt``: one digest over every litmus test on the
+  shared-memory machine, on each of the five core presets the nightly
+  litmus sweep runs -- the observed outcome, the system's cycles and
+  every per-core and shared-L2 counter;
 * ``digest_trains.txt``: one digest over every checkpoint of the
   Figure-5 benchmarks' trains at scale 200 000 and the sampled pin's
   stride, and one over the RV32 conformance programs' trains at stride
@@ -69,13 +69,14 @@ from repro.harness.experiment import ExperimentRunner  # noqa: E402
 from repro.memory.cache import paper_hierarchy  # noqa: E402
 from repro.perf import manifest_digest  # noqa: E402
 from repro.pipeline.pipetrace import PipeTracer  # noqa: E402
-from repro.workloads import ALL_BENCHMARKS, suites  # noqa: E402
+from repro.verify import run_litmus_test  # noqa: E402
+from repro.workloads import ALL_BENCHMARKS, LITMUS_TESTS, suites  # noqa: E402
 
 RESULTS = ROOT / "benchmarks" / "results"
 REFERENCE = RESULTS / "digest_fig56.txt"
 VARIANTS_REFERENCE = RESULTS / "digest_variants.txt"
 SAMPLED_REFERENCE = RESULTS / "digest_sampled.txt"
-MULTICORE_REFERENCE = RESULTS / "digest_multicore.txt"
+LITMUS_REFERENCE = RESULTS / "digest_litmus.txt"
 TRAINS_REFERENCE = RESULTS / "digest_trains.txt"
 SCALE = 1_000
 SAMPLED_SCALE = 200_000
@@ -145,13 +146,23 @@ def train_digest(benchmarks, scale: int, stride: int) -> str:
     return digest.hexdigest()
 
 
-def multicore_digest() -> str:
-    """Manifest digest over every benchmark replicated on two cores."""
-    runner = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
-    for core in (baseline_sfc_mdt_config(), aggressive_lsq_config()):
-        for benchmark in sorted(ALL_BENCHMARKS):
-            api.simulate_system(benchmark, core, cores=2, runner=runner)
-    return manifest_digest(runner.manifest)
+#: The core presets of the nightly litmus sweep.
+LITMUS_CORES = ("baseline-lsq", "baseline-sfc-mdt", "aggressive-lsq",
+                "aggressive-sfc-mdt", "aggressive-load-replay")
+
+
+def litmus_digest() -> str:
+    """SHA-256 over every litmus test's outcome, cycles and counters on
+    each of the sweep's cores."""
+    rows = []
+    for name in LITMUS_CORES:
+        for test in sorted(LITMUS_TESTS):
+            result = run_litmus_test(LITMUS_TESTS[test],
+                                     api.resolve_config(name))
+            rows.append([test, name, list(result.outcome),
+                         result.system_result.cycles,
+                         sorted(result.system_result.counters.items())])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def pinned_lines() -> Dict[Path, List[str]]:
@@ -163,7 +174,7 @@ def pinned_lines() -> Dict[Path, List[str]]:
         VARIANTS_REFERENCE: [f"{config.name} {grid_digest([config])}"
                              for config in variant_configs()],
         SAMPLED_REFERENCE: [sampled_digest()],
-        MULTICORE_REFERENCE: [multicore_digest()],
+        LITMUS_REFERENCE: [litmus_digest()],
         TRAINS_REFERENCE: [
             train_digest(suites.FIGURE5_BENCHMARKS, SAMPLED_SCALE,
                          SAMPLED_STRIDE),

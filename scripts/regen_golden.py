@@ -4,7 +4,9 @@
 Two goldens: the single-core v2 record (``runrecord.golden.json``) and
 the multicore v3 record (``runrecord_v3.golden.json``, a deterministic
 2-core litmus run).  Run this (from the repository root) only after a
-deliberate schema change, together with the matching version bump:
+deliberate schema change, together with the matching version bump, or
+after a deliberate change to a config's serialized fields, which
+regenerates the goldens with no version bump:
 
     python scripts/regen_golden.py
 """

@@ -10,8 +10,6 @@ or ``repro.harness`` internals:
 * :func:`simulate_sampled` -- the same cell under checkpointed
   fast-forward + interval sampling -> RunRecord with a ``sampling``
   block (IPC mean, confidence interval, interval table);
-* :func:`simulate_system` -- one benchmark replicated N-up over private
-  memories and a shared L2 -> RunRecord (schema v3);
 * :func:`run_litmus` -- a litmus campaign over the shared-memory
   machine, every observed outcome judged by the operational-model
   oracle (:class:`~repro.verify.litmus_oracle.LitmusReport`);
@@ -194,24 +192,6 @@ def simulate_sampled(benchmark: str,
     return engine.run_sampled(
         benchmark, resolve_config(config), intervals=intervals,
         warmup_insts=warmup_insts, interval_insts=interval_insts)
-
-
-def simulate_system(benchmark: str,
-                    config: ConfigLike = "baseline-sfc-mdt",
-                    cores: int = 2,
-                    scale: Optional[int] = None,
-                    runner: Optional[ExperimentRunner] = None,
-                    **runner_kwargs) -> RunRecord:
-    """Simulate a suite benchmark replicated N-up on ``cores`` cores;
-    returns its :class:`RunRecord` (schema v3 when ``cores > 1``, with
-    per-core counters namespaced as ``core<N>_<name>``).
-
-    ``config`` names the *core* recipe.  Each replica runs over a
-    private memory image with timing through a shared L2, golden-trace
-    validated.  Litmus tests run over shared memory through
-    :func:`run_litmus` instead."""
-    engine = _runner(scale, runner, **runner_kwargs)
-    return engine.run_system(benchmark, resolve_config(config), cores)
 
 
 def run_litmus(tests: Optional[Sequence[str]] = None,
@@ -418,6 +398,5 @@ __all__ = [
     "simulate",
     "simulate_riscv",
     "simulate_sampled",
-    "simulate_system",
     "trace",
 ]

@@ -92,8 +92,9 @@ class ArchCheckpoint:
 
     def resume_interpreter(self, program: Program) -> Interpreter:
         """An :class:`~repro.isa.interp.Interpreter` positioned exactly
-        at this checkpoint, ready to ``step()``/``fast_forward()`` on."""
-        self._check_program(program)
+        at this checkpoint, ready to ``step()``/``fast_forward()`` on.
+        Its image comes from :meth:`restore_memory`, which checks the
+        program."""
         interp = Interpreter(program, memory=self.restore_memory(program),
                              load_segments=False)
         interp.regs = list(self.regs)

@@ -226,6 +226,9 @@ def simulate_interval(program: Program, config: ProcessorConfig,
     halts inside the warm-up (nothing measurable).
     """
     resumed = ckpt.resume_interpreter(program)
+    # The core's image: a copy of the checked one, taken before the
+    # suffix trace below steps it.
+    memory = resumed.memory.copy()
     # Suffix golden trace: record 0 must be the first instruction the
     # restored core retires (trace indices are validated against the
     # core's own retire count).
@@ -241,8 +244,7 @@ def simulate_interval(program: Program, config: ProcessorConfig,
         append(record)
         if resumed.halted:
             break
-    core = Core(program, config, trace=records,
-                memory=ckpt.restore_memory(program),
+    core = Core(program, config, trace=records, memory=memory,
                 start_pc=ckpt.pc, start_regs=ckpt.regs,
                 warm_state=ckpt.warm)
     core.run_until(min(warmup_insts, len(records)))

@@ -8,12 +8,10 @@ Subcommands
     figures.
 ``run BENCHMARK``
     Simulate one benchmark under one configuration and print a report.
-    ``--cores N`` runs the benchmark replicated N-up instead, each core
-    over a private memory with a shared L2.  A litmus name
-    (``litmus-mp``/``litmus-sb``/``litmus-lb``) always runs its threads
-    one per core over shared memory and judges the observed outcome
-    against the operational-model oracle (nonzero exit on a forbidden
-    outcome).
+    A litmus name (``litmus-mp``/``litmus-sb``/``litmus-lb``) runs its
+    threads one per core over shared memory and judges the observed
+    outcome against the operational-model oracle (nonzero exit on a
+    forbidden outcome).
     ``run --riscv FILE`` loads a real RV32 image (``.hex`` text or raw
     little-endian binary) through the RISC-V frontend instead of a
     named benchmark, golden-trace-checked against the interpreter
@@ -65,8 +63,8 @@ to a file instead of stdout.
 experiment-engine flags: ``--jobs N`` (N >= 1) simulates uncached grid
 cells on N worker processes (default: all cores), ``--cache-dir``
 relocates the persistent result cache (default ``.repro_cache/``), and
-``--no-cache`` disables it.  Of the ``run`` modes, only exact, sampled
-and multicore runs go through the engine and read these flags and
+``--no-cache`` disables it.  Of the ``run`` modes, only exact and
+sampled runs go through the engine and read these flags and
 ``--scale``.
 
 ``run`` can additionally export a sampled pipetrace:
@@ -84,9 +82,9 @@ results and shared by every config of the benchmark at that scale.
 See DESIGN.md "Sampling methodology" for the error model and when
 exact mode is required.
 
-Each ``run`` mode (exact, sampled, multicore, litmus, ``--riscv``)
-reads only its own mode flags; a flag of another mode exits 2 before
-anything simulates.
+Each ``run`` mode (exact, sampled, litmus, ``--riscv``) reads only
+its own mode flags; a flag of another mode exits 2 before anything
+simulates.
 """
 
 from __future__ import annotations
@@ -206,14 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=sorted(api.CONFIGS))
     run.add_argument("--scale", type=_checked(int, check_scale),
                      default=None,
-                     help="dynamic instruction budget of exact, sampled "
-                          "and multicore runs (default 20000)")
-    run.add_argument("--cores", type=_checked(int, _at_least(1)),
-                     default=1, metavar="N",
-                     help="replicate the benchmark on N cores over "
-                          "private memories and a shared L2; a litmus "
-                          "test runs one core per thread (default 1: "
-                          "the plain single-core pipeline)")
+                     help="dynamic instruction budget of exact and "
+                          "sampled runs (default 20000)")
     run.add_argument("--epoch-cycles",
                      type=_checked(int, _at_least(1)), default=None,
                      metavar="N",
@@ -467,17 +459,12 @@ def _cmd_run_sampled(args) -> int:
 
 
 def _cmd_run_litmus(args) -> int:
-    """``run litmus-* [--cores N]``: one litmus test end-to-end, with
-    the oracle's verdict on the observed outcome."""
+    """``run litmus-*``: one litmus test end-to-end, one core per
+    thread, with the oracle's verdict on the observed outcome."""
     from .obs.runrecord import RunRecord
     from .verify import run_litmus_test
 
     test = get_litmus(args.benchmark)
-    if args.cores not in (1, test.cores):
-        # --cores 1 is the flag's default: take the test's own count.
-        print(f"error: {args.benchmark} has {test.cores} threads and "
-              f"needs --cores {test.cores}", file=sys.stderr)
-        return 2
     result = run_litmus_test(test, api.resolve_config(args.config))
     record = RunRecord.from_system_result(result.system_result,
                                           benchmark=args.benchmark)
@@ -500,33 +487,6 @@ def _cmd_run_litmus(args) -> int:
     return 0 if result.allowed else 1
 
 
-def _cmd_run_multicore(args) -> int:
-    """``run BENCHMARK --cores N``: an N-up multicore system cell."""
-    record = api.simulate_system(args.benchmark, args.config,
-                                 cores=args.cores,
-                                 runner=_build_runner(args))
-    if args.format == "json":
-        _emit(record.to_json(indent=2), args)
-        return 0
-    lines = [
-        f"{args.benchmark} x{record.cores} on {record.config_name} "
-        f"(scale {args.scale})",
-        f"  cycles: {record.cycles}, instructions: "
-        f"{record.instructions}, aggregate IPC: {record.ipc:.3f}",
-    ]
-    for core_id in range(record.cores):
-        cycles = record.metric(f"core{core_id}_cycles")
-        insts = record.metric(f"core{core_id}_retired_instructions")
-        ipc = insts / cycles if cycles else 0.0
-        lines.append(f"  core{core_id}: {int(insts)} insts in "
-                     f"{int(cycles)} cycles, IPC {ipc:.3f}")
-    lines.append(f"  shared L2: {int(record.metric('l2_accesses'))} "
-                 f"accesses, miss rate "
-                 f"{record.metric('l2_miss_rate'):.3f}")
-    _emit("\n".join(lines), args)
-    return 0
-
-
 #: The experiment-engine flags, read by the modes that simulate through
 #: an :class:`ExperimentRunner`.
 _ENGINE_FLAGS = ("scale", "jobs", "cache_dir", "no_cache")
@@ -542,10 +502,7 @@ _RUN_MODES = {
                 ("sample_intervals", "warmup_insts", "interval_insts")
                 + _ENGINE_FLAGS,
                 _cmd_run_sampled),
-    "multicore": ("multicore mode",
-                  ("cores",) + _ENGINE_FLAGS,
-                  _cmd_run_multicore),
-    "litmus": ("litmus mode", ("cores",), _cmd_run_litmus),
+    "litmus": ("litmus mode", (), _cmd_run_litmus),
     "riscv": ("--riscv mode", (), _cmd_run_riscv),
 }
 
@@ -555,10 +512,7 @@ def _mode_flag_error(args, mode: str) -> Optional[str]:
     label, reads, _ = _RUN_MODES[mode]
     for _label, flags, _handler in _RUN_MODES.values():
         for dest in flags:
-            value = getattr(args, dest)
-            # --cores 1, the flag's default, is one core in every mode.
-            if dest in reads or value is None or \
-                    (dest == "cores" and value == 1):
+            if dest in reads or getattr(args, dest) is None:
                 continue
             owners = " or ".join(owner for owner, owner_flags, _
                                  in _RUN_MODES.values()
@@ -579,8 +533,6 @@ def _cmd_run(args) -> int:
         return 2
     elif is_litmus(args.benchmark):
         mode = "litmus"
-    elif args.cores > 1:
-        mode = "multicore"
     elif args.sample_intervals is not None:
         mode = "sampled"
     else:

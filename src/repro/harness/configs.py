@@ -26,7 +26,6 @@ from ..core.mdt import MDTConfig
 from ..core.predictors import ENF, NOT_ENF, TOTAL, LSQ_MODE, PredictorConfig
 from ..core.sfc import SFCConfig
 from ..pipeline.config import (
-    MEMORY_SHARED,
     SUBSYSTEM_LOAD_REPLAY,
     SUBSYSTEM_LSQ,
     SUBSYSTEM_SFC_MDT,
@@ -172,14 +171,11 @@ def fuzz_config_matrix() -> list:
 
 
 def litmus_system_config(core: Optional[ProcessorConfig] = None,
-                         cores: int = 2,
-                         name: Optional[str] = None) -> SystemConfig:
+                         cores: int = 2) -> SystemConfig:
     """A shared-memory N-core system for litmus runs (default: two of
     the 4-wide baseline SFC/MDT cores)."""
     core = core if core is not None else baseline_sfc_mdt_config()
-    return SystemConfig(core=core, cores=cores,
-                        memory_mode=MEMORY_SHARED,
-                        name=name or f"litmus-{core.name}")
+    return SystemConfig(core=core, cores=cores, name=f"litmus-{core.name}")
 
 
 def aggressive_load_replay_config(lq_size: int = 120, sq_size: int = 80,

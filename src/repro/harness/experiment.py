@@ -78,10 +78,8 @@ from ..obs.runrecord import (
     RunRecord,
     validate_record,
 )
-from ..pipeline.config import (MEMORY_PRIVATE, ProcessorConfig,
-                               SystemConfig)
+from ..pipeline.config import ProcessorConfig
 from ..pipeline.processor import Processor, SimResult
-from ..pipeline.system import System
 from ..stats.counters import Counters
 from ..workloads import suites
 
@@ -123,11 +121,7 @@ def cache_key(benchmark: str, scale: int, config,
     The hash covers the benchmark name, the scale, the cache format
     version, and the full canonical config dict *except* ``name``:
     the name is a display label, so two differently named but otherwise
-    identical configurations share one cache entry.  ``config`` is a
-    :class:`~repro.pipeline.config.CoreConfig` for single-core cells or
-    a :class:`~repro.pipeline.config.SystemConfig` for multicore ones
-    (whose dict nests the core config, so the two namespaces can never
-    collide).
+    identical configurations share one cache entry.
 
     ``sampling`` (the sampled-mode parameter dict) is folded in only
     when present, so every pre-existing exact-mode key is byte-stable
@@ -251,7 +245,7 @@ class ResultCache:
 def _payload(result, counters: dict, started: float, **extra) -> dict:
     """The cacheable payload of one simulated cell: ``result``'s totals,
     its ``counters`` and the wall time since ``started``, plus the
-    ``cores`` or ``sampling`` field its record carries."""
+    ``sampling`` field a sampled record carries."""
     return {"program_name": result.program_name, "cycles": result.cycles,
             "instructions": result.instructions, "counters": counters,
             "wall_time": time.perf_counter() - started, **extra}
@@ -396,31 +390,6 @@ class ExperimentRunner:
         payload = self._cached(benchmark, config, lambda: _simulate_cell(
             self.program(benchmark), self.trace(benchmark), config))
         return self._rehydrate(config, payload)
-
-    def run_system(self, benchmark: str, core: ProcessorConfig,
-                   cores: int) -> RunRecord:
-        """Simulate ``benchmark`` replicated N-up on ``cores`` copies of
-        ``core`` (serial, in-process) and return its versioned record
-        (schema v3 when ``cores > 1``).
-
-        Each replica runs over a private memory image with timing
-        through a shared L2, golden-trace-validated like a single-core
-        run.  Cells consult and fill the same persistent result cache as
-        single-core runs (the key hashes the full nested system config).
-        Litmus tests run over shared memory through
-        :func:`repro.verify.run_litmus_test` instead."""
-        config = SystemConfig(core=core, cores=cores,
-                              memory_mode=MEMORY_PRIVATE)
-
-        def simulate() -> dict:
-            program, trace = self.program(benchmark), self.trace(benchmark)
-            started = time.perf_counter()
-            result = System([program], config, traces=[trace] * cores).run()
-            return _payload(result, dict(result.counters), started,
-                            cores=cores)
-
-        self._cached(benchmark, config, simulate)
-        return self.last_record()
 
     def run_sampled(self, benchmark: str, config: ProcessorConfig, *,
                     intervals: int = 10, warmup_insts: int = 1_000,
@@ -685,7 +654,7 @@ class ExperimentRunner:
     def _record(self, benchmark: str, config, payload: dict, key: str,
                 hit: bool, jobs: Optional[int] = None) -> dict:
         """The manifest entry (a RunRecord dict) of one completed cell;
-        its ``cores`` and ``sampling`` fields come from the payload."""
+        its ``sampling`` field comes from the payload."""
         sampling = payload.get("sampling")
         cycles = payload["cycles"]
         instructions = payload["instructions"]
@@ -710,7 +679,6 @@ class ExperimentRunner:
             cache_hit=hit,
             engine=self._engine_provenance(jobs),
             status=STATUS_OK,
-            cores=payload.get("cores", 1),
             sampling=sampling).to_dict()
 
 

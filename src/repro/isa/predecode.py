@@ -384,8 +384,9 @@ def predecode(program) -> PredecodedProgram:
 
     Keyed by ``Program.digest()`` so two identically built programs (or
     the same workload rebuilt by another frontend) share one predecode
-    and its compiled blocks.  A per-program memo avoids re-hashing when
-    the same ``Program`` object is interpreted repeatedly.
+    and its compiled blocks.  Every call hashes the program: the
+    per-program memo is checked against the digest, so a ``Program``
+    edited in place is predecoded afresh rather than served stale.
     """
     memo = getattr(program, "_predecode_memo", None)
     digest = program.digest()

@@ -1,7 +1,6 @@
 """Cycle-level out-of-order superscalar pipeline."""
 
-from .config import (MEMORY_MODES, MEMORY_PRIVATE, MEMORY_SHARED,
-                     SUBSYSTEM_LOAD_REPLAY, SUBSYSTEM_LSQ,
+from .config import (SUBSYSTEM_LOAD_REPLAY, SUBSYSTEM_LSQ,
                      SUBSYSTEM_SFC_MDT, CoreConfig, ProcessorConfig,
                      SystemConfig)
 from .core import Core
@@ -15,9 +14,6 @@ from .system import System, SystemResult
 __all__ = [
     "Core",
     "CoreConfig",
-    "MEMORY_MODES",
-    "MEMORY_PRIVATE",
-    "MEMORY_SHARED",
     "DynInst",
     "InstructionTrace",
     "PipeTracer",

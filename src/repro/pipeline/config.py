@@ -9,9 +9,9 @@ defines the parameter records themselves:
 * :class:`CoreConfig` -- every knob of one superscalar core (the record
   formerly named ``ProcessorConfig``; that name remains as an alias and
   is what the single-core digest gate serializes);
-* :class:`SystemConfig` -- an N-core system over a shared memory
-  system: a homogeneous :class:`CoreConfig` plus the core count and the
-  memory-sharing mode.
+* :class:`SystemConfig` -- the litmus machine: N homogeneous
+  :class:`CoreConfig` cores over one shared memory image and one
+  shared L2.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ from ..core.subsystem import OUTPUT_RECOVERY_FLUSH
 SUBSYSTEM_LSQ = "lsq"
 SUBSYSTEM_SFC_MDT = "sfc_mdt"
 SUBSYSTEM_LOAD_REPLAY = "load_replay"
-
-#: :class:`SystemConfig` memory modes.  ``shared``: all cores execute
-#: over one shared architectural image (stores become globally visible
-#: at retirement -- the litmus/weak-memory mode); ``private``: each core
-#: owns a private image but timing flows through a shared L2 (the
-#: throughput mode, which keeps per-core golden-trace validation exact).
-MEMORY_SHARED = "shared"
-MEMORY_PRIVATE = "private"
-MEMORY_MODES = (MEMORY_SHARED, MEMORY_PRIVATE)
 
 
 class CoreConfig:
@@ -125,7 +116,8 @@ ProcessorConfig = CoreConfig
 
 
 class SystemConfig:
-    """An N-core system: one homogeneous core recipe plus system knobs.
+    """An N-core system: one homogeneous core recipe plus the core
+    count.
 
     ``cores=1`` systems are still legal (useful for differential tests
     against the plain single-core path), but the single-core pipelines
@@ -134,34 +126,23 @@ class SystemConfig:
     """
 
     def __init__(self, core: Optional[CoreConfig] = None, cores: int = 2,
-                 memory_mode: str = MEMORY_SHARED, name: str = ""):
+                 name: str = ""):
         if not isinstance(cores, int) or cores < 1:
             raise ValueError(
                 f"cores must be a positive integer, got {cores!r}")
-        if memory_mode not in MEMORY_MODES:
-            raise ValueError(
-                f"unknown memory_mode {memory_mode!r}; choose from "
-                f"{MEMORY_MODES}")
         self.core = core if core is not None else CoreConfig()
         self.cores = cores
-        self.memory_mode = memory_mode
-        self.name = name or f"{self.core.name}-x{cores}-{memory_mode}"
-
-    @property
-    def shared_memory(self) -> bool:
-        return self.memory_mode == MEMORY_SHARED
+        self.name = name or f"{self.core.name}-x{cores}"
 
     def to_dict(self) -> dict:
         """Canonical, JSON-serializable view (same contract as
-        :meth:`CoreConfig.to_dict`; the engine hashes it minus ``name``
-        for multicore cache keys)."""
+        :meth:`CoreConfig.to_dict`)."""
         return {
             "core": self.core.to_dict(),
             "cores": self.cores,
-            "memory_mode": self.memory_mode,
             "name": self.name,
         }
 
     def __repr__(self) -> str:
         return (f"SystemConfig({self.name}: {self.cores} x "
-                f"{self.core.name}, memory={self.memory_mode})")
+                f"{self.core.name})")

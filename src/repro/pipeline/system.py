@@ -1,5 +1,6 @@
 """N-core system: lockstepped :class:`~repro.pipeline.core.Core` objects
-over one shared L2.
+over one shared memory image and one shared L2 -- the machine the litmus
+tests (:mod:`repro.verify.litmus_oracle`) run on.
 
 The cycle loop moves up a level here: :meth:`System.step` advances every
 still-running core by exactly one cycle, in ascending core order.
@@ -14,28 +15,18 @@ fast-forwarding is disabled on every core to keep their clocks equal).
 :class:`~repro.memory.cache.Cache` threaded into every core's
 :class:`~repro.memory.cache.CacheHierarchy` (so cores contend for, and
 constructively share, L2 capacity), per-core L1I/L1D in the paper's
-Figure 4 geometry, and the architectural images.  The memory mode (see
-:class:`~repro.pipeline.config.SystemConfig`) follows the workload:
-
-* ``shared`` -- the litmus tests (:mod:`repro.verify.litmus_oracle`).
-  Every core executes over one shared image.  Loads execute
-  speculatively and out of order against it with no cross-core
-  snooping, so weak-memory outcomes (store buffering, load reordering)
-  become observable; per-core golden-trace *value* validation is off,
-  because another core's store legitimately changes what a load
-  returns relative to its single-threaded golden trace.
-* ``private`` -- N-up benchmark replicas
-  (:meth:`~repro.harness.experiment.ExperimentRunner.run_system`).
-  Every core owns a private image (its own program's data) while
-  timing flows through the shared L2, so full golden-trace validation
-  stays on.
+Figure 4 geometry, and the one architectural image every core executes
+over.  Loads execute speculatively and out of order against it with no
+cross-core snooping, so weak-memory outcomes (store buffering, load
+reordering) become observable; per-core golden-trace *value* validation
+is off, because another core's store legitimately changes what a load
+returns relative to its single-threaded golden trace.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..isa.interp import RetireRecord, run_program
 from ..isa.program import Program
 from ..memory.cache import (
     Cache,
@@ -82,51 +73,34 @@ class SystemResult:
 
 
 class System:
-    """N lockstepped cores over one shared L2.
+    """N lockstepped cores over one shared image and one shared L2.
 
-    ``programs`` is one :class:`~repro.isa.program.Program` per core; a
-    single program is replicated across every core (the N-up throughput
-    case).  Golden traces may be passed per core (``traces``) or are
-    interpreted on construction -- each core's trace is its program's
-    *single-threaded* architectural execution, used for fetch-path
-    tracking and the branch oracle; value validation against it is
-    enabled only in ``private`` memory mode.
+    ``programs`` is one :class:`~repro.isa.program.Program` per core,
+    written for one shared image (a litmus test's threads); each
+    program's data is loaded into that image in core order.  Each core
+    interprets its own golden trace -- its program's *single-threaded*
+    architectural execution, used for fetch-path tracking and the
+    branch oracle only.
     """
 
-    def __init__(self, programs: Sequence[Program], config: SystemConfig,
-                 traces: Optional[Sequence[List[RetireRecord]]] = None,
-                 max_instructions: int = 1_000_000):
-        programs = list(programs)
-        if len(programs) == 1 and config.cores > 1:
-            programs = programs * config.cores
+    def __init__(self, programs: Sequence[Program], config: SystemConfig):
         if len(programs) != config.cores:
             raise ValueError(
                 f"got {len(programs)} program(s) for {config.cores} "
-                f"core(s); pass one per core or a single program to "
-                f"replicate")
-        if traces is not None and len(traces) != config.cores:
-            raise ValueError(
-                f"got {len(traces)} trace(s) for {config.cores} core(s)")
+                f"core(s); pass one per core")
         self.config = config
-        shared = config.shared_memory
-        #: The shared architectural image (the coherence point); None
-        #: in private mode.
-        self.shared_memory = MainMemory() if shared else None
-        memories = [self.shared_memory] * config.cores if shared \
-            else [MainMemory() for _ in programs]
-        for memory, program in zip(memories, programs):
-            memory.load_segments(program.data)
+        #: The shared architectural image (the coherence point).
+        self.shared_memory = MainMemory()
+        for program in programs:
+            self.shared_memory.load_segments(program.data)
         self.l2 = Cache(paper_l2_config())
-        self.cores: List[Core] = []
-        for index, (program, memory) in enumerate(zip(programs, memories)):
-            trace = traces[index] if traces is not None \
-                else run_program(program, max_instructions)
-            self.cores.append(Core(
-                program, config.core, trace=trace, memory=memory,
-                hierarchy=CacheHierarchy(l1i=paper_l1i_config(),
-                                         l1d=paper_l1d_config(),
-                                         l2=self.l2),
-                validate=not shared, idle_skip=False))
+        self.cores: List[Core] = [
+            Core(program, config.core, memory=self.shared_memory,
+                 hierarchy=CacheHierarchy(l1i=paper_l1i_config(),
+                                          l1d=paper_l1d_config(),
+                                          l2=self.l2),
+                 validate=False, idle_skip=False)
+            for program in programs]
         self.cycle = 0
 
     @property

@@ -6,10 +6,9 @@ import pytest
 
 from repro import Processor, api
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
-from repro.isa.interp import run_program
 from repro.obs.runrecord import RunRecord
 from repro.stats.report import format_report
-from repro.workloads import ALL_BENCHMARKS, suites
+from repro.workloads import ALL_BENCHMARKS
 from tests.conftest import assemble, counted_loop_program
 
 
@@ -85,7 +84,6 @@ class TestRunnerArgument:
         runner = self._runner()
         calls = [lambda **kw: api.simulate("gap", "baseline-lsq", **kw),
                  lambda **kw: api.simulate_sampled("gap", **kw),
-                 lambda **kw: api.simulate_system("gap", **kw),
                  lambda **kw: api.compare("gap", **kw),
                  lambda **kw: api.run_suite(["gap"], **kw),
                  lambda **kw: api.run_figure("fig5", **kw)]
@@ -180,36 +178,11 @@ class TestDeprecationShims:
         assert "gap on baseline-sfc-mdt" in report
 
 
-class TestSimulateSystem:
-    def test_returns_v3_runrecord(self):
-        record = api.simulate_system("gap", "baseline-sfc-mdt", cores=2,
-                                     scale=1200, **quiet_runner_kwargs())
-        assert isinstance(record, RunRecord)
-        assert record.cores == 2
-        assert record.to_dict()["schema_version"] == 3
-        assert record.counters["core1_retired_instructions"] > 0
-        assert "l2_miss_rate" in record.counters
-
-    def test_litmus_name_is_not_a_benchmark(self):
-        # Litmus tests run over shared memory through run_litmus only.
-        with pytest.raises(KeyError, match="unknown benchmark"):
-            api.simulate_system("litmus-mp", **quiet_runner_kwargs())
-
-    def test_every_replica_retires_the_whole_program(self):
-        record = api.simulate_system("crafty", cores=2, scale=5000,
-                                     **quiet_runner_kwargs())
-        length = len(run_program(suites.build("crafty", 5000)))
-        assert length == 5417
-        for core in range(2):
-            assert record.counters[
-                f"core{core}_retired_instructions"] == length
-
+class TestRunLitmusApi:
     def test_list_litmus_tests(self):
         assert api.list_litmus_tests() == ["litmus-lb", "litmus-mp",
                                            "litmus-sb"]
 
-
-class TestRunLitmusApi:
     def test_default_suite_ok(self):
         report = api.run_litmus()
         assert report.ok and len(report.results) == 3

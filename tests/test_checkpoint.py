@@ -183,6 +183,8 @@ class TestInterpreterRoundTrip:
         ckpt = ArchCheckpoint.capture(interp, _base_image(program))
         with pytest.raises(ValueError, match="digest"):
             ckpt.restore_memory(other)
+        with pytest.raises(ValueError, match="digest"):
+            ckpt.resume_interpreter(other)
 
 
 class TestCoreRestore:

@@ -266,7 +266,6 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv", [
         ["run", "gzip", "--sample-intervals", "0"],
-        ["run", "gzip", "--cores", "0"],
         ["run", "gzip", "--epoch-cycles", "0"],
         ["run", "gzip", "--warmup-insts", "-5"],
         ["run", "gzip", "--interval-insts", "0"],
@@ -423,18 +422,17 @@ class TestFuzzCli:
 
 class TestMulticoreCli:
     def test_run_litmus_exits_zero_when_allowed(self, capsys):
-        assert main(["run", "litmus-mp", "--cores", "2"]) == 0
+        assert main(["run", "litmus-mp"]) == 0
         out = capsys.readouterr().out
         assert "litmus-mp" in out
         assert "outcome:" in out and "model allows:" in out
 
     def test_run_litmus_default_cores(self, capsys):
-        # --cores defaults to 1, meaning "use the test's own count".
-        assert main(["run", "litmus-sb"]) == 0
-
-    def test_run_litmus_wrong_cores_rejected(self, capsys):
-        assert main(["run", "litmus-mp", "--cores", "3"]) == 2
-        assert "needs --cores 2" in capsys.readouterr().err
+        # Each test runs one core per thread; no flag sets the count.
+        for name in ("litmus-lb", "litmus-mp", "litmus-sb"):
+            assert main(["run", name]) == 0
+            out = capsys.readouterr().out
+            assert f"{name} on " in out and "(2 cores, shared memory)" in out
 
     def test_run_litmus_trace_flags_rejected(self, capsys):
         assert main(["run", "litmus-mp", "--epoch-cycles", "100",
@@ -453,22 +451,6 @@ class TestMulticoreCli:
         assert run["scale"] == 0        # a litmus run takes no --scale
         record = RunRecord.from_dict(run)
         assert record.cores == 2
-
-    def test_run_multicore_benchmark(self, capsys):
-        assert main(["run", "gap", "--scale", "1500", "--no-cache",
-                     "--cores", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "gap x2" in out
-        assert "core0:" in out and "core1:" in out
-        assert "shared L2:" in out
-
-    def test_run_multicore_json_is_v3_record(self, capsys):
-        assert main(["run", "gap", "--scale", "1500", "--no-cache",
-                     "--cores", "2", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == SCHEMA_VERSION + 1
-        assert payload["cores"] == 2
-        assert payload["counters"]["core0_retired_instructions"] > 0
 
     def test_litmus_subcommand_suite(self, capsys):
         assert main(["litmus"]) == 0

@@ -9,8 +9,7 @@ import pytest
 from repro.core import LSQConfig, MDTConfig, SFCConfig
 from repro.memory.cache import (CacheConfig, paper_l1d_config,
                                 paper_l1i_config, paper_l2_config)
-from repro.pipeline import (MEMORY_MODES, MEMORY_PRIVATE, MEMORY_SHARED,
-                            CoreConfig, ProcessorConfig, SystemConfig)
+from repro.pipeline import CoreConfig, ProcessorConfig, SystemConfig
 
 
 class TestCoreConfig:
@@ -66,26 +65,15 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="cores must be a positive"):
             SystemConfig(cores=bad)
 
-    def test_bad_memory_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown memory_mode"):
-            SystemConfig(memory_mode="numa")
-
-    def test_mode_constants(self):
-        assert MEMORY_MODES == (MEMORY_SHARED, MEMORY_PRIVATE)
-        assert SystemConfig(memory_mode=MEMORY_SHARED).shared_memory
-        assert not SystemConfig(memory_mode=MEMORY_PRIVATE).shared_memory
-
     def test_default_name_encodes_shape(self):
-        config = SystemConfig(core=CoreConfig(name="b"), cores=3,
-                              memory_mode=MEMORY_PRIVATE)
-        assert config.name == "b-x3-private"
+        config = SystemConfig(core=CoreConfig(name="b"), cores=3)
+        assert config.name == "b-x3"
         assert SystemConfig(name="custom").name == "custom"
 
     def test_to_dict_nests_core(self):
         config = SystemConfig(cores=2)
         payload = config.to_dict()
         assert payload["cores"] == 2
-        assert payload["memory_mode"] == MEMORY_SHARED
         assert isinstance(payload["core"], dict)
         assert payload["core"]["width"] == config.core.width
 

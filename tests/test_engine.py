@@ -585,36 +585,3 @@ class TestManifest:
         assert "gap" in text
         assert "hit" in text and "miss" in text
         assert "1 cache hits, 1 simulated" in text
-
-
-class TestRunSystem:
-    def make_config(self, cores=2, memory_mode="private"):
-        from repro.pipeline import SystemConfig
-        return SystemConfig(core=baseline_sfc_mdt_config(), cores=cores,
-                            memory_mode=memory_mode)
-
-    def test_multicore_cell_cached(self, tmp_path):
-        runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
-        cold = runner.run_system("gap", baseline_sfc_mdt_config(), 2)
-        warm = runner.run_system("gap", baseline_sfc_mdt_config(), 2)
-        assert [e["cache_hit"] for e in runner.manifest] == [False, True]
-        assert cold.cycles == warm.cycles
-        assert cold.counters == warm.counters
-        assert warm.cores == 2
-
-    def test_key_is_the_private_system_config_key(self, tmp_path):
-        # An N-up cell is cached under its private-memory SystemConfig.
-        runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
-        record = runner.run_system("gap", baseline_sfc_mdt_config(), 2)
-        assert record.key == cache_key("gap", SCALE, self.make_config())
-
-    def test_system_key_distinct_from_core_key(self):
-        core = baseline_sfc_mdt_config()
-        assert cache_key("gap", SCALE, core) != \
-            cache_key("gap", SCALE, self.make_config(cores=1))
-
-    def test_key_varies_with_cores_and_mode(self):
-        keys = {cache_key("gap", SCALE, self.make_config(cores=n,
-                                                         memory_mode=m))
-                for n in (1, 2) for m in ("shared", "private")}
-        assert len(keys) == 4

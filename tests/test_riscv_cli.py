@@ -91,8 +91,8 @@ class TestRunRiscv:
         assert "did not halt within 1000" in err
 
     def test_riscv_excludes_multicore_and_sampling(self, capsys):
-        assert main(["run", "--riscv", str(HAZARD_HEX),
-                     "--cores", "2"]) == 2
+        # The multicore run is a litmus test, named like a benchmark.
+        assert main(["run", "litmus-mp", "--riscv", str(HAZARD_HEX)]) == 2
         assert main(["run", "--riscv", str(HAZARD_HEX),
                      "--sample-intervals", "3"]) == 2
 

@@ -15,14 +15,15 @@ import json
 import pytest
 
 from repro import api, perf
-from repro.checkpoint import SamplingError, sample_run
-from repro.checkpoint.sampling import t95
+from repro.checkpoint import SamplingError, capture_train, sample_run
+from repro.checkpoint.sampling import simulate_interval, t95
 from repro.harness.configs import (
     baseline_lsq_config,
     baseline_sfc_mdt_config,
 )
 from repro.harness.experiment import ExperimentRunner, cache_key
 from repro.isa.interp import Interpreter
+from repro.isa.program import Program
 from repro.pipeline.core import Core
 from repro.workloads import suites
 
@@ -135,6 +136,27 @@ class TestBoundaryAccounting:
         for iv in sampled.intervals:
             assert iv["position"] + 100 + iv["retired"] <= total
             assert iv["ipc"] == iv["retired"] / iv["cycles"]
+
+
+class TestWindowHashing:
+    def test_window_hashes_its_program_at_most_twice(self, monkeypatch):
+        # One check of the restored image against the checkpoint's
+        # digest, one predecode for the suffix trace: the core runs on
+        # a copy of the checked image instead of restoring its own.
+        program = suites.build("gzip", 3_000)
+        ckpt = capture_train(program, 1_000)["checkpoints"][1]
+        digest = Program.digest
+        calls = []
+
+        def counting_digest(self):
+            calls.append(self.name)
+            return digest(self)
+
+        monkeypatch.setattr(Program, "digest", counting_digest)
+        result = simulate_interval(program, baseline_sfc_mdt_config(),
+                                   ckpt, 300, 1_000)
+        assert result is not None
+        assert len(calls) <= 2
 
 
 def _train_entries(cache_dir):
@@ -252,15 +274,6 @@ class TestApiAndCli:
         assert code == 0
         payload = json.loads(out)
         assert payload["sampling"]["ipc_ci95"] > 0
-
-    def test_cli_sampled_rejects_multicore(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["run", "gzip", "--cores", "2",
-                     "--sample-intervals", "4",
-                     "--cache-dir", str(tmp_path)])
-        assert code == 2
-        assert "single-core" in capsys.readouterr().err
 
     def test_cli_sampled_rejects_pipetrace(self, tmp_path, capsys):
         from repro.cli import main

@@ -2,8 +2,8 @@
 
 The load-bearing equivalence facts:
 
-* a 1-core private-memory ``System`` is *bit-identical* (cycles and
-  every counter) to a bare ``Core`` run with ``idle_skip=False``;
+* a 1-core ``System`` is *bit-identical* (cycles and every counter) to
+  a bare ``Core`` run with ``idle_skip=False``;
 * against ``Processor`` (which keeps the legacy idle-cycle
   fast-forward) the same run matches on cycles and on every counter
   except the idle-skip bookkeeping family -- with the skip disabled the
@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.pipeline import (MEMORY_PRIVATE, MEMORY_SHARED, Processor,
-                            System, SystemConfig)
+from repro.pipeline import Processor, System, SystemConfig
 from repro.pipeline.core import Core
-from repro.workloads import suites
+from repro.workloads import LITMUS_TESTS, suites
 
 from tests.conftest import assemble, counted_loop_program
 
@@ -37,8 +36,7 @@ class TestSingleCoreEquivalence:
     def test_matches_core_without_idle_skip_exactly(self, any_config):
         program = suites.build("gzip", 800)
         core = Core(program, any_config, idle_skip=False).run()
-        config = SystemConfig(core=any_config, cores=1,
-                              memory_mode=MEMORY_PRIVATE)
+        config = SystemConfig(core=any_config, cores=1)
         sysres = System([program], config).run()
         [core_result] = sysres.core_results
         assert core_result.cycles == core.cycles
@@ -49,36 +47,20 @@ class TestSingleCoreEquivalence:
     def test_matches_processor_modulo_idle_bookkeeping(self):
         program = suites.build("gzip", 800)
         solo = Processor(program, _baseline()).run()
-        config = SystemConfig(core=_baseline(), cores=1,
-                              memory_mode=MEMORY_PRIVATE)
+        config = SystemConfig(core=_baseline(), cores=1)
         sysres = System([program], config).run()
         [core_result] = sysres.core_results
         assert core_result.cycles == solo.cycles
         assert _scrub(core_result.counters.as_dict()) == \
             _scrub(solo.counters.as_dict())
 
-    def test_single_program_replicated_across_cores(self):
-        program = assemble(counted_loop_program)
-        config = SystemConfig(core=_baseline(), cores=2,
-                              memory_mode=MEMORY_PRIVATE)
-        system = System([program], config)
-        assert len(system.cores) == 2
-        result = system.run()
-        assert len(result.core_results) == 2
-        # Both cores retire the full program; cycle counts may differ
-        # (the second core hits lines the first already pulled into the
-        # shared L2).
-        assert result.core_results[0].instructions == \
-            result.core_results[1].instructions
-
 
 class TestDeterminism:
     def test_two_identical_runs_are_identical(self):
-        program = assemble(counted_loop_program)
-        config = SystemConfig(core=_baseline(), cores=2,
-                              memory_mode=MEMORY_SHARED)
-        first = System([program], config).run()
-        second = System([program], config).run()
+        programs = LITMUS_TESTS["sb"].programs()
+        config = SystemConfig(core=_baseline(), cores=2)
+        first = System(programs, config).run()
+        second = System(programs, config).run()
         assert first.cycles == second.cycles
         assert first.counters == second.counters
 
@@ -89,20 +71,15 @@ class TestValidation:
         config = SystemConfig(core=_baseline(), cores=3)
         with pytest.raises(ValueError, match="2 program"):
             System([program, program], config)
-
-    def test_wrong_trace_count_rejected(self):
-        program = assemble(counted_loop_program)
-        config = SystemConfig(core=_baseline(), cores=2)
-        with pytest.raises(ValueError, match="1 trace"):
-            System([program], config, traces=[[]])
+        # One program is not replicated across cores.
+        with pytest.raises(ValueError, match="1 program"):
+            System([program], config)
 
 
 class TestCounterNamespacing:
     def test_merged_counters_structure(self):
-        program = assemble(counted_loop_program)
-        config = SystemConfig(core=_baseline(), cores=2,
-                              memory_mode=MEMORY_PRIVATE)
-        result = System([program], config).run()
+        config = SystemConfig(core=_baseline(), cores=2)
+        result = System(LITMUS_TESTS["sb"].programs(), config).run()
         counters = result.counters
         for core_id in (0, 1):
             assert counters[f"core{core_id}_cycles"] > 0
