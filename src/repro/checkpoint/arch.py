@@ -9,11 +9,11 @@ fast-forward engine (:meth:`~repro.isa.interp.Interpreter.fast_forward`)
 and consumed by :class:`~repro.pipeline.core.Core` via ``start_pc`` /
 ``start_regs`` / ``memory``.
 
-A checkpoint may also carry a *warm capsule*: trained branch-predictor
-state and cache tag arrays accumulated during the fast-forward.  Warm
-capsules reduce the warm-up window a sampled interval needs, but are
-never part of architectural correctness -- restoring without one only
-changes timing, never values.
+Every checkpoint carries a *warm capsule*: the branch-predictor state
+and cache tag arrays the fast-forward trained, exported at capture.
+Capsules shorten the warm-up a sampled interval needs, but are never
+part of architectural correctness -- a core restored without one
+(``warm_state=None``) starts cold, which changes timing, never values.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class ArchCheckpoint:
     ``pages`` maps page index -> full page bytes for every page whose
     contents differ from the pristine program image; the image itself is
     reconstructible from the :class:`~repro.isa.program.Program`, so the
-    delta is all that needs to travel.  ``warm`` is the optional warm
-    capsule ``{"bpred": ..., "caches": ...}`` (see
+    delta is all that needs to travel.  ``warm`` is the warm capsule
+    ``{"bpred": ..., "caches": ...}`` (see
     :meth:`~repro.branch.gshare.GsharePredictor.export_state` and
     :meth:`~repro.memory.cache.CacheHierarchy.export_state`).
     """
@@ -44,7 +44,7 @@ class ArchCheckpoint:
 
     def __init__(self, program_digest: str, retired: int, pc: int,
                  regs: List[int], pages: Dict[int, bytes],
-                 warm: Optional[dict] = None, halted: bool = False):
+                 warm: Optional[dict], halted: bool = False):
         self.program_digest = program_digest
         self.retired = retired
         self.pc = pc
@@ -57,8 +57,10 @@ class ArchCheckpoint:
 
     @classmethod
     def capture(cls, interp: Interpreter, base_image: MainMemory,
-                warm: Optional[dict] = None) -> "ArchCheckpoint":
-        """Snapshot a (paused) interpreter's architectural state.
+                bpred, hierarchy) -> "ArchCheckpoint":
+        """Snapshot a (paused) interpreter's architectural state, with
+        the capsule of the ``bpred`` and ``hierarchy`` its fast-forward
+        trained.
 
         ``base_image`` is the pristine program image used to compute the
         memory page delta; build it once per program and reuse it across
@@ -70,7 +72,9 @@ class ArchCheckpoint:
                    pc=interp.pc,
                    regs=list(interp.regs),
                    pages=interp.memory.page_delta(base_image),
-                   warm=warm, halted=interp.halted)
+                   warm={"bpred": bpred.export_state(),
+                         "caches": hierarchy.export_state()},
+                   halted=interp.halted)
 
     # -- restore -------------------------------------------------------------
 
@@ -106,7 +110,7 @@ class ArchCheckpoint:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "program_digest": self.program_digest,
             "retired": self.retired,
             "pc": self.pc,
@@ -114,10 +118,8 @@ class ArchCheckpoint:
             "pages": {str(idx): base64.b64encode(page).decode("ascii")
                       for idx, page in sorted(self.pages.items())},
             "halted": self.halted,
+            "warm": self.warm,
         }
-        if self.warm is not None:
-            payload["warm"] = self.warm
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ArchCheckpoint":
@@ -132,5 +134,5 @@ class ArchCheckpoint:
                    retired=int(payload["retired"]),
                    pc=int(payload["pc"]),
                    regs=regs, pages=pages,
-                   warm=payload.get("warm"),
+                   warm=payload["warm"],
                    halted=bool(payload.get("halted", False)))

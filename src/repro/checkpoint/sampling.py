@@ -3,7 +3,7 @@
 SMARTS/SimPoint-style sampling for the detailed simulator: partition an
 N-instruction run into K detailed intervals separated by fast-forward
 gaps.  One interpreter pass captures a train of architectural
-checkpoints (optionally with warm branch-predictor/cache capsules); K of
+checkpoints, each with a warm branch-predictor/cache capsule; K of
 them, evenly spaced, seed detailed windows of ``warmup_insts +
 interval_insts`` instructions each.  Warm-up counters are discarded;
 per-interval IPC and counter deltas over the measured span aggregate
@@ -52,17 +52,16 @@ TRACE_SLACK = 256
 #: Two-sided 95% Student-t critical values by degrees of freedom.
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
         7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179,
-        13: 2.160, 14: 2.145, 15: 2.131, 20: 2.086, 25: 2.060, 30: 2.042}
+        13: 2.160, 14: 2.145, 15: 2.131, 20: 2.086, 25: 2.060, 30: 2.042,
+        40: 2.021, 60: 2.000, 120: 1.980}
 
 
 def t95(df: int) -> float:
-    """95% two-sided Student-t critical value (1.96 asymptote)."""
-    if df in _T95:
-        return _T95[df]
-    for bound in (30, 25, 20, 15):
-        if df >= bound:
-            return _T95[bound] if df < 60 else 1.96
-    return _T95[max(1, min(df, 15))]
+    """95% two-sided Student-t critical value at ``df`` degrees of
+    freedom: the table's value at the largest tabulated df at or below
+    ``df``.  The critical value falls as df grows, so between rows this
+    errs wide."""
+    return _T95[max(bound for bound in _T95 if bound <= max(df, 1))]
 
 
 class SamplingError(Exception):
@@ -76,14 +75,14 @@ class SampledResult:
                  "ipc_ci95", "intervals", "counters", "cycles",
                  "instructions", "total_instructions",
                  "detailed_instructions", "warmup_insts", "interval_insts",
-                 "checkpoint_every", "warm")
+                 "checkpoint_every")
 
     def __init__(self, program_name: str, config_name: str,
                  ipc_mean: float, ipc_std: float, ipc_ci95: float,
                  intervals: List[dict], counters: Dict[str, float],
                  cycles: int, instructions: int, total_instructions: int,
                  detailed_instructions: int, warmup_insts: int,
-                 interval_insts: int, checkpoint_every: int, warm: bool):
+                 interval_insts: int, checkpoint_every: int):
         self.program_name = program_name
         self.config_name = config_name
         self.ipc_mean = ipc_mean
@@ -98,10 +97,11 @@ class SampledResult:
         self.warmup_insts = warmup_insts
         self.interval_insts = interval_insts
         self.checkpoint_every = checkpoint_every
-        self.warm = warm
 
     def sampling_dict(self) -> dict:
-        """The ``sampling`` metadata block of a sampled RunRecord."""
+        """The ``sampling`` metadata block of a sampled RunRecord.  Its
+        ``warm`` flag is always true: every checkpoint carries a warm
+        capsule, and the pinned sampled records hash the flag."""
         return {
             "ipc_mean": self.ipc_mean,
             "ipc_std": self.ipc_std,
@@ -115,23 +115,17 @@ class SampledResult:
             "warmup_insts": self.warmup_insts,
             "interval_insts": self.interval_insts,
             "checkpoint_every": self.checkpoint_every,
-            "warm": self.warm,
+            "warm": True,
         }
 
 
-def _warm_capsule(bpred: Optional[GsharePredictor],
-                  hierarchy) -> Optional[dict]:
-    if bpred is None:
-        return None
-    return {"bpred": bpred.export_state(),
-            "caches": hierarchy.export_state()}
-
-
-def capture_train(program: Program, every: int, warm: bool = True, *,
+def capture_train(program: Program, every: int, *,
                   limit: int = 5_000_000) -> dict:
-    """Fast-forward ``program`` from reset to the halt, capturing a
-    checkpoint at position 0 and after every ``every`` retired
-    instructions, each with a warm capsule when ``warm``.
+    """Fast-forward ``program`` from reset to the halt, training a
+    :class:`~repro.branch.gshare.GsharePredictor` and the paper's cache
+    hierarchy on the way, and capture a checkpoint with their warm
+    capsule at position 0 and after every ``every`` retired
+    instructions.
 
     Past :data:`MAX_TRAIN_CHECKPOINTS` the train is thinned: every
     other checkpoint is dropped, the last one is kept, and the stride
@@ -145,12 +139,12 @@ def capture_train(program: Program, every: int, warm: bool = True, *,
     if every < 1:
         raise ValueError(f"checkpoint interval must be >= 1, got {every}")
     interp = Interpreter(program)
-    bpred = GsharePredictor() if warm else None
-    hierarchy = paper_hierarchy() if warm else None
+    bpred = GsharePredictor()
+    hierarchy = paper_hierarchy()
     base_image = MainMemory()
     base_image.load_segments(program.data)
-    checkpoints = [ArchCheckpoint.capture(
-        interp, base_image, warm=_warm_capsule(bpred, hierarchy))]
+    checkpoints = [ArchCheckpoint.capture(interp, base_image, bpred,
+                                          hierarchy)]
     stride = every
     while not interp.halted:
         budget = min(stride, limit - interp.instructions_retired)
@@ -159,8 +153,8 @@ def capture_train(program: Program, every: int, warm: bool = True, *,
         executed = interp.fast_forward(budget, bpred, hierarchy)
         if interp.halted or executed < budget:
             break
-        checkpoints.append(ArchCheckpoint.capture(
-            interp, base_image, warm=_warm_capsule(bpred, hierarchy)))
+        checkpoints.append(ArchCheckpoint.capture(interp, base_image, bpred,
+                                                  hierarchy))
         if len(checkpoints) > MAX_TRAIN_CHECKPOINTS:
             # The train grows one checkpoint at a time, so it is thinned
             # at the even cap plus one: an odd length, whose [::2] keeps
@@ -175,18 +169,18 @@ def capture_train(program: Program, every: int, warm: bool = True, *,
             "total_instructions": interp.instructions_retired}
 
 
-def ensure_train(program: Program, every: int, warm: bool,
+def ensure_train(program: Program, every: int,
                  store: Optional[CheckpointStore], limit: int) -> tuple:
     """``(key, train, captured)``: the train of ``program`` at stride
     ``every`` as ``store`` (or None) holds it under ``key``, else a
     fresh :func:`capture_train` (``captured``), which the caller stores
     once it has measured an interval.  The end-to-end benchmark times
     train capture under this function's name."""
-    key = train_key(program.digest(), every, warm)
+    key = train_key(program.digest(), every)
     train = store.load(key) if store is not None else None
     if train is not None:
         return key, train, False
-    return key, capture_train(program, every, warm, limit=limit), True
+    return key, capture_train(program, every, limit=limit), True
 
 
 def select_checkpoints(checkpoints: List[ArchCheckpoint], total: int,
@@ -229,10 +223,6 @@ def simulate_interval(program: Program, config: ProcessorConfig,
     # The core's image: a copy of the checked one, taken before the
     # suffix trace below steps it.
     memory = resumed.memory.copy()
-    # Suffix golden trace: record 0 must be the first instruction the
-    # restored core retires (trace indices are validated against the
-    # core's own retire count).
-    resumed.instructions_retired = 0
     needed = warmup_insts + interval_insts + config.rob_size + TRACE_SLACK
     records = []
     append = records.append
@@ -266,7 +256,7 @@ def simulate_interval(program: Program, config: ProcessorConfig,
 
 def sample_run(program: Program, config: ProcessorConfig, *,
                intervals: int = 10, warmup_insts: int = 1_000,
-               interval_insts: int = 5_000, warm: bool = True,
+               interval_insts: int = 5_000,
                store: Optional[CheckpointStore] = None,
                limit: int = 5_000_000) -> SampledResult:
     """Sampled detailed simulation of ``program`` under ``config``.
@@ -280,8 +270,7 @@ def sample_run(program: Program, config: ProcessorConfig, *,
     """
     window = warmup_insts + interval_insts
     every = max(window, 500)
-    key, train, captured = ensure_train(program, every, warm, store,
-                                        limit)
+    key, train, captured = ensure_train(program, every, store, limit)
     total = train["total_instructions"]
     selected = select_checkpoints(train["checkpoints"], total, intervals,
                                   window)
@@ -326,4 +315,4 @@ def sample_run(program: Program, config: ProcessorConfig, *,
         counters=counters, cycles=cycles, instructions=instructions,
         total_instructions=total, detailed_instructions=detailed,
         warmup_insts=warmup_insts, interval_insts=interval_insts,
-        checkpoint_every=every, warm=warm)
+        checkpoint_every=every)

@@ -19,23 +19,23 @@ from ..memory.cache import paper_hierarchy
 from .arch import ArchCheckpoint
 
 
-def train_key(program_digest: str, every: int, warm: bool) -> str:
+def train_key(program_digest: str, every: int) -> str:
     """Content hash identifying one checkpoint train.
 
     Covers the program's content digest (not its name -- two identically
-    built programs share a train), the capture interval, and whether warm
-    capsules were collected.
+    built programs share a train) and the capture interval.
     """
     canonical = json.dumps(
-        {"program": program_digest, "every": every, "warm": warm},
+        {"program": program_digest, "every": every},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _decode(payload: Optional[dict]) -> Optional[dict]:
     """The train in a cache entry; None for no entry or a bad one,
-    including one whose warm capsules do not import into the predictor
-    and hierarchy every capture and window uses."""
+    including one with a checkpoint whose warm capsule is missing or
+    does not import into the predictor and hierarchy every capture and
+    window uses."""
     if payload is None:
         return None
     try:
@@ -44,9 +44,8 @@ def _decode(payload: Optional[dict]) -> Optional[dict]:
                  "total_instructions": int(payload["total_instructions"])}
         bpred, hierarchy = GsharePredictor(), paper_hierarchy()
         for checkpoint in train["checkpoints"]:
-            if checkpoint.warm is not None:
-                bpred.import_state(checkpoint.warm["bpred"])
-                hierarchy.import_state(checkpoint.warm["caches"])
+            bpred.import_state(checkpoint.warm["bpred"])
+            hierarchy.import_state(checkpoint.warm["caches"])
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
     return train if train["checkpoints"] else None

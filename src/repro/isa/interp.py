@@ -21,34 +21,29 @@ from .program import INSTRUCTION_BYTES, Program
 class RetireRecord:
     """Architectural effects of one retired instruction.
 
-    ``dest_value`` is the value written to ``rd`` (None when the
-    instruction has no register destination), ``store_addr``/``store_data``
-    describe the memory write (None for non-stores), and ``next_pc`` is the
-    architecturally correct successor PC.
+    ``dest_value`` is the value written to the destination register (None
+    when the instruction has none), ``store_addr``/``store_data``
+    describe the memory write (None for non-stores), and ``next_pc`` is
+    the architecturally correct successor PC.
     """
 
-    __slots__ = ("index", "pc", "op", "rd", "dest_value", "store_addr",
-                 "store_size", "store_data", "next_pc", "taken")
+    __slots__ = ("pc", "op", "dest_value", "store_addr", "store_data",
+                 "next_pc", "taken")
 
-    def __init__(self, index: int, pc: int, op: int, rd: int,
-                 dest_value: Optional[int], store_addr: Optional[int],
-                 store_size: Optional[int], store_data: Optional[int],
+    def __init__(self, pc: int, op: int, dest_value: Optional[int],
+                 store_addr: Optional[int], store_data: Optional[int],
                  next_pc: int, taken: bool):
-        self.index = index
         self.pc = pc
         self.op = op
-        self.rd = rd
         self.dest_value = dest_value
         self.store_addr = store_addr
-        self.store_size = store_size
         self.store_data = store_data
         self.next_pc = next_pc
         self.taken = taken
 
     def __repr__(self) -> str:
         name = ops.OPCODE_NAMES.get(self.op, f"op{self.op}")
-        return (f"RetireRecord(#{self.index} pc={self.pc:#x} {name} "
-                f"rd=r{self.rd} val={self.dest_value} "
+        return (f"RetireRecord(pc={self.pc:#x} {name} val={self.dest_value} "
                 f"st={self.store_addr}/{self.store_data})")
 
 
@@ -284,7 +279,6 @@ class Interpreter:
             a = b = 0
         dest_value: Optional[int] = None
         store_addr: Optional[int] = None
-        store_size: Optional[int] = None
         store_data: Optional[int] = None
         next_pc = pc + INSTRUCTION_BYTES
         taken = False
@@ -299,9 +293,9 @@ class Interpreter:
             dest_value = load_value(self.memory, op, addr)
         elif op in ops.STORE_OPS:
             store_addr = (a + imm) & MASK64
-            store_size = ops.ACCESS_SIZE[op]
-            store_data = b & ((1 << (8 * store_size)) - 1)
-            self.memory.write_int(store_addr, store_size, store_data)
+            size = ops.ACCESS_SIZE[op]
+            store_data = b & ((1 << (8 * size)) - 1)
+            self.memory.write_int(store_addr, size, store_data)
         elif op in ops.BRANCH_OPS:
             taken = branch_taken(op, a, b)
             if taken:
@@ -326,8 +320,7 @@ class Interpreter:
         if dest_value is not None and rd != 0:
             regs[rd] = dest_value
 
-        record = RetireRecord(self.instructions_retired, pc, op, rd,
-                              dest_value, store_addr, store_size, store_data,
+        record = RetireRecord(pc, op, dest_value, store_addr, store_data,
                               next_pc, taken)
         self.pc = next_pc
         self.instructions_retired += 1
@@ -340,27 +333,25 @@ class Interpreter:
         ``update(pc, taken, predict(pc))`` for a conditional branch or
         with the target of a JR/JALR."""
         pc = self.pc
+        hierarchy.inst_latency(pc)
+        pd = self._predecoded()
+        index = pc >> 2
         addr = None
-        if hierarchy is not None:
-            hierarchy.inst_latency(pc)
-            pd = self._predecoded()
-            index = pc >> 2
-            if not pc & 3 and 0 <= index < pd.length and pd.size[index]:
-                # Before the step: a load may overwrite its base register.
-                addr = (self.regs[pd.rs1[index]] + pd.imm[index]) & MASK64
+        if not pc & 3 and 0 <= index < pd.length and pd.size[index]:
+            # Before the step: a load may overwrite its base register.
+            addr = (self.regs[pd.rs1[index]] + pd.imm[index]) & MASK64
         record = self.step()
         if addr is not None:
             hierarchy.data_latency(addr)
-        if bpred is not None:
-            if record.op in ops.BRANCH_OPS:
-                bpred.update(pc, record.taken, bpred.predict(pc))
-            elif record.op == ops.JR or record.op == ops.JALR:
-                bpred.update_indirect(pc, record.next_pc)
+        if record.op in ops.BRANCH_OPS:
+            bpred.update(pc, record.taken, bpred.predict(pc))
+        elif record.op == ops.JR or record.op == ops.JALR:
+            bpred.update_indirect(pc, record.next_pc)
 
-    def fast_forward(self, count: int, bpred=None,
-                     hierarchy=None) -> int:
+    def fast_forward(self, count: int, bpred, hierarchy) -> int:
         """Execute up to ``count`` instructions *without* building retire
-        records -- the checkpointing fast-forward engine.
+        records, training ``bpred`` and ``hierarchy`` on the way -- the
+        checkpointing fast-forward engine.
 
         Architecturally identical to calling :meth:`step` ``count`` times
         (same registers, memory, PC, retire count afterwards), but runs
@@ -373,8 +364,7 @@ class Interpreter:
         (stepped in one go), a conditional branch no block folded, JR,
         JALR, HALT, and unaligned or pad PCs.
 
-        ``bpred``/``hierarchy`` optionally train warm state along the
-        way: every conditional branch trains ``bpred`` (a
+        Every conditional branch trains ``bpred`` (a
         :class:`~repro.branch.gshare.GsharePredictor`; a folded branch
         updates its counters and global history inline, without the
         oracle, so no RNG state is consumed) and every fetch/access
@@ -405,25 +395,19 @@ class Interpreter:
         p_rd = pd.rd
         p_imm = pd.imm
         n = pd.length
-        warm = hierarchy is not None
-        if warm:
-            il = hierarchy.inst_latency
-            dl = hierarchy.data_latency
-            l1i = hierarchy.l1i
-            l1d = hierarchy.l1d
-            isets = l1i._sets
-            dsets = l1d._sets
-            geometry = (l1i._line_shift, l1i._set_mask,
-                        l1d._line_shift, l1d._set_mask)
-        else:
-            il = dl = isets = dsets = geometry = None
+        il = hierarchy.inst_latency
+        dl = hierarchy.data_latency
+        l1i = hierarchy.l1i
+        l1d = hierarchy.l1d
+        isets = l1i._sets
+        dsets = l1d._sets
+        geometry = (l1i._line_shift, l1i._set_mask,
+                    l1d._line_shift, l1d._set_mask)
         blocks = pd.blocks(geometry)
-        counters = None
-        if bpred is not None:
-            counters = bpred._counters
-            table_mask = bpred._mask
-            history_mask = bpred._history_mask
-            history = bpred._history
+        counters = bpred._counters
+        table_mask = bpred._mask
+        history_mask = bpred._history_mask
+        history = bpred._history
         step_warm = self._step_warm
         retired = self.instructions_retired
         pc = self.pc
@@ -450,23 +434,21 @@ class Interpreter:
                         # ``taken``: train gshare as
                         # ``update(pc, taken, predict(pc))`` does.
                         index += blen - 1
-                        if counters is not None:
-                            slot = (index ^ history) & table_mask
-                            counter = counters[slot]
-                            if taken:
-                                if counter < 3:
-                                    counters[slot] = counter + 1
-                                history = ((history << 1) | 1) & history_mask
-                            else:
-                                if counter:
-                                    counters[slot] = counter - 1
-                                history = (history << 1) & history_mask
+                        slot = (index ^ history) & table_mask
+                        counter = counters[slot]
+                        if taken:
+                            if counter < 3:
+                                counters[slot] = counter + 1
+                            history = ((history << 1) | 1) & history_mask
+                        else:
+                            if counter:
+                                counters[slot] = counter - 1
+                            history = (history << 1) & history_mask
                         pc = p_imm[index] if taken else (index + 1) << 2
                         continue
                     k = kind[index]
                     if k == K_J or k == K_JAL:
-                        if warm:
-                            il(pc)
+                        il(pc)
                         rd = p_rd[index]
                         if k == K_JAL and rd:
                             regs[rd] = (pc + INSTRUCTION_BYTES) & MASK64
@@ -481,28 +463,25 @@ class Interpreter:
                 # count and gshare history, and take them back after.
                 self.pc = pc
                 self.instructions_retired = retired + count - left
-                if counters is not None:
-                    bpred._history = history
+                bpred._history = history
                 for _ in range(steps):
                     step_warm(bpred, hierarchy)
-                if counters is not None:
-                    history = bpred._history
+                history = bpred._history
                 pc = self.pc
                 left -= steps
                 if self.halted:
                     break
         finally:
-            if counters is not None:
-                bpred._history = history
+            bpred._history = history
         self.pc = pc
         executed = count - left
         self.instructions_retired = retired + executed
         return executed
 
-    def fast_forward_reference(self, count: int, bpred=None,
-                               hierarchy=None) -> int:
-        """Fast-forward by :meth:`step` plus per-instruction warm
-        training: the warm-state reference for :meth:`fast_forward`.
+    def fast_forward_reference(self, count: int, bpred, hierarchy) -> int:
+        """Fast-forward by :meth:`step` plus per-instruction training of
+        ``bpred`` and ``hierarchy``: the warm-state reference for
+        :meth:`fast_forward`.
 
         It runs neither the compiled blocks nor the dispatcher's inline
         paths, so ``tests/test_predecode.py`` checks against it the

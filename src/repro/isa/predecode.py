@@ -9,8 +9,8 @@ of fetching :class:`~repro.isa.instructions.Instruction` objects, and
 compiles each basic block's straight-line body, with the conditional
 branch that ends it, into a single Python function (a
 "superinstruction") so hot loops execute without per-instruction
-dispatch overhead.  Blocks live in one table per warm cache geometry,
-plus the cold table.
+dispatch overhead.  Every block trains the warm cache state as it runs,
+so blocks live in one table per cache geometry.
 
 Predecoded images are cached globally, keyed by the program's content
 digest, so the fast-forward engine, the architectural oracle
@@ -28,7 +28,7 @@ instructions through :meth:`Interpreter.step`:
 * pure ALU work targeting ``r0`` is skipped only when the opcode is a
   known pure op -- unknown opcodes still reach ``execute_op`` so they
   raise exactly as the oracle would;
-* warm instruction-cache touches are emitted only at block entry and at
+* instruction-cache touches are emitted only at block entry and at
   I-cache line crossings.  Within a straight-line run every skipped touch
   hits the line touched by the immediately preceding instruction, which is
   MRU by construction (data accesses never touch the L1I), so the skipped
@@ -87,7 +87,7 @@ MAX_COMPILED_BLOCKS = 2048
 
 _M = "0xffffffffffffffff"
 
-#: A warm block table's cache geometry: (L1I line shift, L1I set mask,
+#: A block table's cache geometry: (L1I line shift, L1I set mask,
 #: L1D line shift, L1D set mask).
 Geometry = Tuple[int, int, int, int]
 #: A compiled block: its function and how many instructions it retires.
@@ -238,9 +238,9 @@ class PredecodedProgram:
             if self.kind[i] in straight:
                 run_len[i] = (run_len[i + 1] + 1) if i + 1 < n else 1
         self.run_len = run_len
-        # geometry -> {entry index -> (fn, block length)}: one table for
-        # cold blocks (None) and one per warm cache geometry.
-        self._blocks: Dict[Optional[Geometry], Dict[int, Block]] = {}
+        # geometry -> {entry index -> (fn, block length)}: one table per
+        # cache geometry.
+        self._blocks: Dict[Geometry, Dict[int, Block]] = {}
 
     # -- round-trip ---------------------------------------------------------
 
@@ -251,18 +251,18 @@ class PredecodedProgram:
 
     # -- block compilation --------------------------------------------------
 
-    def blocks(self, geometry: Optional[Geometry]) -> Dict[int, Block]:
-        """The table of blocks compiled for ``geometry``: ``None`` for
-        cold blocks, else the warm hierarchy's ``(L1I line shift, L1I
-        set mask, L1D line shift, L1D set mask)``.  The dispatcher reads
-        it directly and calls :meth:`compile_block` on a miss."""
+    def blocks(self, geometry: Geometry) -> Dict[int, Block]:
+        """The table of blocks compiled for ``geometry``, the trained
+        hierarchy's ``(L1I line shift, L1I set mask, L1D line shift, L1D
+        set mask)``.  The dispatcher reads it directly and calls
+        :meth:`compile_block` on a miss."""
         table = self._blocks.get(geometry)
         if table is None:
             table = self._blocks[geometry] = {}
         return table
 
-    def compile_block(self, index: int, geometry: Optional[Geometry]
-                      ) -> Optional[Block]:
+    def compile_block(self, index: int,
+                      geometry: Geometry) -> Optional[Block]:
         """Compile the block at ``index`` into ``geometry``'s table; None
         once that table holds :data:`MAX_COMPILED_BLOCKS`."""
         table = self.blocks(geometry)
@@ -271,14 +271,14 @@ class PredecodedProgram:
         blk = table[index] = self._compile(index, geometry)
         return blk
 
-    def _compile(self, start: int, geometry: Optional[Geometry]) -> Block:
+    def _compile(self, start: int, geometry: Geometry) -> Block:
         """Compile the straight-line run at ``start`` into one function.
 
         The function body is pure array-free Python over the register
         file and bound memory accessors; signature
         ``_blk(regs, rdint, wrint, xop, il, dl, isets, dsets)`` where
         ``il``/``dl`` are the hierarchy's inst/data latency hooks and
-        ``isets``/``dsets`` its L1I/L1D set lists (unused when cold).
+        ``isets``/``dsets`` its L1I/L1D set lists.
         When the run ends at a conditional branch that the block cap did
         not cut off, the block also evaluates that branch and returns
         whether it is taken (its length then counts the branch);
@@ -289,22 +289,19 @@ class PredecodedProgram:
         if end == start + run and end < self.length \
                 and self.op[end] in _BRANCH_CONDITIONS:
             end += 1  # fold the terminating branch into the block
-        warm = geometry is not None
-        if warm:
-            ishift, imask, dshift, dmask = geometry
+        ishift, imask, dshift, dmask = geometry
         body: List[str] = []
         emit = body.append
         prev_line = None
         for i in range(start, end):
-            if warm:
-                # An instruction touch that finds its line MRU changes
-                # no tag state: only the first instruction of each line
-                # is tested, and the hierarchy is called on a miss.
-                line = (i << 2) >> ishift
-                if line != prev_line:
-                    emit(f"_w = isets[{line & imask}]")
-                    emit(f"if not _w or _w[-1] != {line}: il({i << 2})")
-                    prev_line = line
+            # An instruction touch that finds its line MRU changes no tag
+            # state: only the first instruction of each line is tested,
+            # and the hierarchy is called on a miss.
+            line = (i << 2) >> ishift
+            if line != prev_line:
+                emit(f"_w = isets[{line & imask}]")
+                emit(f"if not _w or _w[-1] != {line}: il({i << 2})")
+                prev_line = line
             k = self.kind[i]
             if k == K_NOP:
                 continue
@@ -339,11 +336,10 @@ class PredecodedProgram:
             # register values are already in [0, 2**64)).
             addr = f"({a} + {imm}) & {_M}" if imm else a
             emit(f"_a = {addr}")
-            if warm:
-                # Same MRU test as an instruction touch, on the L1D.
-                emit(f"_l = _a >> {dshift}")
-                emit(f"_w = dsets[_l & {dmask}]")
-                emit("if not _w or _w[-1] != _l: dl(_a)")
+            # Same MRU test as an instruction touch, on the L1D.
+            emit(f"_l = _a >> {dshift}")
+            emit(f"_w = dsets[_l & {dmask}]")
+            emit("if not _w or _w[-1] != _l: dl(_a)")
             if k == K_LOAD:
                 signed = _SIGNED_LOADS.get(op)
                 if signed is not None:
@@ -360,8 +356,6 @@ class PredecodedProgram:
                 size = self.size[i]
                 mask = (1 << (8 * size)) - 1
                 emit(f"wrint(_a, {size}, {b} & {mask})")
-        if not body:
-            body.append("pass")
         src = ("def _blk(regs, rdint, wrint, xop, il, dl, isets, dsets):"
                "\n    " + "\n    ".join(body) + "\n")
         namespace: Dict[str, Callable] = {}

@@ -208,17 +208,17 @@ class RunRecord:
                    wall_time=wall_time, cache_hit=False, engine={})
 
     @classmethod
-    def from_system_result(cls, result, benchmark: Optional[str] = None,
-                           scale: int = 0, wall_time: float = 0.0,
-                           key: str = "") -> "RunRecord":
+    def from_system_result(cls, result,
+                           benchmark: Optional[str] = None) -> "RunRecord":
         """Wrap an N-core :class:`~repro.pipeline.system.SystemResult`
-        (serializes as schema v3 when ``cores > 1``)."""
+        (serializes as schema v3 when ``cores > 1``).  A litmus run
+        goes through no cache, so the record has scale 0, an empty key
+        and no wall time."""
         return cls(benchmark=benchmark or result.program_name,
                    config_name=result.config.name,
-                   config=result.config.to_dict(), scale=scale, key=key,
+                   config=result.config.to_dict(), scale=0, key="",
                    cycles=result.cycles, instructions=result.instructions,
                    ipc=result.ipc, counters=dict(result.counters),
-                   wall_time=wall_time, cache_hit=False, engine={},
                    cores=result.config.cores)
 
     @classmethod

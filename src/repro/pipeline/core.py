@@ -219,7 +219,6 @@ class Core:
 
     def __init__(self, program: Program, config: ProcessorConfig,
                  trace: Optional[List[RetireRecord]] = None,
-                 max_instructions: int = 1_000_000,
                  memory: Optional[MainMemory] = None,
                  hierarchy: Optional[CacheHierarchy] = None,
                  validate: bool = True,
@@ -228,8 +227,7 @@ class Core:
                  warm_state: Optional[dict] = None):
         self.program = program
         self.config = config
-        self.trace = trace if trace is not None \
-            else run_program(program, max_instructions)
+        self.trace = trace if trace is not None else run_program(program)
         self.counters = Counters()
         if memory is None:
             memory = MainMemory()
@@ -485,27 +483,28 @@ class Core:
                     record = trace[retired]
                     if head.pc != record.pc or static.op != record.op:
                         raise SimulationError(
-                            f"retired {head!r} does not match trace "
-                            f"{record!r}")
+                            f"retired {head!r} does not match "
+                            f"trace[{retired}] {record!r}")
                     if record.dest_value is not None and static.rd != 0 \
                             and head.dest_value != record.dest_value:
                         raise SimulationError(
                             f"wrong destination value at {head!r}: "
                             f"{head.dest_value} != {record.dest_value} "
-                            f"({record!r})")
+                            f"(trace[{retired}] {record!r})")
                     if record.store_addr is not None and (
                             head.addr != record.store_addr or
                             head.store_data != record.store_data):
                         raise SimulationError(
                             f"wrong store effect at {head!r}: "
                             f"{head.addr}/{head.store_data} != "
-                            f"{record.store_addr}/{record.store_data}")
+                            f"{record.store_addr}/{record.store_data} "
+                            f"(trace[{retired}])")
                     if static.is_control and \
                             head.actual_target != record.next_pc:
                         raise SimulationError(
                             f"wrong control target at {head!r}: "
                             f"{head.actual_target:#x} != "
-                            f"{record.next_pc:#x}")
+                            f"{record.next_pc:#x} (trace[{retired}])")
                 phys = head.old_rd_phys
                 if phys is not None:
                     ready[phys] = False

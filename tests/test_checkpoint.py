@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.branch.gshare import GsharePredictor
 from repro.checkpoint import (
     ArchCheckpoint,
     CheckpointStore,
@@ -32,6 +33,7 @@ from repro.harness.configs import (
 )
 from repro.harness.experiment import ResultCache
 from repro.isa.interp import Interpreter
+from repro.memory.cache import paper_hierarchy
 from repro.memory.main_memory import MainMemory
 from repro.pipeline.core import Core
 from repro.workloads import random_program
@@ -40,8 +42,8 @@ from repro.workloads import suites
 _SLOW = settings(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
-_RECORD_FIELDS = ("index", "pc", "op", "rd", "dest_value", "store_addr",
-                  "store_size", "store_data", "next_pc", "taken")
+_RECORD_FIELDS = ("pc", "op", "dest_value", "store_addr", "store_data",
+                  "next_pc", "taken")
 
 
 def _record_tuple(record):
@@ -60,9 +62,25 @@ def _base_image(program):
     return memory
 
 
-def _capture(program, every, warm):
+def _fast_forward(interp, count):
+    """Fast-forward ``interp`` by ``count`` instructions, training a
+    fresh predictor and hierarchy; returns both."""
+    bpred, hierarchy = GsharePredictor(), paper_hierarchy()
+    interp.fast_forward(count, bpred, hierarchy)
+    return bpred, hierarchy
+
+
+def _checkpoint_at(program, count):
+    """A checkpoint of ``program`` after ``count`` instructions."""
+    interp = Interpreter(program)
+    bpred, hierarchy = _fast_forward(interp, count)
+    return ArchCheckpoint.capture(interp, _base_image(program), bpred,
+                                  hierarchy)
+
+
+def _capture(program, every):
     """A fresh train's checkpoints and instruction total."""
-    train = capture_train(program, every, warm)
+    train = capture_train(program, every)
     return train["checkpoints"], train["total_instructions"]
 
 
@@ -83,7 +101,7 @@ class TestFastForward:
         trace, golden = _full_run(program)
         k = int(frac * len(trace))
         ff = Interpreter(program)
-        executed = ff.fast_forward(k)
+        executed = ff.fast_forward(k, GsharePredictor(), paper_hierarchy())
         assert executed == k
         assert ff.instructions_retired == k
         stepped = Interpreter(program)
@@ -98,26 +116,21 @@ class TestFastForward:
         program = random_program(3)
         trace, golden = _full_run(program)
         interp = Interpreter(program)
-        executed = interp.fast_forward(10 ** 9)
+        bpred, hierarchy = GsharePredictor(), paper_hierarchy()
+        executed = interp.fast_forward(10 ** 9, bpred, hierarchy)
         assert executed == len(trace)
         assert interp.halted
         assert interp.memory.digest() == golden.memory.digest()
-        assert interp.fast_forward(10) == 0
+        assert interp.fast_forward(10, bpred, hierarchy) == 0
 
     def test_warm_training_does_not_change_architecture(self):
-        from repro.branch.gshare import GsharePredictor
-        from repro.memory.cache import paper_hierarchy
-
         program = random_program(11)
-        cold = Interpreter(program)
-        cold.fast_forward(10 ** 9)
+        _, stepped = _full_run(program)
         warm = Interpreter(program)
-        bpred = GsharePredictor()
-        hierarchy = paper_hierarchy()
-        warm.fast_forward(10 ** 9, bpred=bpred, hierarchy=hierarchy)
-        assert warm.pc == cold.pc
-        assert warm.regs == cold.regs
-        assert warm.memory.digest() == cold.memory.digest()
+        _, hierarchy = _fast_forward(warm, 10 ** 9)
+        assert warm.pc == stepped.pc
+        assert warm.regs == stepped.regs
+        assert warm.memory.digest() == stepped.memory.digest()
         assert hierarchy.l1i.accesses > 0
 
 
@@ -133,9 +146,7 @@ class TestInterpreterRoundTrip:
         # Arbitrary k lands mid-loop as often as on block boundaries;
         # both matter (mid-loop state has live loop-carried registers).
         k = int(frac * len(trace))
-        interp = Interpreter(program)
-        interp.fast_forward(k)
-        ckpt = ArchCheckpoint.capture(interp, _base_image(program))
+        ckpt = _checkpoint_at(program, k)
         resumed = ckpt.resume_interpreter(program)
         assert resumed.instructions_retired == k
         suffix = resumed.run(500_000)
@@ -150,9 +161,7 @@ class TestInterpreterRoundTrip:
         program = random_program(seed)
         trace, golden = _full_run(program)
         k = int(frac * len(trace))
-        interp = Interpreter(program)
-        interp.fast_forward(k)
-        ckpt = ArchCheckpoint.capture(interp, _base_image(program))
+        ckpt = _checkpoint_at(program, k)
         clone = ArchCheckpoint.from_dict(ckpt.to_dict())
         assert clone.regs == ckpt.regs
         assert clone.pages == ckpt.pages
@@ -165,7 +174,7 @@ class TestInterpreterRoundTrip:
         """k at every captured block boundary of a real kernel."""
         program = suites.build("gzip", 2_000)
         trace, golden = _full_run(program)
-        checkpoints, total = _capture(program, 500, False)
+        checkpoints, total = _capture(program, 500)
         assert total == len(trace)
         assert [c.retired for c in checkpoints] == \
             list(range(0, ((total - 1) // 500) * 500 + 1, 500))
@@ -178,9 +187,7 @@ class TestInterpreterRoundTrip:
     def test_checkpoint_rejects_wrong_program(self):
         program = random_program(5)
         other = random_program(6)
-        interp = Interpreter(program)
-        interp.fast_forward(10)
-        ckpt = ArchCheckpoint.capture(interp, _base_image(program))
+        ckpt = _checkpoint_at(program, 10)
         with pytest.raises(ValueError, match="digest"):
             ckpt.restore_memory(other)
         with pytest.raises(ValueError, match="digest"):
@@ -195,11 +202,9 @@ class TestCoreRestore:
     def test_resumed_core_retires_suffix(self, config_fn):
         program = suites.build("gzip", 3_000)
         trace, golden = _full_run(program)
-        checkpoints, total = _capture(program, 1_000, True)
+        checkpoints, total = _capture(program, 1_000)
         ckpt = checkpoints[2]
-        resumed = ckpt.resume_interpreter(program)
-        resumed.instructions_retired = 0  # suffix records index from 0
-        suffix = resumed.run(500_000)
+        suffix = ckpt.resume_interpreter(program).run(500_000)
         memory = ckpt.restore_memory(program)
         core = Core(program, config_fn(), trace=suffix, memory=memory,
                     start_pc=ckpt.pc, start_regs=ckpt.regs,
@@ -227,7 +232,7 @@ class TestTrainAndStore:
     def test_thinning_caps_train_length(self, monkeypatch):
         monkeypatch.setattr(sampling, "MAX_TRAIN_CHECKPOINTS", 16)
         program = suites.build("gzip", 3_000)
-        checkpoints, total = _capture(program, 10, False)
+        checkpoints, total = _capture(program, 10)
         assert len(checkpoints) <= 16
         positions = [c.retired for c in checkpoints]
         stride = positions[1] - positions[0]
@@ -248,13 +253,13 @@ class TestTrainAndStore:
             return digest(program)
 
         monkeypatch.setattr(Program, "digest", counting)
-        checkpoints, _ = _capture(suites.build("gzip", 2_000), 100, True)
+        checkpoints, _ = _capture(suites.build("gzip", 2_000), 100)
         assert len(checkpoints) >= 10
         assert len(calls) <= 2
 
     def test_select_checkpoints_spacing(self):
         program = suites.build("gzip", 2_000)
-        checkpoints, total = _capture(program, 200, False)
+        checkpoints, total = _capture(program, 200)
         picked = select_checkpoints(checkpoints, total, intervals=4,
                                     window=300)
         assert 1 <= len(picked) <= 4
@@ -264,17 +269,17 @@ class TestTrainAndStore:
 
     def test_select_degenerates_to_start_when_program_short(self):
         program = suites.build("gzip", 2_000)
-        checkpoints, total = _capture(program, 500, False)
+        checkpoints, total = _capture(program, 500)
         picked = select_checkpoints(checkpoints, total, intervals=3,
                                     window=total + 1)
         assert [c.retired for c in picked] == [0]
 
     def test_store_round_trip(self, tmp_path):
         program = suites.build("gzip", 2_000)
-        captured = capture_train(program, 700, True)
+        captured = capture_train(program, 700)
         checkpoints = captured["checkpoints"]
         store = _disk_store(tmp_path)
-        key = train_key(program.digest(), 700, True)
+        key = train_key(program.digest(), 700)
         assert store.load(key) is None
         store.store(key, captured)
         assert store.load(key) is captured  # memoized
@@ -294,7 +299,7 @@ class TestTrainAndStore:
         cache.store("empty", {"total_instructions": 0, "checkpoints": []})
         # Well-formed but for one warm capsule, whose gshare counters
         # are hex of the wrong length: it would fail every window.
-        train = capture_train(suites.build("gzip", 2_000), 700, True)
+        train = capture_train(suites.build("gzip", 2_000), 700)
         entries = [checkpoint.to_dict() for checkpoint in train["checkpoints"]]
         entries[-1]["warm"]["bpred"]["counters"] = "02" * 10
         cache.store("bad-capsule", {
@@ -305,9 +310,14 @@ class TestTrainAndStore:
         cache.store("bad-counter", {
             "total_instructions": train["total_instructions"],
             "checkpoints": entries})
+        # A checkpoint without a capsule: every window would start cold.
+        del entries[-1]["warm"]
+        cache.store("no-capsule", {
+            "total_instructions": train["total_instructions"],
+            "checkpoints": entries})
         store = CheckpointStore(cache)
         for key in ("bad", "partial", "empty", "bad-capsule", "bad-counter",
-                    "missing"):
+                    "no-capsule", "missing"):
             assert store.load(key) is None
 
 
@@ -317,8 +327,7 @@ class TestStoreFaultInjection:
 
     @staticmethod
     def _train(program):
-        interp = Interpreter(program)
-        checkpoint = ArchCheckpoint.capture(interp, _base_image(program))
+        checkpoint = _checkpoint_at(program, 0)
         return {"checkpoints": [checkpoint], "total_instructions": 100}
 
     def test_unserializable_capsule_cleans_temp(self, tmp_path):
@@ -379,7 +388,7 @@ class TestEnsureTrain:
     def test_without_store_captures_fresh(self):
         program = suites.build("gzip", 2_000)
         trace, _ = _full_run(program)
-        train = capture_train(program, 300, True)
+        train = capture_train(program, 300)
         assert train["total_instructions"] == len(trace)
         assert train["checkpoints"][0].retired == 0
 

@@ -270,7 +270,7 @@ class TestTrainEntries:
                                     intervals=2, warmup_insts=100,
                                     interval_insts=200)
         key = train_key(runner.program("gzip").digest(),
-                        record.sampling["checkpoint_every"], True)
+                        record.sampling["checkpoint_every"])
         return runner, runner.cache.path(key)
 
     def test_train_is_a_stamped_entry_next_to_the_cell(self, tmp_path):
@@ -285,7 +285,7 @@ class TestTrainEntries:
         runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
         program = runner.program("gzip")
         every = 500  # one 300-instruction window, floored at 500
-        key = train_key(program.digest(), every, True)
+        key = train_key(program.digest(), every)
         start = capture_train(program, every)["checkpoints"][0]
         write_foreign(runner.cache, key, {
             "format": 1, "complete": False, "stride": every,

@@ -217,7 +217,7 @@ class TestControlFlow:
         assert len(trace) == 5
         store = trace[2]
         assert store.store_addr == 0x1000
-        assert store.store_size == 8
+        assert store.op == ops.SD
         assert store.store_data == 5
         branch = trace[3]
         assert branch.taken and branch.next_pc == 16

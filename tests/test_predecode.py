@@ -10,10 +10,9 @@ The contracts:
   built programs share one predecode object;
 * the batch-dispatch engine is architecturally identical to N x step()
   and bit-identical (registers, memory digest, retire count, warm
-  bpred/cache capsules) to the per-instruction reference engine, with
-  and without warm-state training, at every cut point -- including cuts
-  that land mid-block, past the halt, and in the wrong-path pad -- and
-  with a full block table;
+  bpred/cache capsules) to the per-instruction reference engine at
+  every cut point -- including cuts that land mid-block, past the halt,
+  and in the wrong-path pad -- and with a full block table;
 * the warm training both share trains the predictor and the cache as
   the pipeline would.
 """
@@ -127,10 +126,15 @@ class TestPredecodeCache:
         # fast-forward has compiled blocks into the shared predecode,
         # the program must still pickle.
         program = build("gzip", scale=2_000)
-        Interpreter(program).fast_forward(1_000)
-        assert program.predecoded().blocks(None)
+        Interpreter(program).fast_forward(1_000, *_trainers())
+        assert any(program.predecoded()._blocks.values())
         clone = pickle.loads(pickle.dumps(program))
         assert clone.digest() == program.digest()
+
+
+def _trainers():
+    """A fresh predictor and hierarchy for one fast-forward."""
+    return GsharePredictor(), paper_hierarchy()
 
 
 def _state(interp, bpred=None, hierarchy=None):
@@ -146,22 +150,19 @@ class TestDifferential:
     @_SLOW
     @given(generate=_GENERATORS,
            seed=st.integers(min_value=0, max_value=10_000),
-           frac=st.floats(min_value=0.0, max_value=1.2),
-           warm=st.booleans())
+           frac=st.floats(min_value=0.0, max_value=1.2))
     def test_engine_matches_reference_and_stepping(self, generate, seed,
-                                                   frac, warm):
+                                                   frac):
         program = generate(seed)
         total = len(Interpreter(program).run(500_000))
         k = int(frac * total)  # up to 20% past the halt
 
         engine = Interpreter(program)
-        e_bpred = GsharePredictor() if warm else None
-        e_hier = paper_hierarchy() if warm else None
+        e_bpred, e_hier = _trainers()
         e_executed = engine.fast_forward(k, e_bpred, e_hier)
 
         reference = Interpreter(program)
-        r_bpred = GsharePredictor() if warm else None
-        r_hier = paper_hierarchy() if warm else None
+        r_bpred, r_hier = _trainers()
         r_executed = reference.fast_forward_reference(k, r_bpred, r_hier)
 
         assert e_executed == r_executed
@@ -234,12 +235,14 @@ class TestR0LoadUnification:
     def test_all_paths_perform_r0_load_reads(self):
         by_step = self._reads(lambda i: i.run(100))
         assert by_step == 2
-        assert self._reads(lambda i: i.fast_forward(100)) == by_step
         assert self._reads(
-            lambda i: i.fast_forward_reference(100)) == by_step
+            lambda i: i.fast_forward(100, *_trainers())) == by_step
+        assert self._reads(
+            lambda i: i.fast_forward_reference(100, *_trainers())) == by_step
         # mid-block budget cut: the stepped path reads too
-        assert self._reads(lambda i: (i.fast_forward(4),
-                                      i.fast_forward(100))) == by_step
+        assert self._reads(lambda i: (i.fast_forward(4, *_trainers()),
+                                      i.fast_forward(100, *_trainers()))
+                           ) == by_step
 
 
 class TestBlockDispatchEdges:
@@ -252,7 +255,7 @@ class TestBlockDispatchEdges:
         program = a.build()
         for k in range(0, 13):
             ff = Interpreter(program)
-            assert ff.fast_forward(k) == k
+            assert ff.fast_forward(k, *_trainers()) == k
             stepped = Interpreter(program)
             for _ in range(k):
                 stepped.step()
@@ -267,7 +270,7 @@ class TestBlockDispatchEdges:
         a.halt()
         program = a.build()
         interp = Interpreter(program)
-        executed = interp.fast_forward(10_000)
+        executed = interp.fast_forward(10_000, *_trainers())
         assert interp.halted
         assert executed == MAX_BLOCK_INSTRUCTIONS + 150 + 2
         assert interp.regs[1] == MAX_BLOCK_INSTRUCTIONS + 150
@@ -278,7 +281,7 @@ class TestBlockDispatchEdges:
         # stepping.
         program = Program([Instruction(ops.ADDI, rd=1, rs1=1, imm=5)])
         ff = Interpreter(program)
-        executed = ff.fast_forward(10_000)
+        executed = ff.fast_forward(10_000, *_trainers())
         stepped = Interpreter(program)
         count = 0
         while stepped.step() is not None:
@@ -295,40 +298,34 @@ class TestBlockDispatchEdges:
         ff.pc = 2
         stepped = Interpreter(program)
         stepped.pc = 2
-        ff.fast_forward(3)
+        ff.fast_forward(3, *_trainers())
         for _ in range(3):
             stepped.step()
         assert (ff.pc, ff.regs, ff.halted) == \
             (stepped.pc, stepped.regs, stepped.halted)
 
     def test_warm_capsule_identical_to_reference_on_kernels(self):
-        """On real kernels run to the halt, cold, warm, and with only the
-        predictor or only the hierarchy (inline gshare training and
-        inline MRU tests are separate code), the engine ends in the
-        reference's full state; warm, its line-crossing-only I-cache
-        touches leave the same tag state as the reference's
-        per-instruction touches."""
-        modes = ((False, False), (True, True), (True, False), (False, True))
+        """On real kernels run to the halt, the engine ends in the
+        reference's full state: its inline gshare training and its
+        line-crossing-only, MRU-tested cache touches leave the same
+        predictor and tag state as the reference's per-instruction
+        training."""
         for name in ("gzip", "mcf", "equake"):
             program = build(name, scale=3_000)
-            for with_bpred, with_hierarchy in modes:
-                mode = (name, with_bpred, with_hierarchy)
-                engine = Interpreter(program)
-                e_bpred = GsharePredictor() if with_bpred else None
-                e_hier = paper_hierarchy() if with_hierarchy else None
-                engine.fast_forward(50_000, e_bpred, e_hier)
-                reference = Interpreter(program)
-                r_bpred = GsharePredictor() if with_bpred else None
-                r_hier = paper_hierarchy() if with_hierarchy else None
-                reference.fast_forward_reference(50_000, r_bpred, r_hier)
-                assert engine.halted, mode
-                assert _state(engine, e_bpred, e_hier) == \
-                    _state(reference, r_bpred, r_hier), mode
+            engine = Interpreter(program)
+            e_bpred, e_hier = _trainers()
+            engine.fast_forward(50_000, e_bpred, e_hier)
+            reference = Interpreter(program)
+            r_bpred, r_hier = _trainers()
+            reference.fast_forward_reference(50_000, r_bpred, r_hier)
+            assert engine.halted, name
+            assert _state(engine, e_bpred, e_hier) == \
+                _state(reference, r_bpred, r_hier), name
 
     def test_full_block_table_steps_every_run(self, monkeypatch):
         """With no room in the block table, every run and conditional
-        branch is stepped (J and JAL stay inline): warm, the engine still
-        ends in the reference's full state and in N x step()'s."""
+        branch is stepped (J and JAL stay inline): the engine still ends
+        in the reference's full state and in N x step()'s."""
         monkeypatch.setattr(predecode, "MAX_COMPILED_BLOCKS", 0)
         monkeypatch.setattr(predecode, "_CACHE", {})
         for name in ("gzip", "mcf"):
@@ -451,9 +448,13 @@ class TestPredecodedProgramShape:
         program = build("gzip", scale=2_000)
         pd = PredecodedProgram(program.instructions, program.digest())
         entry = next(i for i in range(pd.length) if pd.run_len[i])
-        table = pd.blocks(None)
-        assert pd.blocks(None) is table and not table
-        blk = pd.compile_block(entry, None)
+        hierarchy = paper_hierarchy()
+        l1i, l1d = hierarchy.l1i, hierarchy.l1d
+        geometry = (l1i._line_shift, l1i._set_mask,
+                    l1d._line_shift, l1d._set_mask)
+        table = pd.blocks(geometry)
+        assert pd.blocks(geometry) is table and not table
+        blk = pd.compile_block(entry, geometry)
         assert table == {entry: blk}
         fn, blen = blk
         # The run, plus the conditional branch that ends it, if any.

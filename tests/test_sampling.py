@@ -15,7 +15,8 @@ import json
 import pytest
 
 from repro import api, perf
-from repro.checkpoint import SamplingError, capture_train, sample_run
+from repro.checkpoint import (ArchCheckpoint, SamplingError, capture_train,
+                              sample_run, select_checkpoints)
 from repro.checkpoint.sampling import simulate_interval, t95
 from repro.harness.configs import (
     baseline_lsq_config,
@@ -73,18 +74,25 @@ class TestSampledAccuracy:
 
     def test_cold_short_warmup_underpredicts(self):
         """Regression oracle for the cold-start bias that warm capsules
-        correct: cold restore with a tiny warm-up reads biased-low."""
+        correct: the same windows restored without their capsules, with
+        a tiny warm-up, read biased-low."""
         config = baseline_lsq_config()
         program = suites.build("gzip", SCALE)
         full = _full_ipc("gzip", config)
-        cold = sample_run(program, config, intervals=8,
-                          warmup_insts=500, interval_insts=2_000,
-                          warm=False)
         warm = sample_run(program, config, intervals=8,
-                          warmup_insts=500, interval_insts=2_000,
-                          warm=True)
-        assert cold.ipc_mean < full
-        assert abs(warm.ipc_mean - full) < abs(cold.ipc_mean - full)
+                          warmup_insts=500, interval_insts=2_000)
+        train = capture_train(program, warm.checkpoint_every)
+        cold_ipcs = []
+        for ckpt in select_checkpoints(train["checkpoints"],
+                                       train["total_instructions"],
+                                       intervals=8, window=2_500):
+            bare = ArchCheckpoint.from_dict({**ckpt.to_dict(), "warm": None})
+            result = simulate_interval(program, config, bare, 500, 2_000)
+            if result is not None:
+                cold_ipcs.append(result["ipc"])
+        cold = sum(cold_ipcs) / len(cold_ipcs)
+        assert cold < full
+        assert abs(warm.ipc_mean - full) < abs(cold - full)
 
     def test_single_interval_reports_wide_ci(self):
         config = baseline_sfc_mdt_config()
@@ -105,7 +113,14 @@ class TestSampledAccuracy:
         assert t95(1) == pytest.approx(12.706)
         assert t95(9) == pytest.approx(2.262)
         assert t95(17) == pytest.approx(2.131)
-        assert t95(200) == pytest.approx(1.96)
+        # Never below the true quantile between or past the table's
+        # rows, which would narrow the reported CI: a thinned train
+        # gives up to 129 intervals, so df reaches 128.
+        true_t95 = {16: 2.1199, 59: 2.0010, 60: 2.0003, 100: 1.9840,
+                    128: 1.9787, 1000: 1.9623}
+        for df, quantile in true_t95.items():
+            assert t95(df) >= quantile - 1e-3, df
+        assert all(t95(df + 1) <= t95(df) for df in range(1, 200))
 
 
 class TestBoundaryAccounting:

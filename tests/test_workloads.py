@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa import instructions as ops
 from repro.isa import run_program
 from repro.workloads import (
     ALL_BENCHMARKS,
@@ -100,7 +101,7 @@ class TestKernelSignatures:
             if record.store_addr is None:
                 continue
             total += 1
-            key = (record.store_addr, record.store_size)
+            key = (record.store_addr, ops.ACCESS_SIZE[record.op])
             if last_value.get(key) == record.store_data:
                 silent += 1
             last_value[key] = record.store_data
@@ -182,7 +183,7 @@ class TestGeneratorDeterminism:
         for seed in range(20):
             for record in run_program(fuzz_program(seed), 500_000):
                 if record.store_addr is not None and \
-                        record.store_addr % record.store_size:
+                        record.store_addr % ops.ACCESS_SIZE[record.op]:
                     unaligned += 1
         assert unaligned > 0
 
