@@ -364,22 +364,28 @@ class Interpreter:
         (stepped in one go), a conditional branch no block folded, JR,
         JALR, HALT, and unaligned or pad PCs.
 
+        A block runs on Python locals and the memory's pages: it loads
+        the registers it reads once and stores back the ones it wrote,
+        and reads and writes ``self.memory._pages`` directly, calling
+        ``read_int``/``write_int`` only for an access that crosses a
+        page or finds none.  A ``MainMemory`` subclass that overrides
+        those two methods is therefore bypassed on the block path.
+
         Every conditional branch trains ``bpred`` (a
         :class:`~repro.branch.gshare.GsharePredictor`; a folded branch
-        updates its counters and global history inline, without the
-        oracle, so no RNG state is consumed) and every fetch/access
-        touches ``hierarchy`` (a :class:`~repro.memory.cache.CacheHierarchy`),
-        filling tag arrays the way a warm pipeline would have.  A
-        compiled block tests inline whether a touch's line is already
-        MRU in its L1 and then skips the call: it would change no tag
-        state.
+        updates its counters and global history inside the block,
+        without the oracle, so no RNG state is consumed) and every
+        fetch/access touches ``hierarchy`` (a
+        :class:`~repro.memory.cache.CacheHierarchy`), filling tag arrays
+        the way a warm pipeline would have.  A compiled block performs
+        each L1 hit's LRU update inline and calls the hierarchy only on
+        an L1 miss: a hit reaches no other level.
 
         The warm state this leaves -- every ``export_state()`` capsule
         -- is bit-identical to :meth:`fast_forward_reference`'s.  The
-        statistics of ``bpred`` and ``hierarchy`` are not: skipped
-        touches are not counted in ``Cache.accesses``, and inline
-        training counts no ``GsharePredictor`` predictions or
-        mispredictions.
+        statistics of ``bpred`` and ``hierarchy`` are not: an inline L1
+        hit is not counted in ``Cache.accesses``, and inline training
+        counts no ``GsharePredictor`` predictions or mispredictions.
 
         Returns the number of instructions actually executed (less than
         ``count`` only if the program halts first).
@@ -388,8 +394,10 @@ class Interpreter:
             return 0
         pd = self._predecoded()
         regs = self.regs
-        rdint = self.memory.read_int
-        wrint = self.memory.write_int
+        memory = self.memory
+        pg = memory._pages.get
+        rdint = memory.read_int
+        wrint = memory.write_int
         kind = pd.kind
         run_len = pd.run_len
         p_rd = pd.rd
@@ -401,78 +409,52 @@ class Interpreter:
         l1d = hierarchy.l1d
         isets = l1i._sets
         dsets = l1d._sets
-        geometry = (l1i._line_shift, l1i._set_mask,
-                    l1d._line_shift, l1d._set_mask)
-        blocks = pd.blocks(geometry)
         counters = bpred._counters
-        table_mask = bpred._mask
-        history_mask = bpred._history_mask
-        history = bpred._history
+        key = (l1i._line_shift, l1i._set_mask, l1d._line_shift,
+               l1d._set_mask, bpred._mask, bpred._history_mask)
+        blocks = pd.blocks(key)
         step_warm = self._step_warm
         retired = self.instructions_retired
         pc = self.pc
         left = count
-        try:
-            while left > 0:
-                index = pc >> 2
-                steps = 1
-                if not pc & 3 and 0 <= index < n:
-                    blk = blocks.get(index)
-                    if blk is None and run_len[index]:
-                        blk = pd.compile_block(index, geometry)
-                    if blk is not None and blk[1] <= left:
-                        # A compiled block that fits the budget; one that
-                        # ends at a conditional branch returns its outcome.
-                        fn, blen = blk
-                        taken = fn(regs, rdint, wrint, execute_op, il, dl,
-                                   isets, dsets)
-                        left -= blen
-                        if taken is None:
-                            pc += blen << 2
-                            continue
-                        # The folded branch at ``index`` resolved
-                        # ``taken``: train gshare as
-                        # ``update(pc, taken, predict(pc))`` does.
-                        index += blen - 1
-                        slot = (index ^ history) & table_mask
-                        counter = counters[slot]
-                        if taken:
-                            if counter < 3:
-                                counters[slot] = counter + 1
-                            history = ((history << 1) | 1) & history_mask
-                        else:
-                            if counter:
-                                counters[slot] = counter - 1
-                            history = (history << 1) & history_mask
-                        pc = p_imm[index] if taken else (index + 1) << 2
-                        continue
-                    k = kind[index]
-                    if k == K_J or k == K_JAL:
-                        il(pc)
-                        rd = p_rd[index]
-                        if k == K_JAL and rd:
-                            regs[rd] = (pc + INSTRUCTION_BYTES) & MASK64
-                        pc = p_imm[index]
-                        left -= 1
-                        continue
-                    # A run left over by the budget or the full block
-                    # table is stepped in one go, so that no block is
-                    # compiled in its middle.
-                    steps = min(run_len[index], left) or 1
-                # Everything else is stepped: hand step() the PC, retire
-                # count and gshare history, and take them back after.
-                self.pc = pc
-                self.instructions_retired = retired + count - left
-                bpred._history = history
-                for _ in range(steps):
-                    step_warm(bpred, hierarchy)
-                history = bpred._history
-                pc = self.pc
-                left -= steps
-                if self.halted:
-                    break
-        finally:
-            bpred._history = history
+        while left > 0:
+            blk = blocks.get(pc)
+            if blk is not None and blk[1] <= left:
+                # A compiled block that fits the budget: it trains the
+                # caches and gshare and returns the next PC.
+                pc = blk[0](regs, pg, rdint, wrint, execute_op, il, dl,
+                            isets, dsets, bpred, counters)
+                left -= blk[1]
+                continue
+            index = pc >> 2
+            steps = 1
+            if not pc & 3 and 0 <= index < n:
+                if blk is None and run_len[index] \
+                        and pd.compile_block(index, key) is not None:
+                    continue
+                k = kind[index]
+                if k == K_J or k == K_JAL:
+                    il(pc)
+                    rd = p_rd[index]
+                    if k == K_JAL and rd:
+                        regs[rd] = (pc + INSTRUCTION_BYTES) & MASK64
+                    pc = p_imm[index]
+                    left -= 1
+                    continue
+                # A run left over by the budget or the full block table
+                # is stepped in one go, so that no block is compiled in
+                # its middle.
+                steps = min(run_len[index], left) or 1
+            # Everything else is stepped: hand step() the PC and retire
+            # count, and take the PC back after.
+            self.pc = pc
+            self.instructions_retired = retired + count - left
+            for _ in range(steps):
+                step_warm(bpred, hierarchy)
+            pc = self.pc
+            left -= steps
+            if self.halted:
+                break
         self.pc = pc
         executed = count - left
         self.instructions_retired = retired + executed

@@ -9,8 +9,10 @@ of fetching :class:`~repro.isa.instructions.Instruction` objects, and
 compiles each basic block's straight-line body, with the conditional
 branch that ends it, into a single Python function (a
 "superinstruction") so hot loops execute without per-instruction
-dispatch overhead.  Every block trains the warm cache state as it runs,
-so blocks live in one table per cache geometry.
+dispatch overhead.  A block keeps the registers it uses in Python
+locals, reads and writes memory pages directly, and trains the warm
+cache and branch-predictor state as it runs, so blocks live in one
+table per cache and predictor geometry (:data:`BlockKey`).
 
 Predecoded images are cached globally, keyed by the program's content
 digest, so the fast-forward engine, the architectural oracle
@@ -22,8 +24,20 @@ Correctness contract
 Compiled blocks are architecturally identical to executing the same
 instructions through :meth:`Interpreter.step`:
 
-* loads always perform the memory read, even with ``rd == r0`` (the read
-  is architecturally visible to the warm cache capsule and must match the
+* a block loads each register it reads into a local once, at entry,
+  and stores each register it writes back to the register file at its
+  exit, and before any ``execute_op`` call for an opcode outside
+  :data:`_PURE_ALU`, which raises with the register file as stepping
+  would have left it;
+* loads and stores address ``MainMemory._pages`` directly: a page
+  lookup, then an in-page read or write of the bytearray.  An access
+  that crosses a page, or a load or store that finds no page, falls
+  back to ``read_int``/``write_int``, so a load never allocates a page
+  and a store allocates one exactly as ``write_int`` does.  The block
+  path therefore bypasses a ``MainMemory`` subclass that overrides
+  ``read_int``/``write_int`` for in-page accesses;
+* loads always perform the access, even with ``rd == r0`` (the L1D
+  touch is visible in the warm cache capsule and must match the
   oracle's access stream);
 * pure ALU work targeting ``r0`` is skipped only when the opcode is a
   known pure op -- unknown opcodes still reach ``execute_op`` so they
@@ -33,21 +47,25 @@ instructions through :meth:`Interpreter.step`:
   hits the line touched by the immediately preceding instruction, which is
   MRU by construction (data accesses never touch the L1I), so the skipped
   touches are tag-state no-ops;
-* every emitted touch, instruction or data, first tests inline whether
-  its line is already the MRU way of its L1 set, and calls the hierarchy
-  only when it is not.  An MRU hit reorders nothing and reaches no other
-  level, so the resulting warm capsule (``CacheHierarchy.export_state``
-  -- tag arrays only, no hit/miss stats) is bit-identical to
-  per-instruction touching;
+* every emitted touch, instruction or data, is an L1 lookup written
+  inline: a line at the MRU way of its set changes nothing, a line
+  elsewhere in the set moves to the MRU way, and only a miss calls the
+  hierarchy.  That is exactly what ``Cache.lookup`` does to the tag
+  state on an L1 hit, which reaches no other level, so the resulting
+  warm capsule (``CacheHierarchy.export_state`` -- tag arrays only, no
+  hit/miss stats) is bit-identical to per-instruction touching;
 * a folded branch evaluates ``branch_taken``'s comparison inline and
-  returns the outcome; the dispatcher trains the predictor and picks the
-  next PC.
+  trains the predictor's counter and global history as
+  ``GsharePredictor.update(pc, taken, predict(pc))`` does;
+* every block returns the PC it hands over to.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..memory.main_memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from . import instructions as ops
 from .instructions import MASK64, Instruction
 
@@ -71,11 +89,11 @@ _STRAIGHT_KINDS = frozenset({K_ALU, K_LOAD, K_STORE, K_NOP})
 _PURE_ALU = (frozenset(range(ops.NUM_OPCODES))
              - ops.MEM_OPS - ops.CONTROL_OPS - {ops.HALT, ops.NOP})
 
-#: Signed loads: (access size, sign-bit mask, extension OR-mask).
+#: Signed loads: (sign-bit mask, extension OR-mask).
 _SIGNED_LOADS = {
-    ops.LB: (1, 0x80, MASK64 ^ 0xFF),
-    ops.LH: (2, 0x8000, MASK64 ^ 0xFFFF),
-    ops.LW: (4, 0x8000_0000, MASK64 ^ 0xFFFF_FFFF),
+    ops.LB: (0x80, MASK64 ^ 0xFF),
+    ops.LH: (0x8000, MASK64 ^ 0xFFFF),
+    ops.LW: (0x8000_0000, MASK64 ^ 0xFFFF_FFFF),
 }
 
 #: Longest straight-line run compiled into a single block; longer runs are
@@ -87,11 +105,36 @@ MAX_COMPILED_BLOCKS = 2048
 
 _M = "0xffffffffffffffff"
 
-#: A block table's cache geometry: (L1I line shift, L1I set mask,
-#: L1D line shift, L1D set mask).
-Geometry = Tuple[int, int, int, int]
+#: Every constant a compiled block bakes in, and so the key of its table:
+#: (L1I line shift, L1I set mask, L1D line shift, L1D set mask, gshare
+#: table mask, gshare history mask).
+BlockKey = Tuple[int, int, int, int, int, int]
 #: A compiled block: its function and how many instructions it retires.
 Block = Tuple[Callable, int]
+
+#: The globals of every compiled block: no builtins, and the little-endian
+#: in-page accessors of the 2-, 4- and 8-byte loads and stores.
+_BLOCK_GLOBALS = {
+    "__builtins__": {},
+    "_ld2": struct.Struct("<H").unpack_from,
+    "_ld4": struct.Struct("<I").unpack_from,
+    "_ld8": struct.Struct("<Q").unpack_from,
+    "_st2": struct.Struct("<H").pack_into,
+    "_st4": struct.Struct("<I").pack_into,
+    "_st8": struct.Struct("<Q").pack_into,
+}
+
+
+def _l1_touch(sets: str, line: str, index: str, addr: str,
+              miss: str) -> List[str]:
+    """An L1 lookup, inline: nothing at the MRU way, an LRU reorder on
+    any other hit, and the hierarchy's hook ``miss`` only on a miss --
+    what ``Cache.lookup`` does to the tag state."""
+    return [f"_w = {sets}[{index}]",
+            f"if not _w: {miss}({addr})",
+            f"elif _w[-1] != {line}:",
+            f"    if {line} in _w: _w.remove({line}); _w.append({line})",
+            f"    else: {miss}({addr})"]
 
 
 def _kind_of(op: int) -> int:
@@ -238,9 +281,9 @@ class PredecodedProgram:
             if self.kind[i] in straight:
                 run_len[i] = (run_len[i + 1] + 1) if i + 1 < n else 1
         self.run_len = run_len
-        # geometry -> {entry index -> (fn, block length)}: one table per
-        # cache geometry.
-        self._blocks: Dict[Geometry, Dict[int, Block]] = {}
+        # BlockKey -> {entry PC -> (fn, block length)}: one table per
+        # cache and predictor geometry.
+        self._blocks: Dict[BlockKey, Dict[int, Block]] = {}
 
     # -- round-trip ---------------------------------------------------------
 
@@ -251,77 +294,97 @@ class PredecodedProgram:
 
     # -- block compilation --------------------------------------------------
 
-    def blocks(self, geometry: Geometry) -> Dict[int, Block]:
-        """The table of blocks compiled for ``geometry``, the trained
-        hierarchy's ``(L1I line shift, L1I set mask, L1D line shift, L1D
-        set mask)``.  The dispatcher reads it directly and calls
+    def blocks(self, key: BlockKey) -> Dict[int, Block]:
+        """The table of blocks compiled for ``key`` (:data:`BlockKey`),
+        keyed by entry PC.  The dispatcher reads it directly and calls
         :meth:`compile_block` on a miss."""
-        table = self._blocks.get(geometry)
+        table = self._blocks.get(key)
         if table is None:
-            table = self._blocks[geometry] = {}
+            table = self._blocks[key] = {}
         return table
 
-    def compile_block(self, index: int,
-                      geometry: Geometry) -> Optional[Block]:
-        """Compile the block at ``index`` into ``geometry``'s table; None
-        once that table holds :data:`MAX_COMPILED_BLOCKS`."""
-        table = self.blocks(geometry)
+    def compile_block(self, index: int, key: BlockKey) -> Optional[Block]:
+        """Compile the block at instruction ``index`` into ``key``'s
+        table; None once that table holds :data:`MAX_COMPILED_BLOCKS`."""
+        table = self.blocks(key)
         if len(table) >= MAX_COMPILED_BLOCKS:
             return None
-        blk = table[index] = self._compile(index, geometry)
+        blk = table[index << 2] = self._compile(index, key)
         return blk
 
-    def _compile(self, start: int, geometry: Geometry) -> Block:
+    def _compile(self, start: int, key: BlockKey) -> Block:
         """Compile the straight-line run at ``start`` into one function.
 
-        The function body is pure array-free Python over the register
-        file and bound memory accessors; signature
-        ``_blk(regs, rdint, wrint, xop, il, dl, isets, dsets)`` where
-        ``il``/``dl`` are the hierarchy's inst/data latency hooks and
-        ``isets``/``dsets`` its L1I/L1D set lists.
-        When the run ends at a conditional branch that the block cap did
-        not cut off, the block also evaluates that branch and returns
-        whether it is taken (its length then counts the branch);
-        otherwise it returns None.
+        The function body is pure Python over locals, with signature
+        ``_blk(regs, pg, rdint, wrint, xop, il, dl, isets, dsets, bp,
+        ctr)``: ``pg`` is the memory's page lookup (``_pages.get``),
+        ``rdint``/``wrint`` its accessors for the accesses a page cannot
+        serve, ``il``/``dl`` the hierarchy's inst/data latency hooks,
+        ``isets``/``dsets`` its L1I/L1D set lists, and ``bp``/``ctr``
+        the predictor and its counter list.  When the run ends at a
+        conditional branch that the block cap did not cut off, the block
+        also evaluates that branch and trains the predictor with it (its
+        length then counts the branch).  It returns the next PC.
         """
         run = self.run_len[start]
         end = start + min(run, MAX_BLOCK_INSTRUCTIONS)
         if end == start + run and end < self.length \
                 and self.op[end] in _BRANCH_CONDITIONS:
             end += 1  # fold the terminating branch into the block
-        ishift, imask, dshift, dmask = geometry
+        ishift, imask, dshift, dmask, table_mask, history_mask = key
+        entry: List[str] = []  # loads of the registers read before written
         body: List[str] = []
         emit = body.append
+        local = set()  # registers held in locals
+        written: Dict[int, None] = {}  # registers to store back, in order
+
+        def read(r: int) -> str:
+            if not r:
+                return "0"
+            if r not in local:
+                local.add(r)
+                entry.append(f"r{r} = regs[{r}]")
+            return f"r{r}"
+
+        def write(r: int) -> str:
+            local.add(r)
+            written[r] = None
+            return f"r{r}"
+
+        def store_back() -> None:
+            body.extend(f"regs[{r}] = r{r}" for r in written)
+
+        branch = None
         prev_line = None
         for i in range(start, end):
             # An instruction touch that finds its line MRU changes no tag
-            # state: only the first instruction of each line is tested,
-            # and the hierarchy is called on a miss.
+            # state: only the first instruction of each line is looked up.
             line = (i << 2) >> ishift
             if line != prev_line:
-                emit(f"_w = isets[{line & imask}]")
-                emit(f"if not _w or _w[-1] != {line}: il({i << 2})")
+                body.extend(_l1_touch("isets", str(line), str(line & imask),
+                                      str(i << 2), "il"))
                 prev_line = line
             k = self.kind[i]
             if k == K_NOP:
                 continue
             op = self.op[i]
             rd = self.rd[i]
-            rs1 = self.rs1[i]
-            rs2 = self.rs2[i]
             imm = self.imm[i]
-            a = f"regs[{rs1}]"
-            b = f"regs[{rs2}]"
-            if k == K_BRANCH:
-                emit("return " + _BRANCH_CONDITIONS[op].format(a=a, b=b))
+            a = read(self.rs1[i])
+            if k == K_BRANCH:  # the folded terminator: the last one
+                branch = (i, _BRANCH_CONDITIONS[op].format(
+                    a=a, b=read(self.rs2[i])))
                 continue
             if k == K_ALU:
-                target = f"regs[{rd}]"
-                if rd == 0:
-                    if op in _PURE_ALU:
-                        continue  # pure result discarded: elide
-                    emit(f"xop({op}, {a}, {b}, {imm})")
+                b = read(self.rs2[i])
+                if op not in _PURE_ALU:
+                    store_back()  # execute_op raises on it
+                    emit((f"{write(rd)} = " if rd else "")
+                         + f"xop({op}, {a}, {b}, {imm})")
                     continue
+                if rd == 0:
+                    continue  # pure result discarded: elide
+                target = write(rd)
                 expr = _alu_expr(op, a, b, imm)
                 if expr is not None:
                     emit(f"{target} = {expr}")
@@ -333,34 +396,57 @@ class PredecodedProgram:
                 emit(f"{target} = xop({op}, {a}, {b}, {imm})")
                 continue
             # memory: effective address first (imm == 0 needs no mask --
-            # register values are already in [0, 2**64)).
-            addr = f"({a} + {imm}) & {_M}" if imm else a
-            emit(f"_a = {addr}")
-            # Same MRU test as an instruction touch, on the L1D.
+            # register values are already in [0, 2**64)), then the L1D
+            # lookup, then the page.
+            size = self.size[i]
+            emit(f"_a = ({a} + {imm}) & {_M}" if imm else f"_a = {a}")
             emit(f"_l = _a >> {dshift}")
-            emit(f"_w = dsets[_l & {dmask}]")
-            emit("if not _w or _w[-1] != _l: dl(_a)")
+            body.extend(_l1_touch("dsets", "_l", f"_l & {dmask}", "_a",
+                                  "dl"))
+            emit(f"_p = pg(_a >> {PAGE_SHIFT})")
+            emit(f"_o = _a & {PAGE_MASK}")
+            in_page = "_p is not None"
+            if size > 1:
+                in_page += f" and _o <= {PAGE_SIZE - size}"
             if k == K_LOAD:
                 signed = _SIGNED_LOADS.get(op)
-                if signed is not None:
-                    size, sign_bit, ext = signed
-                    emit(f"_v = rdint(_a, {size})")
-                    if rd:
-                        emit(f"regs[{rd}] = (_v | {ext}) "
-                             f"if _v & {sign_bit} else _v")
-                elif rd:
-                    emit(f"regs[{rd}] = rdint(_a, {self.size[i]})")
-                else:
-                    emit(f"rdint(_a, {self.size[i]})")
-            else:  # K_STORE
-                size = self.size[i]
-                mask = (1 << (8 * size)) - 1
-                emit(f"wrint(_a, {size}, {b} & {mask})")
-        src = ("def _blk(regs, rdint, wrint, xop, il, dl, isets, dsets):"
-               "\n    " + "\n    ".join(body) + "\n")
+                value = write(rd) if rd and signed is None else "_v"
+                direct = "_p[_o]" if size == 1 else f"_ld{size}(_p, _o)[0]"
+                emit(f"{value} = {direct} if {in_page} "
+                     f"else rdint(_a, {size})")
+                if rd and signed is not None:
+                    sign_bit, ext = signed
+                    emit(f"{write(rd)} = (_v | {ext}) if _v & {sign_bit} "
+                         f"else _v")
+            else:  # K_STORE: a register already fits 8 bytes
+                value = read(self.rs2[i])
+                if size < 8:
+                    value += f" & {hex((1 << (8 * size)) - 1)}"
+                direct = (f"_p[_o] = {value}" if size == 1
+                          else f"_st{size}(_p, _o, {value})")
+                emit(f"if {in_page}: {direct}")
+                emit(f"else: wrint(_a, {size}, {value})")
+        store_back()
+        if branch is None:
+            emit(f"return {end << 2}")
+        else:
+            # Train gshare as update(pc, taken, predict(pc)) does.
+            i, condition = branch
+            emit("_h = bp._history")
+            emit(f"_s = ({i} ^ _h) & {table_mask}")
+            emit("_c = ctr[_s]")
+            emit(f"if {condition}:")
+            emit("    if _c < 3: ctr[_s] = _c + 1")
+            emit(f"    bp._history = ((_h << 1) | 1) & {history_mask}")
+            emit(f"    return {self.imm[i]!r}")
+            emit("if _c: ctr[_s] = _c - 1")
+            emit(f"bp._history = (_h << 1) & {history_mask}")
+            emit(f"return {(i + 1) << 2}")
+        src = ("def _blk(regs, pg, rdint, wrint, xop, il, dl, isets, dsets, "
+               "bp, ctr):\n    " + "\n    ".join(entry + body) + "\n")
         namespace: Dict[str, Callable] = {}
         exec(compile(src, f"<predecode:{self.name}:{start}>", "exec"),
-             {"__builtins__": {}}, namespace)
+             _BLOCK_GLOBALS, namespace)
         return namespace["_blk"], end - start
 
 

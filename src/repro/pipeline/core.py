@@ -211,10 +211,10 @@ class Core:
     fast-forwarded architectural state instead of from reset.  The
     supplied ``trace`` must then be the golden *suffix* starting at
     ``start_pc`` (record 0 is the first instruction this core retires),
-    and ``memory`` the checkpoint's restored image.  ``warm_state``
-    optionally pre-loads trained branch-predictor state and cache tag
-    arrays from a checkpoint's warm capsule (``{"bpred": ...,
-    "caches": ...}``); statistics always start from zero.
+    and ``memory`` the checkpoint's restored image.  ``warm_state``, a
+    checkpoint's warm capsule (``{"bpred": ..., "caches": ...}``, both
+    halves required), pre-loads trained branch-predictor state and
+    cache tag arrays; statistics always start from zero.
     """
 
     def __init__(self, program: Program, config: ProcessorConfig,
@@ -291,12 +291,8 @@ class Core:
             for arch in range(1, ops.NUM_REGS):
                 values[arch] = start_regs[arch] & MASK64
         if warm_state is not None:
-            bpred_state = warm_state.get("bpred")
-            if bpred_state is not None:
-                self.bpred.import_state(bpred_state)
-            cache_state = warm_state.get("caches")
-            if cache_state is not None:
-                self.hierarchy.import_state(cache_state)
+            self.bpred.import_state(warm_state["bpred"])
+            self.hierarchy.import_state(warm_state["caches"])
 
         #: The cycle loop :meth:`step` advances (made on first use).
         self._loop: Optional[Iterator[None]] = None

@@ -13,6 +13,10 @@ The contracts:
   bpred/cache capsules) to the per-instruction reference engine at
   every cut point -- including cuts that land mid-block, past the halt,
   and in the wrong-path pad -- and with a full block table;
+* the compiled blocks' own paths -- page-direct loads and stores at the
+  end of a page and on pages nothing wrote, L1 hits off the MRU way, a
+  second predictor geometry, an opcode that raises -- end where the
+  reference and stepping do;
 * the warm training both share trains the predictor and the cache as
   the pipeline would.
 """
@@ -35,8 +39,7 @@ from repro.isa.predecode import (
     PredecodedProgram,
 )
 from repro.isa.program import WRONG_PATH_PAD, Program
-from repro.memory.cache import paper_hierarchy
-from repro.memory.main_memory import MainMemory
+from repro.memory.cache import CacheHierarchy, paper_hierarchy
 from repro.workloads import random_program
 from repro.workloads.riscv_randprog import riscv_fuzz_program
 from repro.workloads.suites import ALL_BENCHMARKS, RISCV_BENCHMARKS, build
@@ -137,6 +140,14 @@ def _trainers():
     return GsharePredictor(), paper_hierarchy()
 
 
+def _block_key(bpred, hierarchy):
+    """The key of the block table fast_forward runs for ``bpred`` and
+    ``hierarchy``: every constant a compiled block bakes in."""
+    l1i, l1d = hierarchy.l1i, hierarchy.l1d
+    return (l1i._line_shift, l1i._set_mask, l1d._line_shift,
+            l1d._set_mask, bpred._mask, bpred._history_mask)
+
+
 def _state(interp, bpred=None, hierarchy=None):
     return (list(interp.regs), interp.pc, interp.instructions_retired,
             interp.halted, interp.memory.digest(),
@@ -144,105 +155,141 @@ def _state(interp, bpred=None, hierarchy=None):
             hierarchy.export_state() if hierarchy is not None else None)
 
 
+def _check_engine(program, frac):
+    """fast_forward over ``frac`` of ``program``'s run (up to 20% past
+    the halt) ends in fast_forward_reference's full state and in N x
+    step()'s."""
+    total = len(Interpreter(program).run(500_000))
+    k = int(frac * total)
+
+    engine = Interpreter(program)
+    e_bpred, e_hier = _trainers()
+    e_executed = engine.fast_forward(k, e_bpred, e_hier)
+
+    reference = Interpreter(program)
+    r_bpred, r_hier = _trainers()
+    r_executed = reference.fast_forward_reference(k, r_bpred, r_hier)
+
+    assert e_executed == r_executed
+    assert _state(engine, e_bpred, e_hier) == \
+        _state(reference, r_bpred, r_hier)
+
+    stepped = Interpreter(program)
+    for _ in range(k):
+        stepped.step()
+    assert engine.pc == stepped.pc
+    assert engine.regs == stepped.regs
+    assert engine.halted == stepped.halted
+    assert engine.instructions_retired == stepped.instructions_retired
+    assert engine.memory.digest() == stepped.memory.digest()
+    assert sorted(engine.memory._pages) == sorted(stepped.memory._pages)
+
+
+def _check_chunks(program, cuts):
+    """Chunked fast-forwarding (the checkpoint capture pattern) equals
+    one uninterrupted reference pass of the same length."""
+    engine = Interpreter(program)
+    e_bpred, e_hier = _trainers()
+    for cut in cuts:
+        engine.fast_forward(cut, e_bpred, e_hier)
+    reference = Interpreter(program)
+    r_bpred, r_hier = _trainers()
+    reference.fast_forward_reference(sum(cuts), r_bpred, r_hier)
+    assert _state(engine, e_bpred, e_hier) == \
+        _state(reference, r_bpred, r_hier)
+
+
+_SEEDS = st.integers(min_value=0, max_value=10_000)
+_FRACS = st.floats(min_value=0.0, max_value=1.2)
+_CUTS = st.lists(st.integers(min_value=1, max_value=500),
+                 min_size=1, max_size=4)
+
+
 class TestDifferential:
     """fast_forward == N x step == fast_forward_reference, bit-exact."""
 
     @_SLOW
-    @given(generate=_GENERATORS,
-           seed=st.integers(min_value=0, max_value=10_000),
-           frac=st.floats(min_value=0.0, max_value=1.2))
+    @given(generate=_GENERATORS, seed=_SEEDS, frac=_FRACS)
     def test_engine_matches_reference_and_stepping(self, generate, seed,
                                                    frac):
-        program = generate(seed)
-        total = len(Interpreter(program).run(500_000))
-        k = int(frac * total)  # up to 20% past the halt
-
-        engine = Interpreter(program)
-        e_bpred, e_hier = _trainers()
-        e_executed = engine.fast_forward(k, e_bpred, e_hier)
-
-        reference = Interpreter(program)
-        r_bpred, r_hier = _trainers()
-        r_executed = reference.fast_forward_reference(k, r_bpred, r_hier)
-
-        assert e_executed == r_executed
-        assert _state(engine, e_bpred, e_hier) == \
-            _state(reference, r_bpred, r_hier)
-
-        stepped = Interpreter(program)
-        for _ in range(k):
-            stepped.step()
-        assert engine.pc == stepped.pc
-        assert engine.regs == stepped.regs
-        assert engine.halted == stepped.halted
-        assert engine.instructions_retired == stepped.instructions_retired
-        assert engine.memory.digest() == stepped.memory.digest()
+        _check_engine(generate(seed), frac)
 
     @_SLOW
-    @given(generate=_GENERATORS,
-           seed=st.integers(min_value=0, max_value=10_000),
-           cuts=st.lists(st.integers(min_value=1, max_value=500),
-                         min_size=1, max_size=4))
+    @given(generate=_GENERATORS, seed=_SEEDS, cuts=_CUTS)
     def test_resumable_in_arbitrary_chunks(self, generate, seed, cuts):
-        """Chunked fast-forwarding (the checkpoint capture pattern)
-        equals one uninterrupted reference pass of the same length."""
-        program = generate(seed)
-        engine = Interpreter(program)
-        e_bpred, e_hier = GsharePredictor(), paper_hierarchy()
-        for cut in cuts:
-            engine.fast_forward(cut, e_bpred, e_hier)
-        reference = Interpreter(program)
-        r_bpred, r_hier = GsharePredictor(), paper_hierarchy()
-        reference.fast_forward_reference(sum(cuts), r_bpred, r_hier)
-        assert _state(engine, e_bpred, e_hier) == \
-            _state(reference, r_bpred, r_hier)
+        _check_chunks(generate(seed), cuts)
 
 
-class _CountingMemory(MainMemory):
-    """MainMemory that counts read_int calls (loads performed)."""
+_DEEP = settings(max_examples=500, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
 
-    def __init__(self):
-        super().__init__()
-        self.reads = 0
 
-    def read_int(self, addr, size):
-        self.reads += 1
-        return super().read_int(addr, size)
+@pytest.mark.fuzz
+class TestDifferentialDeep:
+    """:class:`TestDifferential` at campaign depth over a wider seed
+    range; tier-1 skips it and CI runs it with the fuzz campaign
+    (``-m fuzz``)."""
+
+    @_DEEP
+    @given(generate=_GENERATORS,
+           seed=st.integers(min_value=0, max_value=1_000_000), frac=_FRACS)
+    def test_engine_matches_reference_and_stepping(self, generate, seed,
+                                                   frac):
+        _check_engine(generate(seed), frac)
+
+    @_DEEP
+    @given(generate=_GENERATORS,
+           seed=st.integers(min_value=0, max_value=1_000_000), cuts=_CUTS)
+    def test_resumable_in_arbitrary_chunks(self, generate, seed, cuts):
+        _check_chunks(generate(seed), cuts)
+
+
+class _CountingPages(dict):
+    """A page table that counts its lookups: ``read_int`` and a compiled
+    block's load each look their page up once."""
+
+    lookups = 0
+
+    def get(self, index, default=None):
+        self.lookups += 1
+        return super().get(index, default)
 
 
 class TestR0LoadUnification:
-    """Loads with rd == r0 perform the read in every execution path."""
+    """Loads with rd == r0 perform their access in every execution path:
+    the page lookup, and on the trained paths the L1D touch."""
 
     @staticmethod
     def _program():
         a = Assembler()
+        a.data(0x2000, bytes([0xAB]))
         a.li("r1", 0x2000)
-        a.li("r2", 0xAB)
-        a.sb("r2", "r1")
-        a.lb("r0", "r1")   # architectural no-op, but the read happens
+        a.lb("r0", "r1")   # architectural no-op, but the access happens
         a.ld("r0", "r1")
         a.halt()
         return a.build()
 
-    def _reads(self, runner):
-        program = self._program()
-        memory = _CountingMemory()
-        interp = Interpreter(program, memory=memory)
-        runner(interp)
+    def _accesses(self, runner):
+        """(page lookups, whether the loads' line is in the L1D)."""
+        interp = Interpreter(self._program())
+        pages = interp.memory._pages = _CountingPages(interp.memory._pages)
+        hierarchy = paper_hierarchy()
+        runner(interp, GsharePredictor(), hierarchy)
         assert interp.halted
-        return memory.reads
+        l1d = hierarchy.l1d
+        line = 0x2000 >> l1d._line_shift
+        return pages.lookups, line in (l1d._sets[line & l1d._set_mask] or ())
 
     def test_all_paths_perform_r0_load_reads(self):
-        by_step = self._reads(lambda i: i.run(100))
-        assert by_step == 2
-        assert self._reads(
-            lambda i: i.fast_forward(100, *_trainers())) == by_step
-        assert self._reads(
-            lambda i: i.fast_forward_reference(100, *_trainers())) == by_step
-        # mid-block budget cut: the stepped path reads too
-        assert self._reads(lambda i: (i.fast_forward(4, *_trainers()),
-                                      i.fast_forward(100, *_trainers()))
-                           ) == by_step
+        assert self._accesses(lambda i, b, h: i.run(100)) == (2, False)
+        for runner in (
+                lambda i, b, h: i.fast_forward(100, b, h),
+                lambda i, b, h: i.fast_forward_reference(100, b, h),
+                # mid-block budget cut: the stepped path loads the
+                # byte, a block compiled at the second load the rest
+                lambda i, b, h: (i.fast_forward(2, b, h),
+                                 i.fast_forward(100, b, h))):
+            assert self._accesses(runner) == (2, True)
 
 
 class TestBlockDispatchEdges:
@@ -374,6 +421,162 @@ class TestBlockDispatchEdges:
                 _state(reference, r_bpred, r_hier), k
 
 
+class TestBlockPaths:
+    """The compiled blocks' own paths -- page-direct memory, inline L1
+    LRU hits, in-block gshare training, and the register write-back
+    before an opcode that raises -- each checked against the reference
+    and N x step()."""
+
+    @staticmethod
+    def _exact(program, make_bpred=GsharePredictor):
+        """Run ``program`` to the halt on the engine, and assert that it
+        ends in the reference's full state and in stepping's, with the
+        same pages allocated."""
+        engine = Interpreter(program)
+        e_bpred, e_hier = make_bpred(), paper_hierarchy()
+        engine.fast_forward(10 ** 6, e_bpred, e_hier)
+        assert engine.halted
+        reference = Interpreter(program)
+        r_bpred, r_hier = make_bpred(), paper_hierarchy()
+        reference.fast_forward_reference(10 ** 6, r_bpred, r_hier)
+        assert _state(engine, e_bpred, e_hier) == \
+            _state(reference, r_bpred, r_hier)
+        stepped = Interpreter(program)
+        stepped.run(10 ** 6)
+        assert _state(engine) == _state(stepped)
+        assert sorted(engine.memory._pages) == sorted(stepped.memory._pages)
+        return engine
+
+    @pytest.mark.parametrize("offset", [0xFFF, 0xFFE, 0xFFC])
+    def test_accesses_at_the_end_of_a_page(self, offset):
+        """Stores and signed and unsigned loads of 2, 4 and 8 bytes at
+        ``offset`` into a page, in a loop: those that fit the page go
+        page-direct, those that cross it through read_int/write_int."""
+        a = Assembler()
+        a.li("r1", 0x5000)
+        a.li("r2", 0x8182_8384_8586_8788)  # a sign bit set at every width
+        a.li("r5", (1 << 64) - 1)
+        a.li("r9", 4)
+        a.label("loop")
+        for store, loads in ((a.sh, (a.lh, a.lhu)),
+                             (a.sw, (a.lw, a.lwu)),
+                             (a.sd, (a.ld,))):
+            store("r2", "r1", offset)
+            for load in loads:
+                load("r3", "r1", offset)
+                a.add("r8", "r8", "r3")
+                a.slli("r8", "r8", 1)
+        a.xor("r2", "r2", "r5")  # and clear at every width next time
+        a.addi("r9", "r9", -1)
+        a.bne("r9", "r0", "loop")
+        a.halt()
+        engine = self._exact(a.build())
+        assert engine.regs[8]
+        assert set(engine.memory._pages) == {5, 6}
+
+    def test_loads_from_pages_nothing_wrote(self):
+        """A load that finds no page reads zeros and allocates none, as
+        read_int does, in page and across a page end."""
+        a = Assembler()
+        a.li("r1", 0x9000)
+        a.li("r9", 3)
+        a.label("loop")
+        a.lb("r2", "r1")
+        a.lhu("r3", "r1", 2)
+        a.lw("r4", "r1", 0xFFC)
+        a.ld("r5", "r1", 0xFFC)  # crosses into page 0xA, unwritten too
+        a.add("r6", "r2", "r5")
+        a.addi("r9", "r9", -1)
+        a.bne("r9", "r0", "loop")
+        a.halt()
+        engine = self._exact(a.build())
+        assert not {0x9, 0xA} & set(engine.memory._pages)
+
+    def test_lines_alternating_in_one_l1d_set(self, monkeypatch):
+        """gap's pattern: three lines of one L1D set touched in turn, so
+        every access after the first three hits, but never at the MRU
+        way.  The block reorders the set itself and calls data_latency
+        only on the misses."""
+        config = paper_hierarchy().l1d.config
+        stride = config.num_sets * config.line_bytes  # same set, next line
+        a = Assembler()
+        a.li("r1", 0x4000)
+        a.li("r9", 50)
+        a.label("loop")
+        a.ld("r2", "r1")
+        a.ld("r3", "r1", stride)
+        a.add("r2", "r2", "r3")
+        a.addi("r2", "r2", 1)
+        a.sd("r2", "r1", 2 * stride)
+        a.addi("r9", "r9", -1)
+        a.bne("r9", "r0", "loop")
+        a.ld("r4", "r1")  # leaves the set in another order than its fills
+        a.halt()
+        program = a.build()
+        reference = Interpreter(program)
+        r_bpred, r_hier = _trainers()
+        reference.fast_forward_reference(10 ** 6, r_bpred, r_hier)
+        assert (r_hier.l1d.accesses, r_hier.l1d.misses) == (151, 3)
+
+        hits = []
+        data_latency = CacheHierarchy.data_latency
+
+        def counting(self, addr):
+            l1d = self.l1d
+            line = addr >> l1d._line_shift
+            hits.append(line in (l1d._sets[line & l1d._set_mask] or ()))
+            return data_latency(self, addr)
+
+        monkeypatch.setattr(CacheHierarchy, "data_latency", counting)
+        engine = Interpreter(program)
+        e_bpred, e_hier = _trainers()
+        engine.fast_forward(10 ** 6, e_bpred, e_hier)
+        assert engine.halted
+        assert _state(engine, e_bpred, e_hier) == \
+            _state(reference, r_bpred, r_hier)
+        assert hits == [False] * 3
+
+    def test_second_predictor_geometry_gets_its_own_table(self,
+                                                         monkeypatch):
+        """Blocks bake in gshare's masks: a smaller predictor trains
+        bit-identically to the reference from its own block table."""
+        monkeypatch.setattr(predecode, "_CACHE", {})
+        program = build("gzip", scale=2_000)
+
+        def small():
+            return GsharePredictor(table_bits=10, history_bits=6)
+
+        self._exact(program)
+        self._exact(program, small)
+        hierarchy = paper_hierarchy()
+        assert set(program.predecoded()._blocks) == {
+            _block_key(GsharePredictor(), hierarchy),
+            _block_key(small(), hierarchy)}
+
+    @pytest.mark.parametrize("rd", [0, 3])
+    def test_rejected_opcode_raises_from_inside_a_block(self, rd):
+        """An opcode execute_op rejects raises its ValueError from inside
+        the compiled block, with the registers written before it stored
+        back, as stepping leaves them."""
+        program = Program([Instruction(ops.LI, rd=1, imm=5),
+                           Instruction(ops.ADDI, rd=2, rs1=1, imm=1),
+                           Instruction(ops.NUM_OPCODES + 1, rd=rd, rs1=2,
+                                       rs2=1),
+                           Instruction(ops.ADDI, rd=4, rs1=1, imm=1),
+                           Instruction(ops.HALT)])
+        stepped = Interpreter(program)
+        with pytest.raises(ValueError, match="cannot handle opcode"):
+            stepped.run(10)
+        engine = Interpreter(program)
+        bpred, hierarchy = _trainers()
+        with pytest.raises(ValueError, match="cannot handle opcode"):
+            engine.fast_forward(10, bpred, hierarchy)
+        assert 0 in program.predecoded().blocks(_block_key(bpred,
+                                                           hierarchy))
+        assert engine.regs == stepped.regs
+        assert engine.regs[1:3] == [5, 6]
+
+
 #: The reference, the engine, and the engine one instruction at a time:
 #: a budget of one fits no longer block, so the engine steps every run
 #: longer than one instruction and every conditional branch.
@@ -448,14 +651,12 @@ class TestPredecodedProgramShape:
         program = build("gzip", scale=2_000)
         pd = PredecodedProgram(program.instructions, program.digest())
         entry = next(i for i in range(pd.length) if pd.run_len[i])
-        hierarchy = paper_hierarchy()
-        l1i, l1d = hierarchy.l1i, hierarchy.l1d
-        geometry = (l1i._line_shift, l1i._set_mask,
-                    l1d._line_shift, l1d._set_mask)
-        table = pd.blocks(geometry)
-        assert pd.blocks(geometry) is table and not table
-        blk = pd.compile_block(entry, geometry)
-        assert table == {entry: blk}
+        bpred, hierarchy = _trainers()
+        key = _block_key(bpred, hierarchy)
+        table = pd.blocks(key)
+        assert pd.blocks(key) is table and not table
+        blk = pd.compile_block(entry, key)
+        assert table == {entry << 2: blk}
         fn, blen = blk
         # The run, plus the conditional branch that ends it, if any.
         assert 1 <= blen <= min(pd.run_len[entry], MAX_BLOCK_INSTRUCTIONS) + 1
