@@ -19,7 +19,7 @@ from repro.harness.figures import FigureResult
 BENCHMARKS = ("vpr_route", "ammp", "equake", "gzip", "twolf")
 
 
-def corruption_mechanisms(scale, runner):
+def corruption_mechanisms(runner):
     rows = []
     for name in BENCHMARKS:
         mask_config = aggressive_sfc_mdt_config(name="mask")

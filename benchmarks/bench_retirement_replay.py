@@ -29,7 +29,7 @@ WELL_BEHAVED = ("swim", "art", "crafty")
 BENCHMARKS = VIOLATION_PRONE + WELL_BEHAVED
 
 
-def retirement_replay_comparison(scale, runner):
+def retirement_replay_comparison(runner):
     rows = []
     for name in BENCHMARKS:
         sfc = runner.run(name, aggressive_sfc_mdt_config())

@@ -24,7 +24,7 @@ BENCHMARKS = ("parser", "equake")
 MDT_SIZES = (4096, 256, 64)
 
 
-def untagged_sweep(scale, runner):
+def untagged_sweep(runner):
     rows = []
     for name in BENCHMARKS:
         values = {}

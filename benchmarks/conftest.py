@@ -48,11 +48,6 @@ CELL_TIMEOUT = float(os.environ.get("REPRO_BENCH_TIMEOUT", "0")) or None
 
 
 @pytest.fixture(scope="session")
-def scale() -> int:
-    return DEFAULT_SCALE
-
-
-@pytest.fixture(scope="session")
 def runner() -> ExperimentRunner:
     """One shared engine per session: golden traces are built once and
     completed cells persist in the on-disk result cache."""
@@ -68,18 +63,18 @@ def runner() -> ExperimentRunner:
 
 
 @pytest.fixture
-def figure_bench(benchmark, runner, scale):
+def figure_bench(benchmark, runner):
     """Run one figure generator through pytest-benchmark and archive it.
 
-    ``figure_bench(func, name, **kwargs)`` calls ``func(scale=...,
-    runner=..., **kwargs)`` exactly once, publishes ``func``'s formatted
-    table as ``results/<name>.txt``, and returns the figure for shape
-    assertions -- the boilerplate every bench used to repeat.
+    ``figure_bench(func, name, **kwargs)`` calls ``func(runner,
+    **kwargs)`` exactly once on the session's runner (and so at its
+    scale), publishes ``func``'s formatted table as
+    ``results/<name>.txt``, and returns the figure for shape assertions
+    -- the boilerplate every bench used to repeat.
     """
     def _run(func, name, **kwargs):
         figure = benchmark.pedantic(
-            func, kwargs={"scale": scale, "runner": runner, **kwargs},
-            rounds=1, iterations=1)
+            func, args=(runner,), kwargs=kwargs, rounds=1, iterations=1)
         publish(name, figure.format())
         return figure
     return _run

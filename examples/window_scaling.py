@@ -10,13 +10,14 @@ next to the (fixed-size) SFC/MDT.
 Run:  python examples/window_scaling.py
 """
 
+from repro.harness.experiment import ExperimentRunner
 from repro.harness.figures import window_scaling
 
 
 def main():
     print("Sweeping the instruction window on 'swim' "
           "(streaming FP stencil)...\n")
-    figure = window_scaling(scale=8000, benchmark="swim")
+    figure = window_scaling(ExperimentRunner(scale=8000), benchmark="swim")
     print(figure.format())
     print()
     print("The size-matched LSQ needs its queues (and their CAM search")

@@ -157,7 +157,7 @@ def simulate(benchmark: str, config: ConfigLike = "baseline-sfc-mdt",
 
     Returns the versioned :class:`RunRecord` of the cell (also appended
     to the runner's manifest).  ``runner_kwargs`` (``jobs``,
-    ``cache_dir``, ``use_cache``) configure a fresh
+    ``cache_dir``, ``use_cache``, ``cell_timeout``) configure a fresh
     :class:`ExperimentRunner` at ``scale`` (``DEFAULT_SCALE`` when None)
     when none is supplied.  A supplied ``runner`` brings its own scale
     and settings: ``runner_kwargs``, or a ``scale`` other than the
@@ -237,23 +237,22 @@ def compare(benchmark: str,
 def run_suite(benchmarks: Optional[Sequence[str]] = None,
               configs: Optional[Sequence[ConfigLike]] = None,
               scale: Optional[int] = None,
-              jobs: Optional[int] = None,
-              cell_timeout: Optional[float] = None,
               runner: Optional[ExperimentRunner] = None,
               **runner_kwargs) -> List[RunRecord]:
     """Run a resumable (benchmark x configuration) grid.
 
     Returns one :class:`RunRecord` per grid cell *including* structured
     failure entries (``status`` failed/timeout, ``error``) for cells
-    that raised, ran past ``cell_timeout`` seconds, or lost their
-    worker -- one bad cell never discards the rest of the grid.
+    that raised, ran past the engine's ``cell_timeout`` seconds, or lost
+    their worker -- one bad cell never discards the rest of the grid.
     Completed cells are cached as they finish, so calling again with
     the same runner settings resumes an interrupted sweep (only
     missing/failed cells are re-simulated).
 
     ``benchmarks`` defaults to every benchmark and ``configs`` to every
-    named preset.  ``jobs`` and ``cell_timeout`` override the engine's
-    settings for this call.
+    named preset.  ``jobs`` and ``cell_timeout`` are engine settings
+    like any other: ``runner_kwargs`` of a fresh engine, or the
+    supplied ``runner``'s own.
     """
     engine = _runner(scale, runner, **runner_kwargs)
     names = list(benchmarks) if benchmarks else list_benchmarks()
@@ -261,8 +260,7 @@ def run_suite(benchmarks: Optional[Sequence[str]] = None,
                 for config in (configs if configs is not None
                                else list_configs())]
     start = len(engine.manifest)
-    engine.run_suite(names, resolved, jobs=jobs,
-                     cell_timeout=cell_timeout)
+    engine.run_suite(names, resolved)
     return [RunRecord.from_dict(entry)
             for entry in engine.manifest[start:]]
 
@@ -271,7 +269,8 @@ def run_figure(name: str, scale: Optional[int] = None,
                runner: Optional[ExperimentRunner] = None,
                **runner_kwargs) -> "figures.FigureResult":
     """Regenerate one of the paper's figures/tables, at scale 8 000 when
-    neither ``scale`` nor ``runner`` sets one."""
+    neither ``scale`` nor ``runner`` sets one.  The generator runs on
+    that engine and at its scale."""
     try:
         generator = FIGURES[name]
     except KeyError:
@@ -279,7 +278,7 @@ def run_figure(name: str, scale: Optional[int] = None,
             f"unknown figure {name!r}; available: "
             f"{', '.join(sorted(FIGURES))}") from None
     engine = _runner(scale, runner, 8_000, **runner_kwargs)
-    return generator(scale=engine.scale, runner=engine)
+    return generator(engine)
 
 
 def fuzz(iterations: Optional[int] = None,

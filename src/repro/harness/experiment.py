@@ -11,7 +11,9 @@ One :class:`ExperimentRunner` owns three layers of reuse:
 * **process-pool scheduling** -- ``run_suite`` submits uncached grid
   cells to a ``ProcessPoolExecutor`` (``jobs`` workers, default
   ``os.cpu_count()``); ``jobs=1``, or a single uncached cell, runs
-  in-process, for determinism tests and debugging;
+  in-process, for determinism tests and debugging.  ``jobs``, like
+  ``scale``, the cache and ``cell_timeout``, is set once, by the
+  constructor;
 * **persistent result cache** -- completed cells are stored as JSON
   under ``.repro_cache/`` (override with ``cache_dir`` or the
   ``REPRO_CACHE_DIR`` environment variable), keyed by a content hash of
@@ -426,19 +428,18 @@ class ExperimentRunner:
     # ------------------------------------------------------------ grids
 
     def run_suite(self, benchmarks: Iterable[str],
-                  configs: Iterable[ProcessorConfig],
-                  jobs: Optional[int] = None,
-                  cell_timeout: Optional[float] = None
+                  configs: Iterable[ProcessorConfig]
                   ) -> Dict[Tuple[str, str], SimResult]:
         """Run the full grid; keys are ``(benchmark, config.name)``.
 
         Cached cells are resolved up front; the remainder is simulated
-        in-process (``jobs=1``) or on a process pool.  The returned grid
-        is identical in all modes.  Cells that raise, time out, or die
-        with their worker are *omitted* from the returned grid and
-        appear in :attr:`manifest` as structured failure entries
-        (``status`` failed/timeout, ``error``) -- one bad cell never
-        discards every other cell.
+        in-process (``jobs=1``) or on a pool of :attr:`jobs` processes,
+        each cell under :attr:`cell_timeout` -- both set once, by the
+        constructor.  The returned grid is identical in all modes.
+        Cells that raise, time out, or die with their worker are
+        *omitted* from the returned grid and appear in :attr:`manifest`
+        as structured failure entries (``status`` failed/timeout,
+        ``error``) -- one bad cell never discards every other cell.
 
         Duplicate configurations are deduplicated by cache key within
         the batch (each unique cell simulates once); reusing a
@@ -447,15 +448,12 @@ class ExperimentRunner:
         """
         benchmarks = list(benchmarks)
         configs = self._dedup_configs(configs)
-        jobs = self.jobs if jobs is None else check_jobs(jobs)
-        cell_timeout = self.cell_timeout if cell_timeout is None \
-            else check_timeout(cell_timeout)
         results: Dict[Tuple[str, str], SimResult] = {}
         cells: Dict[str, _Cell] = {}
         for benchmark in benchmarks:
             for config in configs:
                 key = cache_key(benchmark, self.scale, config)
-                payload = self._lookup(benchmark, config, key, jobs)
+                payload = self._lookup(benchmark, config, key)
                 if payload is not None:
                     results[(benchmark, config.name)] = \
                         self._rehydrate(config, payload)
@@ -466,8 +464,7 @@ class ExperimentRunner:
                 else:
                     cells[key] = _Cell(benchmark, config, key)
         if cells:
-            self._run_cells(list(cells.values()), results, jobs,
-                            cell_timeout)
+            self._run_cells(list(cells.values()), results)
         return results
 
     @staticmethod
@@ -493,13 +490,12 @@ class ExperimentRunner:
     # ------------------------------------------------------------ execution
 
     def _run_cells(self, cells: List[_Cell],
-                   results: Dict[Tuple[str, str], SimResult],
-                   jobs: int, timeout: Optional[float]) -> None:
+                   results: Dict[Tuple[str, str], SimResult]) -> None:
         """Simulate every uncached cell -- in-process when ``jobs <= 1``
         or there is only one cell, otherwise on a process pool --
         recording (and caching) each one as it finishes."""
-        in_process = jobs <= 1 or len(cells) == 1
-        if in_process and timeout is not None and \
+        in_process = self.jobs <= 1 or len(cells) == 1
+        if in_process and self.cell_timeout is not None and \
                 threading.current_thread() is not threading.main_thread():
             raise ValueError(
                 "cell_timeout uses SIGALRM, which only the main thread "
@@ -509,13 +505,13 @@ class ExperimentRunner:
         # receive them instead of re-interpreting the program per cell.
         work = [(cell, functools.partial(
             _run_cell, self._cell_fn, self.program(cell.benchmark),
-            self.trace(cell.benchmark), cell.primary, timeout))
+            self.trace(cell.benchmark), cell.primary, self.cell_timeout))
             for cell in cells]
         if in_process:
             for cell, run in work:
-                self._settle(cell, run, results, jobs)
+                self._settle(cell, run, results)
             return
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)))
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(cells)))
         try:
             pending = {}
             for cell, run in work:
@@ -523,24 +519,22 @@ class ExperimentRunner:
                     pending[pool.submit(run)] = cell
                 except BrokenProcessPool as exc:
                     # A worker died while cells were still being queued.
-                    self._fail_cell(cell, exc, jobs)
+                    self._fail_cell(cell, exc)
             for future in as_completed(pending):
-                self._settle(pending[future], future.result, results,
-                             jobs)
+                self._settle(pending[future], future.result, results)
         finally:
             pool.shutdown(cancel_futures=True)
 
     def _settle(self, cell: _Cell, outcome: Callable[[], dict],
-                results: Dict[Tuple[str, str], SimResult],
-                jobs: int) -> None:
+                results: Dict[Tuple[str, str], SimResult]) -> None:
         """Record one cell from ``outcome()``: its payload, or whatever
         it raised as a failure entry."""
         try:
             payload = outcome()
         except Exception as exc:  # noqa: BLE001 -- isolate cells
-            self._fail_cell(cell, exc, jobs)
+            self._fail_cell(cell, exc)
         else:
-            self._finish_cell(cell, payload, results, jobs)
+            self._finish_cell(cell, payload, results)
 
     # ------------------------------------------------------------ manifest
 
@@ -595,8 +589,8 @@ class ExperimentRunner:
                 self._record(benchmark, config, payload, key, False))
         return payload
 
-    def _lookup(self, benchmark: str, config, key: str,
-                jobs: Optional[int] = None) -> Optional[dict]:
+    def _lookup(self, benchmark: str, config,
+                key: str) -> Optional[dict]:
         """The cached payload of a cell, recorded as a cache hit; None on
         a miss.  An entry that does not decode into a valid record -- a
         field missing or of the wrong type -- is a miss too, so the cell
@@ -606,8 +600,7 @@ class ExperimentRunner:
                 not isinstance(payload.get("program_name"), str):
             return None
         try:
-            entry = self._record(benchmark, config, payload, key, True,
-                                 jobs)
+            entry = self._record(benchmark, config, payload, key, True)
             validate_record(entry)
         except (KeyError, TypeError, ValueError):
             return None
@@ -615,19 +608,18 @@ class ExperimentRunner:
         return payload
 
     def _finish_cell(self, cell: _Cell, payload: dict,
-                     results: Dict[Tuple[str, str], SimResult],
-                     jobs: int) -> None:
+                     results: Dict[Tuple[str, str], SimResult]) -> None:
         """Persist one completed cell to the cache, then record and
         rehydrate every (benchmark, config) alias."""
         if self.cache:
             self.cache.store(cell.key, payload)
         for config in cell.configs:
             self.manifest.append(self._record(
-                cell.benchmark, config, payload, cell.key, False, jobs))
+                cell.benchmark, config, payload, cell.key, False))
             results[(cell.benchmark, config.name)] = \
                 self._rehydrate(config, payload)
 
-    def _fail_cell(self, cell: _Cell, exc: Exception, jobs: int) -> None:
+    def _fail_cell(self, cell: _Cell, exc: Exception) -> None:
         """Record a structured failure entry for every alias of a cell
         that raised, timed out, or lost its worker."""
         status = STATUS_TIMEOUT if isinstance(exc, CellTimeout) \
@@ -638,7 +630,7 @@ class ExperimentRunner:
                 benchmark=cell.benchmark, config_name=config.name,
                 config=config.to_dict(), scale=self.scale, key=cell.key,
                 status=status, attempts=1, error=error,
-                engine=self._engine_provenance(jobs))
+                engine=self._engine_provenance())
             self.manifest.append(record.to_dict())
 
     def _rehydrate(self, config: ProcessorConfig,
@@ -647,12 +639,12 @@ class ExperimentRunner:
                          payload["cycles"], payload["instructions"],
                          Counters.from_dict(payload["counters"]))
 
-    def _engine_provenance(self, jobs: Optional[int]) -> dict:
-        return {"jobs": self.jobs if jobs is None else jobs,
+    def _engine_provenance(self) -> dict:
+        return {"jobs": self.jobs,
                 "cache_enabled": self.cache is not None}
 
     def _record(self, benchmark: str, config, payload: dict, key: str,
-                hit: bool, jobs: Optional[int] = None) -> dict:
+                hit: bool) -> dict:
         """The manifest entry (a RunRecord dict) of one completed cell;
         its ``sampling`` field comes from the payload."""
         sampling = payload.get("sampling")
@@ -677,7 +669,7 @@ class ExperimentRunner:
             counters=dict(payload["counters"]),
             wall_time=payload["wall_time"],
             cache_hit=hit,
-            engine=self._engine_provenance(jobs),
+            engine=self._engine_provenance(),
             status=STATUS_OK,
             sampling=sampling).to_dict()
 

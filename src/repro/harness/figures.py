@@ -1,9 +1,12 @@
 """Figure and table generators for every artifact in the paper's evaluation.
 
-Each ``figure*``/``table*`` function runs the required simulations and
-returns a structured result object with a ``format()`` method producing
-the same rows/series the paper reports.  The benches under ``benchmarks/``
-are thin wrappers over these.
+Each generator runs the required simulations and returns a structured
+result object with a ``format()`` method producing the same rows/series
+the paper reports.  A generator's first argument is the
+:class:`~repro.harness.experiment.ExperimentRunner` that runs its cells:
+the scale, jobs, cache and cell timeout are the runner's, set once when
+it is built.  The benches under ``benchmarks/`` are thin wrappers over
+these.
 """
 
 from __future__ import annotations
@@ -99,9 +102,8 @@ def manifest_table(runner: ExperimentRunner) -> str:
     return "\n".join(lines)
 
 
-def figure5(scale: int = 20_000,
-            benchmarks: Optional[Sequence[str]] = None,
-            runner: Optional[ExperimentRunner] = None) -> FigureResult:
+def figure5(runner: ExperimentRunner,
+            benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 5: baseline core, MDT/SFC (ENF and NOT-ENF) vs 48x32 LSQ.
 
     Series are IPC normalized to the idealized 48x32 LSQ; the paper's
@@ -109,7 +111,6 @@ def figure5(scale: int = 20_000,
     average.
     """
     benchmarks = list(benchmarks or suites.FIGURE5_BENCHMARKS)
-    runner = runner or ExperimentRunner(scale)
     configs = [baseline_lsq_config(),
                baseline_sfc_mdt_config(mode=ENF, name="ENF"),
                baseline_sfc_mdt_config(mode=NOT_ENF, name="NOT-ENF")]
@@ -128,13 +129,11 @@ def figure5(scale: int = 20_000,
         ["ENF", "NOT-ENF", "LSQ-IPC"], rows)
 
 
-def figure6(scale: int = 20_000,
-            benchmarks: Optional[Sequence[str]] = None,
-            runner: Optional[ExperimentRunner] = None) -> FigureResult:
+def figure6(runner: ExperimentRunner,
+            benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 6: aggressive core -- 256x256 LSQ, 48x32 LSQ, and MDT/SFC
     (ENF/total-order) normalized to the idealized 120x80 LSQ."""
     benchmarks = list(benchmarks or suites.FIGURE6_BENCHMARKS)
-    runner = runner or ExperimentRunner(scale)
     configs = [aggressive_lsq_config(120, 80),
                aggressive_lsq_config(256, 256, name="lsq256x256"),
                aggressive_lsq_config(48, 32, name="lsq48x32"),
@@ -155,15 +154,13 @@ def figure6(scale: int = 20_000,
         ["lsq256x256", "lsq48x32", "ENF"], rows)
 
 
-def enf_ablation(scale: int = 20_000,
-                 benchmarks: Optional[Sequence[str]] = None,
-                 runner: Optional[ExperimentRunner] = None) -> FigureResult:
+def enf_ablation(runner: ExperimentRunner,
+                 benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
     """Section 3.2 in-text: ENF(total order) vs NOT-ENF on the aggressive
     core.  Series: normalized IPC (NOT-ENF baseline = 1.0) and the
     memory-ordering violation rate of each configuration (violations per
     retired instruction, in %)."""
     benchmarks = list(benchmarks or suites.FIGURE6_BENCHMARKS)
-    runner = runner or ExperimentRunner(scale)
     configs = [aggressive_sfc_mdt_config(mode=NOT_ENF, name="NOT-ENF"),
                aggressive_sfc_mdt_config(mode=TOTAL, name="ENF")]
     results = runner.run_suite(benchmarks, configs)
@@ -190,15 +187,12 @@ def enf_ablation(scale: int = 20_000,
         ["ENF/NOT-ENF", "viol%-NOT-ENF", "viol%-ENF"], rows)
 
 
-def associativity_sweep(scale: int = 20_000,
+def associativity_sweep(runner: ExperimentRunner,
                         benchmarks: Sequence[str] = ("bzip2", "mcf"),
-                        assocs: Sequence[int] = (2, 4, 8, 16),
-                        runner: Optional[ExperimentRunner] = None
-                        ) -> FigureResult:
+                        assocs: Sequence[int] = (2, 4, 8, 16)) -> FigureResult:
     """Section 3.2 in-text: SFC/MDT associativity sweep for the two
     set-conflict pathologies.  Series per associativity: IPC plus the
     replay rates that the paper quotes (replays per retired load/store)."""
-    runner = runner or ExperimentRunner(scale)
     rows = []
     for benchmark in benchmarks:
         values: Dict[str, float] = {}
@@ -220,14 +214,12 @@ def associativity_sweep(scale: int = 20_000,
         series, rows)
 
 
-def corruption_rates(scale: int = 20_000,
-                     benchmarks: Optional[Sequence[str]] = None,
-                     runner: Optional[ExperimentRunner] = None
+def corruption_rates(runner: ExperimentRunner,
+                     benchmarks: Optional[Sequence[str]] = None
                      ) -> FigureResult:
     """Section 3.2 in-text: SFC corruption replay rates per benchmark
     (the paper: ~20% of loads for vpr_route/ammp/equake, <=6% elsewhere)."""
     benchmarks = list(benchmarks or suites.FIGURE6_BENCHMARKS)
-    runner = runner or ExperimentRunner(scale)
     config = aggressive_sfc_mdt_config()
     rows = []
     for benchmark in benchmarks:
@@ -244,11 +236,10 @@ def corruption_rates(scale: int = 20_000,
         ["corrupt-replays/load", "IPC"], rows)
 
 
-def granularity_sweep(scale: int = 20_000,
+def granularity_sweep(runner: ExperimentRunner,
                       benchmarks: Sequence[str] = ("gzip", "parser",
                                                    "equake"),
-                      granularities: Sequence[int] = (4, 8, 16, 32),
-                      runner: Optional[ExperimentRunner] = None
+                      granularities: Sequence[int] = (4, 8, 16, 32)
                       ) -> FigureResult:
     """Section 2.2 trade-off: MDT granularity (bytes per entry).
 
@@ -256,7 +247,6 @@ def granularity_sweep(scale: int = 20_000,
     distinct addresses in one granule, raising spurious violations; the
     paper settles on 8 bytes for a 64-bit machine.
     """
-    runner = runner or ExperimentRunner(scale)
     rows = []
     for benchmark in benchmarks:
         values: Dict[str, float] = {}
@@ -277,17 +267,15 @@ def granularity_sweep(scale: int = 20_000,
                         series, rows)
 
 
-def power_comparison(scale: int = 20_000,
+def power_comparison(runner: ExperimentRunner,
                      benchmarks: Optional[Sequence[str]] = None,
                      lsq_sizes: Sequence[Tuple[int, int]] = ((48, 32),
                                                              (120, 80),
-                                                             (256, 256)),
-                     runner: Optional[ExperimentRunner] = None
+                                                             (256, 256))
                      ) -> FigureResult:
     """Dynamic-energy comparison: LSQ CAM searches vs SFC/MDT indexed
     accesses, per LSQ size (the paper's scalability/power argument)."""
     benchmarks = list(benchmarks or ["gzip", "parser", "equake", "swim"])
-    runner = runner or ExperimentRunner(scale)
     model = EnergyModel()
     sfc_config = aggressive_sfc_mdt_config()
     rows = []
@@ -310,14 +298,12 @@ def power_comparison(scale: int = 20_000,
         "SFC/MDT", series, rows)
 
 
-def window_scaling(scale: int = 20_000,
+def window_scaling(runner: ExperimentRunner,
                    benchmark: str = "swim",
-                   windows: Sequence[int] = (32, 64, 128, 256, 512, 1024),
-                   runner: Optional[ExperimentRunner] = None
+                   windows: Sequence[int] = (32, 64, 128, 256, 512, 1024)
                    ) -> FigureResult:
     """Scalability claim: SFC/MDT IPC tracks the (size-matched) LSQ as the
     instruction window grows."""
-    runner = runner or ExperimentRunner(scale)
     rows = []
     for window in windows:
         lsq = aggressive_lsq_config(window, window,
@@ -338,10 +324,9 @@ def window_scaling(scale: int = 20_000,
         ["LSQ-IPC", "SFC/MDT-IPC", "ratio"], rows)
 
 
-def recovery_policies(scale: int = 20_000,
+def recovery_policies(runner: ExperimentRunner,
                       benchmarks: Sequence[str] = ("gzip", "mesa",
-                                                   "vpr_route"),
-                      runner: Optional[ExperimentRunner] = None
+                                                   "vpr_route")
                       ) -> FigureResult:
     """Section 2.4 ablations: conservative vs optimized recovery.
 
@@ -350,7 +335,6 @@ def recovery_policies(scale: int = 20_000,
     (Section 2.4.2).  Measured on the aggressive core, where ordering
     violations are frequent enough for the recovery policy to matter.
     """
-    runner = runner or ExperimentRunner(scale)
     rows = []
     for benchmark in benchmarks:
         conservative = aggressive_sfc_mdt_config(name="conservative")

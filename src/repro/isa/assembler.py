@@ -4,6 +4,16 @@ The assembler is a builder: each mnemonic method appends one instruction,
 labels mark branch targets, and :meth:`Assembler.build` resolves label
 references into byte addresses and returns a :class:`Program`.
 
+The mnemonic methods are not written out one by one: at import, each
+opcode gets the emitter of its operand format
+(:data:`~repro.isa.instructions.OPERAND_FORMAT`), named after its
+mnemonic (``and_`` and ``or_`` where the mnemonic is a Python keyword).
+Their parameters follow the operands' assembly order: ``(rd, rs1,
+rs2)``, ``(rd, rs1, imm)``, ``(rd, imm)``, ``(rd, base, offset=0)`` for
+loads and ``jalr``, ``(src, base, offset=0)`` for stores, ``(rs1, rs2,
+target)`` for branches, ``(target)``, ``(rd, target)``, ``(rs1)`` or
+none.  ``mov`` is the one pseudo-instruction.
+
 Example
 -------
 >>> a = Assembler()
@@ -18,6 +28,7 @@ Example
 
 from __future__ import annotations
 
+import keyword
 from typing import Dict, List, Optional, Union
 
 from . import instructions as ops
@@ -99,231 +110,101 @@ class Assembler:
             merged.update(data)
         return Program(resolved, data=merged, name=name)
 
-    # -- emission helpers ----------------------------------------------------
-
-    def _emit(self, op: int, rd: Reg = 0, rs1: Reg = 0, rs2: Reg = 0,
-              imm=0) -> None:
-        self._instructions.append(
-            Instruction(op, parse_reg(rd), parse_reg(rs1), parse_reg(rs2),
-                        imm))
-
-    def _target(self, target: Target):
-        if isinstance(target, str):
-            return _LabelRef(target)
-        return target
-
-    # -- ALU reg-reg ----------------------------------------------------------
-
-    def add(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.ADD, rd, rs1, rs2)
-
-    def sub(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SUB, rd, rs1, rs2)
-
-    def and_(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.AND, rd, rs1, rs2)
-
-    def or_(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.OR, rd, rs1, rs2)
-
-    def xor(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.XOR, rd, rs1, rs2)
-
-    def slt(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SLT, rd, rs1, rs2)
-
-    def sltu(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SLTU, rd, rs1, rs2)
-
-    def sll(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SLL, rd, rs1, rs2)
-
-    def srl(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SRL, rd, rs1, rs2)
-
-    def sra(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SRA, rd, rs1, rs2)
-
-    def mul(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.MUL, rd, rs1, rs2)
-
-    def div(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.DIV, rd, rs1, rs2)
-
-    def rem(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.REM, rd, rs1, rs2)
-
-    def fadd(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.FADD, rd, rs1, rs2)
-
-    def fsub(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.FSUB, rd, rs1, rs2)
-
-    def fmul(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.FMUL, rd, rs1, rs2)
-
-    def fdiv(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.FDIV, rd, rs1, rs2)
-
-    # -- 32-bit ("W") reg-reg, RV32 semantics --------------------------------
-
-    def addw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.ADDW, rd, rs1, rs2)
-
-    def subw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SUBW, rd, rs1, rs2)
-
-    def sllw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SLLW, rd, rs1, rs2)
-
-    def srlw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SRLW, rd, rs1, rs2)
-
-    def sraw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.SRAW, rd, rs1, rs2)
-
-    def mulw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.MULW, rd, rs1, rs2)
-
-    def mulhw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.MULHW, rd, rs1, rs2)
-
-    def mulhsuw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.MULHSUW, rd, rs1, rs2)
-
-    def mulhuw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.MULHUW, rd, rs1, rs2)
-
-    def divw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.DIVW, rd, rs1, rs2)
-
-    def divuw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.DIVUW, rd, rs1, rs2)
-
-    def remw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.REMW, rd, rs1, rs2)
-
-    def remuw(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
-        self._emit(ops.REMUW, rd, rs1, rs2)
-
-    # -- ALU reg-imm ----------------------------------------------------------
-
-    def addi(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.ADDI, rd, rs1, imm=imm)
-
-    def andi(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.ANDI, rd, rs1, imm=imm)
-
-    def ori(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.ORI, rd, rs1, imm=imm)
-
-    def xori(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.XORI, rd, rs1, imm=imm)
-
-    def slti(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.SLTI, rd, rs1, imm=imm)
-
-    def slli(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.SLLI, rd, rs1, imm=imm)
-
-    def srli(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.SRLI, rd, rs1, imm=imm)
-
-    def srai(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.SRAI, rd, rs1, imm=imm)
-
-    def li(self, rd: Reg, imm: int) -> None:
-        self._emit(ops.LI, rd, imm=imm)
-
-    def addiw(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.ADDIW, rd, rs1, imm=imm)
-
-    def slliw(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.SLLIW, rd, rs1, imm=imm)
-
-    def srliw(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.SRLIW, rd, rs1, imm=imm)
-
-    def sraiw(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.SRAIW, rd, rs1, imm=imm)
-
-    def sltiu(self, rd: Reg, rs1: Reg, imm: int) -> None:
-        self._emit(ops.SLTIU, rd, rs1, imm=imm)
+    # -- pseudo-instructions --------------------------------------------------
 
     def mov(self, rd: Reg, rs1: Reg) -> None:
         """Pseudo-instruction: ``add rd, rs1, r0``."""
-        self._emit(ops.ADD, rd, rs1, 0)
+        self.add(rd, rs1, 0)
 
-    def nop(self) -> None:
-        self._emit(ops.NOP)
 
-    # -- memory ---------------------------------------------------------------
+def _target(target: Target):
+    if isinstance(target, str):
+        return _LabelRef(target)
+    return target
 
-    def lb(self, rd: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.LB, rd, base, imm=offset)
 
-    def lbu(self, rd: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.LBU, rd, base, imm=offset)
+# One emitter per operand format (:data:`repro.isa.instructions.
+# OPERAND_FORMAT`), made once per opcode with the opcode bound in.
 
-    def lh(self, rd: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.LH, rd, base, imm=offset)
+def _rrr(op: int):
+    def emit(self, rd: Reg, rs1: Reg, rs2: Reg) -> None:
+        self._instructions.append(Instruction(
+            op, parse_reg(rd), parse_reg(rs1), parse_reg(rs2)))
+    return emit
 
-    def lhu(self, rd: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.LHU, rd, base, imm=offset)
 
-    def lw(self, rd: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.LW, rd, base, imm=offset)
+def _rri(op: int):
+    def emit(self, rd: Reg, rs1: Reg, imm: int) -> None:
+        self._instructions.append(Instruction(
+            op, parse_reg(rd), parse_reg(rs1), 0, imm))
+    return emit
 
-    def lwu(self, rd: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.LWU, rd, base, imm=offset)
 
-    def ld(self, rd: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.LD, rd, base, imm=offset)
+def _ri(op: int):
+    def emit(self, rd: Reg, imm: int) -> None:
+        self._instructions.append(Instruction(op, parse_reg(rd), 0, 0, imm))
+    return emit
 
-    def sb(self, src: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.SB, 0, base, src, imm=offset)
 
-    def sh(self, src: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.SH, 0, base, src, imm=offset)
+def _load(op: int):
+    def emit(self, rd: Reg, base: Reg, offset: int = 0) -> None:
+        self._instructions.append(Instruction(
+            op, parse_reg(rd), parse_reg(base), 0, offset))
+    return emit
 
-    def sw(self, src: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.SW, 0, base, src, imm=offset)
 
-    def sd(self, src: Reg, base: Reg, offset: int = 0) -> None:
-        self._emit(ops.SD, 0, base, src, imm=offset)
+def _store(op: int):
+    def emit(self, src: Reg, base: Reg, offset: int = 0) -> None:
+        self._instructions.append(Instruction(
+            op, 0, parse_reg(base), parse_reg(src), offset))
+    return emit
 
-    # -- control --------------------------------------------------------------
 
-    def beq(self, rs1: Reg, rs2: Reg, target: Target) -> None:
-        self._emit(ops.BEQ, 0, rs1, rs2, imm=self._target(target))
+def _branch(op: int):
+    def emit(self, rs1: Reg, rs2: Reg, target: Target) -> None:
+        self._instructions.append(Instruction(
+            op, 0, parse_reg(rs1), parse_reg(rs2), _target(target)))
+    return emit
 
-    def bne(self, rs1: Reg, rs2: Reg, target: Target) -> None:
-        self._emit(ops.BNE, 0, rs1, rs2, imm=self._target(target))
 
-    def blt(self, rs1: Reg, rs2: Reg, target: Target) -> None:
-        self._emit(ops.BLT, 0, rs1, rs2, imm=self._target(target))
+def _j(op: int):
+    def emit(self, target: Target) -> None:
+        self._instructions.append(Instruction(op, 0, 0, 0, _target(target)))
+    return emit
 
-    def bge(self, rs1: Reg, rs2: Reg, target: Target) -> None:
-        self._emit(ops.BGE, 0, rs1, rs2, imm=self._target(target))
 
-    def bltu(self, rs1: Reg, rs2: Reg, target: Target) -> None:
-        self._emit(ops.BLTU, 0, rs1, rs2, imm=self._target(target))
+def _jal(op: int):
+    def emit(self, rd: Reg, target: Target) -> None:
+        self._instructions.append(Instruction(
+            op, parse_reg(rd), 0, 0, _target(target)))
+    return emit
 
-    def bgeu(self, rs1: Reg, rs2: Reg, target: Target) -> None:
-        self._emit(ops.BGEU, 0, rs1, rs2, imm=self._target(target))
 
-    def j(self, target: Target) -> None:
-        self._emit(ops.J, imm=self._target(target))
+def _jr(op: int):
+    def emit(self, rs1: Reg) -> None:
+        self._instructions.append(Instruction(op, 0, parse_reg(rs1)))
+    return emit
 
-    def jal(self, rd: Reg, target: Target) -> None:
-        self._emit(ops.JAL, rd, imm=self._target(target))
 
-    def jr(self, rs1: Reg) -> None:
-        self._emit(ops.JR, 0, rs1)
+def _none(op: int):
+    def emit(self) -> None:
+        self._instructions.append(Instruction(op))
+    return emit
 
-    def jalr(self, rd: Reg, base: Reg, offset: int = 0) -> None:
-        """Indirect jump-and-link: ``rd <- pc+4, pc <- (base+offset) & ~1``."""
-        self._emit(ops.JALR, rd, base, imm=offset)
 
-    def halt(self) -> None:
-        self._emit(ops.HALT)
+_EMITTERS = {
+    ops.FMT_RRR: _rrr, ops.FMT_RRI: _rri, ops.FMT_RI: _ri,
+    ops.FMT_LOAD: _load, ops.FMT_STORE: _store, ops.FMT_BRANCH: _branch,
+    ops.FMT_J: _j, ops.FMT_JAL: _jal, ops.FMT_JR: _jr, ops.FMT_NONE: _none,
+}
+
+#: The :class:`Assembler` method of each opcode: its mnemonic, with a
+#: trailing underscore where that is a Python keyword (``and_``, ``or_``).
+METHOD_NAMES = {op: name + "_" if keyword.iskeyword(name) else name
+                for op, name in ops.OPCODE_NAMES.items()}
+
+for _op, _format in ops.OPERAND_FORMAT.items():
+    _method = _EMITTERS[_format](_op)
+    _method.__name__ = METHOD_NAMES[_op]
+    _method.__qualname__ = f"Assembler.{_method.__name__}"
+    setattr(Assembler, _method.__name__, _method)

@@ -77,18 +77,50 @@ BRANCH_OPS = frozenset({BEQ, BNE, BLT, BGE, BLTU, BGEU})
 JUMP_OPS = frozenset({J, JAL, JR, JALR})
 CONTROL_OPS = BRANCH_OPS | JUMP_OPS
 
-#: W-class reg-reg ops (two register sources, one destination).
-W_RRR_OPS = frozenset({ADDW, SUBW, SLLW, SRLW, SRAW,
-                       MULW, MULHW, MULHSUW, MULHUW,
-                       DIVW, DIVUW, REMW, REMUW})
-#: W-class reg-imm ops (one register source, one immediate, one destination).
-W_RRI_OPS = frozenset({ADDIW, SLLIW, SRLIW, SRAIW, SLTIU})
-
 #: Number of bytes accessed by each memory opcode.
 ACCESS_SIZE = {
     LB: 1, LBU: 1, LH: 2, LHU: 2, LW: 4, LWU: 4, LD: 8,
     SB: 1, SH: 2, SW: 4, SD: 8,
 }
+#: Loads that sign-extend the value they read to 64 bits.
+SIGNED_LOADS = frozenset({LB, LH, LW})
+
+# --- operand formats --------------------------------------------------------
+# Which fields an opcode's operands fill, and in what order, written as the
+# text that lists them: ``r{rd}`` is a register field, ``{imm}`` a signed
+# immediate (``{imm:#x}`` for LI's 64-bit literal), ``{imm}(r{rs1})`` a
+# base-plus-offset address and ``{target:#x}`` a branch or jump target
+# (the byte address in ``imm``; a label in assembly text).  The assembler's
+# methods, the text parser, ``Instruction.__repr__`` and the core's rename
+# decode all read :data:`OPERAND_FORMAT`.
+FMT_RRR = "r{rd}, r{rs1}, r{rs2}"
+FMT_RRI = "r{rd}, r{rs1}, {imm}"
+FMT_RI = "r{rd}, {imm:#x}"
+FMT_LOAD = "r{rd}, {imm}(r{rs1})"
+FMT_STORE = "r{rs2}, {imm}(r{rs1})"
+FMT_BRANCH = "r{rs1}, r{rs2}, {target:#x}"
+FMT_J = "{target:#x}"
+FMT_JAL = "r{rd}, {target:#x}"
+FMT_JR = "r{rs1}"
+FMT_NONE = ""
+
+#: The operand format of every opcode.
+OPERAND_FORMAT = {op: fmt for fmt, group in (
+    (FMT_RRR, (ADD, SUB, AND, OR, XOR, SLT, SLTU, SLL, SRL, SRA,
+               MUL, DIV, REM, FADD, FSUB, FMUL, FDIV,
+               ADDW, SUBW, SLLW, SRLW, SRAW,
+               MULW, MULHW, MULHSUW, MULHUW, DIVW, DIVUW, REMW, REMUW)),
+    (FMT_RRI, (ADDI, ANDI, ORI, XORI, SLTI, SLLI, SRLI, SRAI,
+               ADDIW, SLLIW, SRLIW, SRAIW, SLTIU)),
+    (FMT_RI, (LI,)),
+    (FMT_LOAD, (LB, LBU, LH, LHU, LW, LWU, LD, JALR)),
+    (FMT_STORE, (SB, SH, SW, SD)),
+    (FMT_BRANCH, (BEQ, BNE, BLT, BGE, BLTU, BGEU)),
+    (FMT_J, (J,)),
+    (FMT_JAL, (JAL,)),
+    (FMT_JR, (JR,)),
+    (FMT_NONE, (HALT, NOP)),
+) for op in group}
 
 #: Execution latency class for each opcode (cycles in the function unit).
 #: Matches common superscalar models: single-cycle integer ALU, pipelined
@@ -160,25 +192,7 @@ class Instruction:
 
     def __repr__(self) -> str:
         name = OPCODE_NAMES.get(self.op, f"op{self.op}")
-        op = self.op
-        if op in LOAD_OPS:
-            return f"{name} r{self.rd}, {self.imm}(r{self.rs1})"
-        if op in STORE_OPS:
-            return f"{name} r{self.rs2}, {self.imm}(r{self.rs1})"
-        if op in BRANCH_OPS:
-            return f"{name} r{self.rs1}, r{self.rs2}, {self.imm:#x}"
-        if op == J:
-            return f"{name} {self.imm:#x}"
-        if op == JAL:
-            return f"{name} r{self.rd}, {self.imm:#x}"
-        if op == JR:
-            return f"{name} r{self.rs1}"
-        if op == JALR:
-            return f"{name} r{self.rd}, {self.imm}(r{self.rs1})"
-        if op in (HALT, NOP):
-            return name
-        if op == LI:
-            return f"{name} r{self.rd}, {self.imm:#x}"
-        if ADDI <= op <= SRAI or op in W_RRI_OPS:
-            return f"{name} r{self.rd}, r{self.rs1}, {self.imm}"
-        return f"{name} r{self.rd}, r{self.rs1}, r{self.rs2}"
+        operands = OPERAND_FORMAT.get(self.op, FMT_RRR).format(
+            rd=self.rd, rs1=self.rs1, rs2=self.rs2, imm=self.imm,
+            target=self.imm)
+        return f"{name} {operands}" if operands else name

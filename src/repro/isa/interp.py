@@ -215,7 +215,7 @@ def load_value(memory: MainMemory, op: int, addr: int) -> int:
     """Perform a load of the given opcode from functional memory."""
     size = ops.ACCESS_SIZE[op]
     raw = memory.read_int(addr, size)
-    if op in (ops.LB, ops.LH, ops.LW):
+    if op in ops.SIGNED_LOADS:
         return sign_extend(raw, size * 8)
     return raw
 
@@ -362,7 +362,9 @@ class Interpreter:
         than full detailed simulation.  Every other instruction is
         stepped: a run the budget or the full block table leaves over
         (stepped in one go), a conditional branch no block folded, JR,
-        JALR, HALT, and unaligned or pad PCs.
+        JALR, HALT, an opcode ``execute_op`` rejects (which raises with
+        the PC, retire count and registers stepping leaves), and
+        unaligned or pad PCs.
 
         A block runs on Python locals and the memory's pages: it loads
         the registers it reads once and stores back the ones it wrote,

@@ -28,6 +28,13 @@ Syntax
 * immediates accept decimal, hex (``0x``), and negative values;
 * ``.data ADDR bytes B0 B1 ...`` and ``.data ADDR words W0 W1 ...``
   populate the initial data segment.
+
+A mnemonic is an opcode's name in
+:data:`~repro.isa.instructions.OPCODE_NAMES`, or the ``mov``
+pseudo-instruction.  Its operands are read by the opcode's operand
+format (:data:`~repro.isa.instructions.OPERAND_FORMAT`), the same text
+``Instruction.__repr__`` prints, so every listing parses back to the
+instruction it came from.
 """
 
 from __future__ import annotations
@@ -35,29 +42,18 @@ from __future__ import annotations
 import re
 from typing import List
 
-from .assembler import Assembler, AssemblyError
+from .assembler import METHOD_NAMES, Assembler, AssemblyError
+from .instructions import OPCODE_NAMES, OPERAND_FORMAT
 from .program import Program
 
 _MEM_OPERAND = re.compile(r"^(-?\w+)\((\w+)\)$")
 
-#: mnemonics taking ``rd, rs1, rs2``
-_RRR = {"add", "sub", "and", "or", "xor", "slt", "sltu", "sll", "srl",
-        "sra", "mul", "div", "rem", "fadd", "fsub", "fmul", "fdiv",
-        "addw", "subw", "sllw", "srlw", "sraw",
-        "mulw", "mulhw", "mulhsuw", "mulhuw",
-        "divw", "divuw", "remw", "remuw"}
-#: mnemonics taking ``rd, rs1, imm``
-_RRI = {"addi", "andi", "ori", "xori", "slti", "slli", "srli", "srai",
-        "addiw", "slliw", "srliw", "sraiw", "sltiu"}
-#: loads: ``rd, offset(base)``
-_LOADS = {"lb", "lbu", "lh", "lhu", "lw", "lwu", "ld"}
-#: stores: ``src, offset(base)``
-_STORES = {"sb", "sh", "sw", "sd"}
-#: branches: ``rs1, rs2, target``
-_BRANCHES = {"beq", "bne", "blt", "bge", "bltu", "bgeu"}
-
-#: python-keyword-safe method names on Assembler
-_METHOD_OF = {"and": "and_", "or": "or_"}
+#: Mnemonic -> (its Assembler method, its operands' formats in assembly
+#: order); ``mov`` is the assembler's one pseudo-instruction.
+_SYNTAX = {OPCODE_NAMES[op]: (METHOD_NAMES[op],
+                              fmt.split(", ") if fmt else [])
+           for op, fmt in OPERAND_FORMAT.items()}
+_SYNTAX["mov"] = ("mov", ["r{rd}", "r{rs1}"])
 
 
 class AsmSyntaxError(AssemblyError):
@@ -124,77 +120,42 @@ def parse_asm(text: str, name: str = "program") -> Program:
         mnemonic = mnemonic.lower()
         operands = _split_operands(rest.strip())
 
-        def need(n: int) -> None:
-            if len(operands) != n:
-                raise AsmSyntaxError(
-                    line_number, raw,
-                    f"{mnemonic} expects {n} operands, got "
-                    f"{len(operands)}")
-
         def mem_operand(token: str):
             match = _MEM_OPERAND.match(token.replace(" ", ""))
             if not match:
                 raise AsmSyntaxError(line_number, raw,
                                      f"bad memory operand {token!r}")
-            return (_parse_int(match.group(1), line_number, raw),
-                    match.group(2))
+            return (match.group(2),
+                    _parse_int(match.group(1), line_number, raw))
 
         def target(token: str):
             if re.match(r"^-?(0x)?[0-9a-fA-F]+$", token):
                 return _parse_int(token, line_number, raw)
             return token
 
+        if mnemonic not in _SYNTAX:
+            raise AsmSyntaxError(line_number, raw,
+                                 f"unknown mnemonic {mnemonic!r}")
+        method, formats = _SYNTAX[mnemonic]
+        if len(operands) != len(formats):
+            raise AsmSyntaxError(
+                line_number, raw,
+                f"{mnemonic} expects {len(formats)} operands, got "
+                f"{len(operands)}")
+        # The method's parameters are the operands in assembly order, an
+        # address operand giving (base, offset).
+        args = []
         try:
-            if mnemonic in _RRR:
-                need(3)
-                getattr(asm, _METHOD_OF.get(mnemonic, mnemonic))(
-                    *operands)
-            elif mnemonic in _RRI:
-                need(3)
-                getattr(asm, mnemonic)(
-                    operands[0], operands[1],
-                    _parse_int(operands[2], line_number, raw))
-            elif mnemonic == "li":
-                need(2)
-                asm.li(operands[0],
-                       _parse_int(operands[1], line_number, raw))
-            elif mnemonic == "mov":
-                need(2)
-                asm.mov(operands[0], operands[1])
-            elif mnemonic in _LOADS:
-                need(2)
-                offset, base = mem_operand(operands[1])
-                getattr(asm, mnemonic)(operands[0], base, offset)
-            elif mnemonic in _STORES:
-                need(2)
-                offset, base = mem_operand(operands[1])
-                getattr(asm, mnemonic)(operands[0], base, offset)
-            elif mnemonic in _BRANCHES:
-                need(3)
-                getattr(asm, mnemonic)(operands[0], operands[1],
-                                       target(operands[2]))
-            elif mnemonic == "j":
-                need(1)
-                asm.j(target(operands[0]))
-            elif mnemonic == "jal":
-                need(2)
-                asm.jal(operands[0], target(operands[1]))
-            elif mnemonic == "jr":
-                need(1)
-                asm.jr(operands[0])
-            elif mnemonic == "jalr":
-                need(2)
-                offset, base = mem_operand(operands[1])
-                asm.jalr(operands[0], base, offset)
-            elif mnemonic == "nop":
-                need(0)
-                asm.nop()
-            elif mnemonic == "halt":
-                need(0)
-                asm.halt()
-            else:
-                raise AsmSyntaxError(line_number, raw,
-                                     f"unknown mnemonic {mnemonic!r}")
+            for fmt, token in zip(formats, operands):
+                if fmt.startswith("r{"):
+                    args.append(token)
+                elif fmt.startswith("{target"):
+                    args.append(target(token))
+                elif fmt.endswith(")"):
+                    args.extend(mem_operand(token))
+                else:
+                    args.append(_parse_int(token, line_number, raw))
+            getattr(asm, method)(*args)
         except ValueError as exc:
             raise AsmSyntaxError(line_number, raw, str(exc)) from None
 

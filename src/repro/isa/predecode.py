@@ -2,17 +2,18 @@
 
 A :class:`PredecodedProgram` translates a :class:`~repro.isa.program.Program`
 once into dense parallel arrays -- opcode, register indices, immediate, a
-dispatch *kind* (ALU / load / store / branch / jump flavour / halt / nop),
-the memory access size, and the straight-line run length starting at each
-instruction.  The fast-forward engine dispatches from these arrays instead
-of fetching :class:`~repro.isa.instructions.Instruction` objects, and
-compiles each basic block's straight-line body, with the conditional
-branch that ends it, into a single Python function (a
-"superinstruction") so hot loops execute without per-instruction
-dispatch overhead.  A block keeps the registers it uses in Python
-locals, reads and writes memory pages directly, and trains the warm
-cache and branch-predictor state as it runs, so blocks live in one
-table per cache and predictor geometry (:data:`BlockKey`).
+dispatch *kind* (ALU / load / store / branch / jump flavour / halt / nop /
+illegal), the memory access size, and the straight-line run length
+starting at each instruction.  The fast-forward engine dispatches from
+these arrays instead of fetching
+:class:`~repro.isa.instructions.Instruction` objects, and compiles
+each basic block's straight-line body, with the conditional branch that
+ends it, into a single Python function (a "superinstruction") so hot
+loops execute without per-instruction dispatch overhead.  A block keeps
+the registers it uses in Python locals, reads and writes memory pages
+directly, and trains the warm cache and branch-predictor state as it
+runs, so blocks live in one table per cache and predictor geometry
+(:data:`BlockKey`).
 
 Predecoded images are cached globally, keyed by the program's content
 digest, so the fast-forward engine, the architectural oracle
@@ -26,9 +27,11 @@ instructions through :meth:`Interpreter.step`:
 
 * a block loads each register it reads into a local once, at entry,
   and stores each register it writes back to the register file at its
-  exit, and before any ``execute_op`` call for an opcode outside
-  :data:`_PURE_ALU`, which raises with the register file as stepping
-  would have left it;
+  exit;
+* an opcode ``execute_op`` rejects (one outside :data:`_PURE_ALU`)
+  ends a straight-line run and is never compiled: fast-forward steps
+  it, so it raises with the PC, retire count and registers that
+  stepping leaves;
 * loads and stores address ``MainMemory._pages`` directly: a page
   lookup, then an in-page read or write of the bytearray.  An access
   that crosses a page, or a load or store that finds no page, falls
@@ -39,9 +42,8 @@ instructions through :meth:`Interpreter.step`:
 * loads always perform the access, even with ``rd == r0`` (the L1D
   touch is visible in the warm cache capsule and must match the
   oracle's access stream);
-* pure ALU work targeting ``r0`` is skipped only when the opcode is a
-  known pure op -- unknown opcodes still reach ``execute_op`` so they
-  raise exactly as the oracle would;
+* ALU work targeting ``r0`` is skipped: every ALU opcode a block
+  holds is one ``execute_op`` handles, without side effects;
 * instruction-cache touches are emitted only at block entry and at
   I-cache line crossings.  Within a straight-line run every skipped touch
   hits the line touched by the immediately preceding instruction, which is
@@ -73,28 +75,27 @@ __all__ = [
     "PredecodedProgram",
     "predecode",
     "K_ALU", "K_LOAD", "K_STORE", "K_BRANCH",
-    "K_J", "K_JAL", "K_JR", "K_JALR", "K_HALT", "K_NOP",
+    "K_J", "K_JAL", "K_JR", "K_JALR", "K_HALT", "K_NOP", "K_ILLEGAL",
 ]
 
 # Dispatch kinds.  Straight-line kinds (ALU/load/store/nop) may appear
-# inside superinstruction blocks; the rest terminate a block.
-K_ALU, K_LOAD, K_STORE, K_BRANCH, K_J, K_JAL, K_JR, K_JALR, K_HALT, K_NOP = \
-    range(10)
+# inside superinstruction blocks; the rest terminate a block.  An opcode
+# ``execute_op`` rejects is K_ILLEGAL, so no block holds it: fast-forward
+# steps it, and it raises as stepping does.
+(K_ALU, K_LOAD, K_STORE, K_BRANCH, K_J, K_JAL, K_JR, K_JALR, K_HALT, K_NOP,
+ K_ILLEGAL) = range(11)
 
 _STRAIGHT_KINDS = frozenset({K_ALU, K_LOAD, K_STORE, K_NOP})
 
-#: Opcodes ``execute_op`` is known to handle; r0-targeted instances are
-#: pure and may be elided inside compiled blocks.  Anything outside this
-#: set must still reach ``execute_op`` so it raises like the oracle does.
+#: The opcodes ``execute_op`` handles: every other opcode but the memory,
+#: control, HALT and NOP ones.
 _PURE_ALU = (frozenset(range(ops.NUM_OPCODES))
              - ops.MEM_OPS - ops.CONTROL_OPS - {ops.HALT, ops.NOP})
 
 #: Signed loads: (sign-bit mask, extension OR-mask).
-_SIGNED_LOADS = {
-    ops.LB: (0x80, MASK64 ^ 0xFF),
-    ops.LH: (0x8000, MASK64 ^ 0xFFFF),
-    ops.LW: (0x8000_0000, MASK64 ^ 0xFFFF_FFFF),
-}
+_SIGNED_LOADS = {op: (1 << (8 * ops.ACCESS_SIZE[op] - 1),
+                      MASK64 ^ ((1 << (8 * ops.ACCESS_SIZE[op])) - 1))
+                 for op in ops.SIGNED_LOADS}
 
 #: Longest straight-line run compiled into a single block; longer runs are
 #: chained block-to-block by the dispatcher.
@@ -156,7 +157,7 @@ def _kind_of(op: int) -> int:
         return K_HALT
     if op == ops.NOP:
         return K_NOP
-    return K_ALU
+    return K_ALU if op in _PURE_ALU else K_ILLEGAL
 
 
 def _signed(expr: str) -> str:
@@ -351,9 +352,6 @@ class PredecodedProgram:
             written[r] = None
             return f"r{r}"
 
-        def store_back() -> None:
-            body.extend(f"regs[{r}] = r{r}" for r in written)
-
         branch = None
         prev_line = None
         for i in range(start, end):
@@ -377,11 +375,6 @@ class PredecodedProgram:
                 continue
             if k == K_ALU:
                 b = read(self.rs2[i])
-                if op not in _PURE_ALU:
-                    store_back()  # execute_op raises on it
-                    emit((f"{write(rd)} = " if rd else "")
-                         + f"xop({op}, {a}, {b}, {imm})")
-                    continue
                 if rd == 0:
                     continue  # pure result discarded: elide
                 target = write(rd)
@@ -426,7 +419,7 @@ class PredecodedProgram:
                           else f"_st{size}(_p, _o, {value})")
                 emit(f"if {in_page}: {direct}")
                 emit(f"else: wrint(_a, {size}, {value})")
-        store_back()
+        body.extend(f"regs[{r}] = r{r}" for r in written)  # store back
         if branch is None:
             emit(f"return {end << 2}")
         else:

@@ -79,7 +79,7 @@ from ..core import registry
 from ..core.predictors import DependenceTagFile, ProducerSetPredictor
 from ..core.subsystem import REPLAY
 from ..isa import instructions as ops
-from ..isa.instructions import MASK64, sign_extend
+from ..isa.instructions import MASK64, SIGNED_LOADS, sign_extend
 from ..isa.interp import RetireRecord, branch_taken, execute_op, run_program
 from ..isa.program import INSTRUCTION_BYTES, Program
 from ..memory.cache import CacheHierarchy, paper_hierarchy
@@ -140,19 +140,14 @@ for _name, _kind, _unit, _desc in (
     declare_metric(_name, kind=_kind, subsystem="pipeline",
                    description=_desc, unit=_unit)
 
-_USES_RS2 = frozenset(
-    {ops.ADD, ops.SUB, ops.AND, ops.OR, ops.XOR, ops.SLT, ops.SLTU,
-     ops.SLL, ops.SRL, ops.SRA, ops.MUL, ops.DIV, ops.REM,
-     ops.FADD, ops.FSUB, ops.FMUL, ops.FDIV}
-    | ops.BRANCH_OPS | ops.STORE_OPS | ops.W_RRR_OPS)
-_NO_RS1 = frozenset({ops.J, ops.JAL, ops.LI, ops.NOP, ops.HALT})
-_HAS_DEST = frozenset(
-    {ops.ADD, ops.SUB, ops.AND, ops.OR, ops.XOR, ops.SLT, ops.SLTU,
-     ops.SLL, ops.SRL, ops.SRA, ops.ADDI, ops.ANDI, ops.ORI, ops.XORI,
-     ops.SLTI, ops.SLLI, ops.SRLI, ops.SRAI, ops.LI, ops.MUL, ops.DIV,
-     ops.REM, ops.FADD, ops.FSUB, ops.FMUL, ops.FDIV, ops.JAL, ops.JALR}
-    | ops.LOAD_OPS | ops.W_RRR_OPS | ops.W_RRI_OPS)
-_SIGNED_LOADS = (ops.LB, ops.LH, ops.LW)
+# Rename decode, from each opcode's operand format: which sources it reads
+# and whether it writes rd.
+_USES_RS2 = frozenset(op for op, fmt in ops.OPERAND_FORMAT.items()
+                      if "{rs2}" in fmt)
+_NO_RS1 = frozenset(op for op, fmt in ops.OPERAND_FORMAT.items()
+                    if "{rs1}" not in fmt)
+_HAS_DEST = frozenset(op for op, fmt in ops.OPERAND_FORMAT.items()
+                      if fmt.startswith("r{rd}"))
 
 
 class SimulationError(Exception):
@@ -736,7 +731,7 @@ class Core:
             return None
         if static.is_load:
             value = outcome.value or 0
-            if op in _SIGNED_LOADS:
+            if op in SIGNED_LOADS:
                 value = sign_extend(value, size * 8)
             inst.dest_value = value
         return outcome.latency
@@ -756,7 +751,7 @@ class Core:
                 # here, so it must carry the corrected value too.  The
                 # subsystem replays the raw memory bytes; signed loads
                 # need the same extension the execute path applies.
-                if head.inst.op in _SIGNED_LOADS:
+                if head.inst.op in SIGNED_LOADS:
                     corrected = sign_extend(corrected, head.size * 8)
                 head.dest_value = corrected
                 if head.rd_phys is not None:

@@ -17,6 +17,8 @@ the property test only needs to run programs to completion.
 from __future__ import annotations
 
 import random
+
+from ..isa import instructions as ops
 from ..isa.assembler import Assembler
 from ..isa.program import Program
 
@@ -31,8 +33,8 @@ ARENA_BYTES = 256          # small arena => dense aliasing
 
 _LOAD_EMITTERS = ["lb", "lbu", "lh", "lhu", "lw", "lwu", "ld"]
 _STORE_EMITTERS = ["sb", "sh", "sw", "sd"]
-_SIZE_OF = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lwu": 4,
-            "ld": 8, "sb": 1, "sh": 2, "sw": 4, "sd": 8}
+_SIZE_OF = {ops.OPCODE_NAMES[op]: size
+            for op, size in ops.ACCESS_SIZE.items()}
 _ALU_OPS = ["add", "sub", "and_", "or_", "xor", "slt", "sltu"]
 _IMM_OPS = ["addi", "andi", "ori", "xori"]
 _LONG_OPS = ["mul", "fadd", "fmul"]

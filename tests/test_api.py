@@ -92,6 +92,10 @@ class TestRunnerArgument:
                 call(scale=1000, runner=runner)
             with pytest.raises(ValueError, match="use_cache"):
                 call(runner=runner, use_cache=False)
+        # run_suite's jobs and cell timeout are the runner's too.
+        for setting, value in (("jobs", 2), ("cell_timeout", 5.0)):
+            with pytest.raises(ValueError, match=setting):
+                api.run_suite(["gap"], runner=runner, **{setting: value})
         assert runner.manifest == []
 
     def test_runner_alone_sets_the_scale(self):

@@ -341,20 +341,20 @@ class TestTrainEntries:
 
 class TestEngineGrids:
     def test_serial_and_parallel_grids_identical(self, tmp_path):
-        serial = ExperimentRunner(scale=SCALE, use_cache=False)
-        parallel = ExperimentRunner(scale=SCALE, use_cache=False)
-        a = serial.run_suite(BENCHMARKS, configs(), jobs=1)
-        b = parallel.run_suite(BENCHMARKS, configs(), jobs=4)
+        serial = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
+        parallel = ExperimentRunner(scale=SCALE, jobs=4, use_cache=False)
+        a = serial.run_suite(BENCHMARKS, configs())
+        b = parallel.run_suite(BENCHMARKS, configs())
         assert grid_snapshot(a) == grid_snapshot(b)
         assert serial.cache_misses == parallel.cache_misses == 4
 
     def test_warm_cache_grid_identical_and_simulation_free(self, tmp_path):
-        cold = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
-        a = cold.run_suite(BENCHMARKS, configs(), jobs=2)
+        cold = ExperimentRunner(scale=SCALE, jobs=2, cache_dir=tmp_path)
+        a = cold.run_suite(BENCHMARKS, configs())
         assert cold.cache_hits == 0 and cold.cache_misses == 4
 
-        warm = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
-        b = warm.run_suite(BENCHMARKS, configs(), jobs=2)
+        warm = ExperimentRunner(scale=SCALE, jobs=2, cache_dir=tmp_path)
+        b = warm.run_suite(BENCHMARKS, configs())
         assert warm.cache_hits == 4 and warm.cache_misses == 0
         assert grid_snapshot(a) == grid_snapshot(b)
         # No program/trace was ever built on the warm path.
@@ -378,14 +378,14 @@ class TestEngineGrids:
         """An entry with the current format but a missing or mistyped
         field is a miss: the cell re-simulates and overwrites it,
         through run() and through run_suite()."""
-        runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
+        runner = ExperimentRunner(scale=SCALE, jobs=1, cache_dir=tmp_path)
         config = baseline_lsq_config()
         for benchmark in BENCHMARKS:
             runner.cache.store(cache_key(benchmark, SCALE, config),
                                {"format": CACHE_FORMAT, "cycles": "many"})
         result = runner.run("gap", config)
         assert result.cycles > 0
-        results = runner.run_suite(BENCHMARKS, [config], jobs=1)
+        results = runner.run_suite(BENCHMARKS, [config])
         assert set(results) == {(b, config.name) for b in BENCHMARKS}
         assert [(e["benchmark"], e["cache_hit"], e["status"])
                 for e in runner.manifest] == [
@@ -421,14 +421,14 @@ class TestEngineGrids:
                 entries.append(entry)
             return entries
 
-        serial = ExperimentRunner(scale=SCALE, use_cache=False)
-        parallel = ExperimentRunner(scale=SCALE, use_cache=False)
-        cold = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
-        a = serial.run_suite(BENCHMARKS, configs(), jobs=1)
-        b = parallel.run_suite(BENCHMARKS, configs(), jobs=4)
-        cold.run_suite(BENCHMARKS, configs(), jobs=2)
-        warm = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
-        c = warm.run_suite(BENCHMARKS, configs(), jobs=2)
+        serial = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
+        parallel = ExperimentRunner(scale=SCALE, jobs=4, use_cache=False)
+        cold = ExperimentRunner(scale=SCALE, jobs=2, cache_dir=tmp_path)
+        a = serial.run_suite(BENCHMARKS, configs())
+        b = parallel.run_suite(BENCHMARKS, configs())
+        cold.run_suite(BENCHMARKS, configs())
+        warm = ExperimentRunner(scale=SCALE, jobs=2, cache_dir=tmp_path)
+        c = warm.run_suite(BENCHMARKS, configs())
         assert grid_snapshot(a) == grid_snapshot(b) == grid_snapshot(c)
         assert normalized(serial) == normalized(parallel) == \
             normalized(warm)
@@ -445,10 +445,6 @@ class TestEngineSettings:
         with pytest.raises(ValueError, match="timeout"):
             ExperimentRunner(scale=SCALE, use_cache=False,
                              cell_timeout=timeout)
-        runner = ExperimentRunner(scale=SCALE, use_cache=False)
-        with pytest.raises(ValueError, match="timeout"):
-            runner.run_suite(["gap"], configs(), cell_timeout=timeout)
-        assert not runner.manifest
 
     @pytest.mark.parametrize("scale", [0, -5])
     def test_bad_scale_rejected(self, scale):
@@ -461,15 +457,11 @@ class TestEngineSettings:
     def test_bad_jobs_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             ExperimentRunner(scale=SCALE, use_cache=False, jobs=jobs)
-        runner = ExperimentRunner(scale=SCALE, use_cache=False)
-        with pytest.raises(ValueError, match="jobs"):
-            runner.run_suite(["gap"], configs(), jobs=jobs)
-        assert not runner.manifest
 
     def test_timed_in_process_run_needs_main_thread(self):
         """SIGALRM reaches only the main thread, so a timed in-process
         run elsewhere is refused before any cell simulates."""
-        runner = ExperimentRunner(scale=SCALE, use_cache=False,
+        runner = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False,
                                   cell_timeout=5)
         calls = []
         runner._cell_fn = lambda *args: calls.append(args)
@@ -477,7 +469,7 @@ class TestEngineSettings:
 
         def body():
             try:
-                runner.run_suite(["gap"], configs(), jobs=1)
+                runner.run_suite(["gap"], configs())
             except ValueError as exc:
                 errors.append(exc)
 
@@ -491,7 +483,7 @@ class TestEngineSettings:
 
 class TestBatchDedup:
     def test_identical_duplicate_configs_simulate_once(self, tmp_path):
-        runner = ExperimentRunner(scale=SCALE, use_cache=False)
+        runner = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
         calls = []
         original = runner._cell_fn
 
@@ -501,14 +493,13 @@ class TestBatchDedup:
 
         runner._cell_fn = counting
         results = runner.run_suite(
-            ["gap"], [baseline_lsq_config(), baseline_lsq_config()],
-            jobs=1)
+            ["gap"], [baseline_lsq_config(), baseline_lsq_config()])
         assert len(results) == 1
         assert len(calls) == 1
         assert len(runner.manifest) == 1
 
     def test_same_payload_different_names_share_one_simulation(self):
-        runner = ExperimentRunner(scale=SCALE, use_cache=False)
+        runner = ExperimentRunner(scale=SCALE, jobs=1, use_cache=False)
         calls = []
         original = runner._cell_fn
 
@@ -519,7 +510,7 @@ class TestBatchDedup:
         runner._cell_fn = counting
         results = runner.run_suite(
             ["gap"], [baseline_lsq_config(name="alpha"),
-                      baseline_lsq_config(name="beta")], jobs=1)
+                      baseline_lsq_config(name="beta")])
         assert len(calls) == 1, "one cache key must simulate once"
         assert set(results) == {("gap", "alpha"), ("gap", "beta")}
         assert results[("gap", "alpha")].cycles == \
@@ -537,19 +528,21 @@ class TestBatchDedup:
 
 class TestEngineProvenance:
     def test_run_suite_records_effective_jobs(self, tmp_path):
-        """run_suite(jobs=...) must be what the manifest reports, not
-        the constructor default."""
-        runner = ExperimentRunner(scale=SCALE, jobs=8, use_cache=False)
-        runner.run_suite(["gap"], [baseline_lsq_config()], jobs=1)
-        assert runner.manifest[-1]["engine"]["jobs"] == 1
-        runner.run_suite(["crafty"], [baseline_lsq_config()], jobs=2)
-        assert runner.manifest[-1]["engine"]["jobs"] == 2
+        """The manifest reports the jobs of the runner that simulated
+        the cell."""
+        for jobs, benchmark in ((1, "gap"), (2, "crafty")):
+            runner = ExperimentRunner(scale=SCALE, jobs=jobs,
+                                      use_cache=False)
+            runner.run_suite([benchmark], [baseline_lsq_config()])
+            assert runner.manifest[-1]["engine"]["jobs"] == jobs
 
     def test_cache_hit_records_effective_jobs(self, tmp_path):
-        cold = ExperimentRunner(scale=SCALE, jobs=8, cache_dir=tmp_path)
-        cold.run_suite(["gap"], [baseline_lsq_config()], jobs=1)
-        warm = ExperimentRunner(scale=SCALE, jobs=8, cache_dir=tmp_path)
-        warm.run_suite(["gap"], [baseline_lsq_config()], jobs=3)
+        """A cache hit reports the jobs of the runner that looked it
+        up, not of the one that stored it."""
+        cold = ExperimentRunner(scale=SCALE, jobs=1, cache_dir=tmp_path)
+        cold.run_suite(["gap"], [baseline_lsq_config()])
+        warm = ExperimentRunner(scale=SCALE, jobs=3, cache_dir=tmp_path)
+        warm.run_suite(["gap"], [baseline_lsq_config()])
         assert warm.manifest[-1]["cache_hit"] is True
         assert warm.manifest[-1]["engine"]["jobs"] == 3
 

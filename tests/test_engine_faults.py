@@ -99,10 +99,9 @@ def failure_entries(engine):
 
 
 def check_raising_cell(tmp_path, call_log, jobs):
-    engine = runner(tmp_path)
+    engine = runner(tmp_path, jobs=jobs)
     engine._cell_fn = _raise_on_marked
-    results = engine.run_suite(
-        [BENCH], [cfg("boom", 64), cfg("ok1", 128)], jobs=jobs)
+    results = engine.run_suite([BENCH], [cfg("boom", 64), cfg("ok1", 128)])
     assert set(results) == {(BENCH, "ok1")}
     (entry,) = failure_entries(engine)
     assert entry["config_name"] == "boom"
@@ -114,11 +113,11 @@ def check_raising_cell(tmp_path, call_log, jobs):
 
 
 def check_hung_cell(tmp_path, call_log, jobs):
-    engine = runner(tmp_path, cell_timeout=0.5)
+    engine = runner(tmp_path, jobs=jobs, cell_timeout=0.5)
     engine._cell_fn = _hang_on_marked
     configs = [cfg("ok1", 128), cfg("hang-me", 64), cfg("ok2", 96)]
     started = time.monotonic()
-    results = engine.run_suite([BENCH], configs, jobs=jobs)
+    results = engine.run_suite([BENCH], configs)
     elapsed = time.monotonic() - started
 
     assert set(results) == {(BENCH, "ok1"), (BENCH, "ok2")}
@@ -142,9 +141,9 @@ class TestCrashRecovery:
         return [cfg(name, rob) for name, rob in self.GRID]
 
     def test_crash_fails_every_unfinished_cell(self, tmp_path, call_log):
-        engine = runner(tmp_path)
+        engine = runner(tmp_path, jobs=2)
         engine._cell_fn = _crash_on_marked
-        results = engine.run_suite([BENCH], self.grid(), jobs=2)
+        results = engine.run_suite([BENCH], self.grid())
 
         failures = failure_entries(engine)
         assert "crash-me" in {e["config_name"] for e in failures}
@@ -163,13 +162,13 @@ class TestCrashRecovery:
         assert names.count("crash-me") == 1
 
     def test_resume_simulates_exactly_the_failed_cells(self, tmp_path):
-        crashed = runner(tmp_path)
+        crashed = runner(tmp_path, jobs=2)
         crashed._cell_fn = _crash_on_marked
-        crashed.run_suite([BENCH], self.grid(), jobs=2)
+        crashed.run_suite([BENCH], self.grid())
         failed = {e["config_name"] for e in failure_entries(crashed)}
 
-        resumed = runner(tmp_path)  # healthy worker this time
-        results = resumed.run_suite([BENCH], self.grid(), jobs=2)
+        resumed = runner(tmp_path, jobs=2)  # healthy worker this time
+        results = resumed.run_suite([BENCH], self.grid())
         assert len(results) == len(self.GRID)
         assert not failure_entries(resumed)
         simulated = {e["config_name"] for e in resumed.manifest
@@ -186,12 +185,12 @@ class TestHangRecovery:
 
     def test_timeout_resume_completes_only_the_hung_cell(self, tmp_path):
         configs = [cfg("ok1", 128), cfg("hang-me", 64), cfg("ok2", 96)]
-        hung = runner(tmp_path, cell_timeout=0.5)
+        hung = runner(tmp_path, jobs=2, cell_timeout=0.5)
         hung._cell_fn = _hang_on_marked
-        hung.run_suite([BENCH], configs, jobs=2)
+        hung.run_suite([BENCH], configs)
 
-        resumed = runner(tmp_path)
-        results = resumed.run_suite([BENCH], configs, jobs=2)
+        resumed = runner(tmp_path, jobs=2)
+        results = resumed.run_suite([BENCH], configs)
         assert len(results) == 3
         assert resumed.cache_hits == 2
         assert resumed.cache_misses == 1

@@ -19,6 +19,7 @@ class TestOpcodeSets:
     def test_every_opcode_has_a_name(self):
         for value in range(ops.NUM_OPCODES):
             assert value in ops.OPCODE_NAMES
+            assert value in ops.OPERAND_FORMAT
 
     def test_load_and_store_sets_are_disjoint(self):
         assert not (ops.LOAD_OPS & ops.STORE_OPS)

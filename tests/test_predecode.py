@@ -554,10 +554,10 @@ class TestBlockPaths:
             _block_key(small(), hierarchy)}
 
     @pytest.mark.parametrize("rd", [0, 3])
-    def test_rejected_opcode_raises_from_inside_a_block(self, rd):
-        """An opcode execute_op rejects raises its ValueError from inside
-        the compiled block, with the registers written before it stored
-        back, as stepping leaves them."""
+    def test_rejected_opcode_raises_where_stepping_does(self, rd):
+        """An opcode execute_op rejects ends the block before it and is
+        stepped: its ValueError leaves the PC, retire count, registers
+        and warm state that stepping and the reference leave."""
         program = Program([Instruction(ops.LI, rd=1, imm=5),
                            Instruction(ops.ADDI, rd=2, rs1=1, imm=1),
                            Instruction(ops.NUM_OPCODES + 1, rd=rd, rs1=2,
@@ -567,14 +567,21 @@ class TestBlockPaths:
         stepped = Interpreter(program)
         with pytest.raises(ValueError, match="cannot handle opcode"):
             stepped.run(10)
-        engine = Interpreter(program)
-        bpred, hierarchy = _trainers()
+        reference = Interpreter(program)
+        r_bpred, r_hier = _trainers()
         with pytest.raises(ValueError, match="cannot handle opcode"):
-            engine.fast_forward(10, bpred, hierarchy)
-        assert 0 in program.predecoded().blocks(_block_key(bpred,
-                                                           hierarchy))
-        assert engine.regs == stepped.regs
+            reference.fast_forward_reference(10, r_bpred, r_hier)
+        engine = Interpreter(program)
+        e_bpred, e_hier = _trainers()
+        with pytest.raises(ValueError, match="cannot handle opcode"):
+            engine.fast_forward(10, e_bpred, e_hier)
+        assert _state(engine, e_bpred, e_hier) == \
+            _state(reference, r_bpred, r_hier)
+        assert _state(engine) == _state(stepped)
+        assert (engine.pc, engine.instructions_retired) == (8, 2)
         assert engine.regs[1:3] == [5, 6]
+        table = program.predecoded().blocks(_block_key(e_bpred, e_hier))
+        assert table[0][1] == 2
 
 
 #: The reference, the engine, and the engine one instruction at a time:
