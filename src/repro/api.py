@@ -310,11 +310,12 @@ def simulate_riscv(source, config: ConfigLike = "baseline-sfc-mdt",
                    max_instructions: int = 2_000_000) -> RunRecord:
     """Simulate one real RV32 program end to end.
 
-    ``source`` is anything the frontend loads: a ``.hex`` text file, a
-    raw little-endian binary image, or a list of 32-bit words.  The
-    program runs on the in-order interpreter first (the architectural
-    oracle), then on the pipeline with golden-trace validation against
-    that trace -- a divergence raises
+    ``source`` is anything the frontend loads: a ``.hex``/``.txt`` text
+    file, a ``.bin`` file or raw bytes holding a little-endian binary
+    image, or a list of 32-bit words.  The program runs on the in-order
+    interpreter first (the architectural oracle), then on the pipeline
+    with golden-trace validation against that trace -- a divergence
+    raises
     :class:`~repro.pipeline.processor.SimulationError` rather than
     returning a record, and a program that does not halt within
     ``max_instructions`` raises

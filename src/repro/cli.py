@@ -12,10 +12,11 @@ Subcommands
     threads one per core over shared memory and judges the observed
     outcome against the operational-model oracle (nonzero exit on a
     forbidden outcome).
-    ``run --riscv FILE`` loads a real RV32 image (``.hex`` text or raw
-    little-endian binary) through the RISC-V frontend instead of a
-    named benchmark, golden-trace-checked against the interpreter
-    oracle, e.g. ``repro run --riscv examples/hazard.hex``.
+    ``run --riscv FILE`` loads a real RV32 image (``.hex``/``.txt`` text
+    or ``.bin`` little-endian binary; any other suffix exits 2) through
+    the RISC-V frontend instead of a named benchmark, golden-trace-checked
+    against the interpreter oracle, e.g. ``repro run --riscv
+    examples/hazard.hex``.
 ``compare BENCHMARK``
     Run one benchmark under several configurations side by side.  A
     failed cell's row shows its error; exits nonzero when any cell
@@ -197,9 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      + sorted(RISCV_BENCHMARKS)
                      + litmus_benchmark_names())
     run.add_argument("--riscv", default=None, metavar="FILE",
-                     help="simulate a real RV32 image (.hex text or raw "
-                          "binary) through the RISC-V frontend instead "
-                          "of a named benchmark")
+                     help="simulate a real RV32 image (.hex/.txt text "
+                          "or .bin binary) through the RISC-V frontend "
+                          "instead of a named benchmark")
     run.add_argument("--config", default="baseline-sfc-mdt",
                      choices=sorted(api.CONFIGS))
     run.add_argument("--scale", type=_checked(int, check_scale),

@@ -92,7 +92,8 @@ SIGNED_LOADS = frozenset({LB, LH, LW})
 # base-plus-offset address and ``{target:#x}`` a branch or jump target
 # (the byte address in ``imm``; a label in assembly text).  The assembler's
 # methods, the text parser, ``Instruction.__repr__`` and the core's rename
-# decode all read :data:`OPERAND_FORMAT`.
+# decode (:data:`READS_RS1`, :data:`READS_RS2`, :data:`WRITES_RD`) all
+# read :data:`OPERAND_FORMAT`.
 FMT_RRR = "r{rd}, r{rs1}, r{rs2}"
 FMT_RRI = "r{rd}, r{rs1}, {imm}"
 FMT_RI = "r{rd}, {imm:#x}"
@@ -121,6 +122,13 @@ OPERAND_FORMAT = {op: fmt for fmt, group in (
     (FMT_JR, (JR,)),
     (FMT_NONE, (HALT, NOP)),
 ) for op in group}
+
+#: Rename decode, indexed by opcode and read from its operand format:
+#: whether the opcode reads rs1, reads rs2 and writes rd.
+READS_RS1 = ["{rs1}" in OPERAND_FORMAT[op] for op in range(NUM_OPCODES)]
+READS_RS2 = ["{rs2}" in OPERAND_FORMAT[op] for op in range(NUM_OPCODES)]
+WRITES_RD = [OPERAND_FORMAT[op].startswith("r{rd}")
+             for op in range(NUM_OPCODES)]
 
 #: Execution latency class for each opcode (cycles in the function unit).
 #: Matches common superscalar models: single-cycle integer ALU, pipelined

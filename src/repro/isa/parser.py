@@ -24,7 +24,10 @@ Syntax
 * ``label:`` on its own line (or before an instruction) defines a label;
 * loads/stores use ``offset(base)`` addressing: ``ld r5, 8(r4)``,
   ``sd r5, -16(r4)``;
-* branch targets are labels or absolute addresses;
+* branch targets are labels or absolute addresses; a target spelled
+  like a label (``[A-Za-z_][A-Za-z0-9_]*``) is a label, even when its
+  letters are all hex digits (``dead``), so a numeric target starts
+  with a digit or ``-`` (``0x10``, ``16``);
 * immediates accept decimal, hex (``0x``), and negative values;
 * ``.data ADDR bytes B0 B1 ...`` and ``.data ADDR words W0 W1 ...``
   populate the initial data segment.
@@ -47,6 +50,7 @@ from .instructions import OPCODE_NAMES, OPERAND_FORMAT
 from .program import Program
 
 _MEM_OPERAND = re.compile(r"^(-?\w+)\((\w+)\)$")
+_LABEL = re.compile(r"^[A-Za-z_]\w*$")
 
 #: Mnemonic -> (its Assembler method, its operands' formats in assembly
 #: order); ``mov`` is the assembler's one pseudo-instruction.
@@ -129,9 +133,11 @@ def parse_asm(text: str, name: str = "program") -> Program:
                     _parse_int(match.group(1), line_number, raw))
 
         def target(token: str):
-            if re.match(r"^-?(0x)?[0-9a-fA-F]+$", token):
-                return _parse_int(token, line_number, raw)
-            return token
+            # A label, even one spelled in hex letters ("a", "dead");
+            # anything else is a number.
+            if _LABEL.match(token):
+                return token
+            return _parse_int(token, line_number, raw)
 
         if mnemonic not in _SYNTAX:
             raise AsmSyntaxError(line_number, raw,

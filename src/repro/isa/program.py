@@ -39,9 +39,10 @@ class Program:
 
     @classmethod
     def from_riscv(cls, source, name: Optional[str] = None) -> "Program":
-        """Load RV32 machine code (path to a ``.hex``/binary image, raw
-        bytes, or an iterable of 32-bit words) and translate it to an
-        executable internal-ISA program.  See :mod:`repro.isa.riscv`."""
+        """Load RV32 machine code (a ``.hex``/``.txt`` hex text or
+        ``.bin`` flat binary path, raw binary bytes, or an iterable of
+        32-bit words) and translate it to an executable internal-ISA
+        program.  See :func:`repro.isa.riscv.load_words`."""
         from .riscv import load_program  # local import: avoid a cycle
         return load_program(source, name=name)
 

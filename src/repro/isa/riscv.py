@@ -3,11 +3,12 @@
 The rest of the stack (interpreter oracle, OoO pipeline, checkpointed
 fast-forward, differential fuzzer) speaks the internal 64-bit ISA of
 :mod:`repro.isa.instructions`.  This module accepts real RV32 machine code
--- raw hex word lists, flat little-endian binary images, or ``.hex`` text
-files in the synapse32 style (one word per line, ``#``/``//`` comments) --
-and translates it 1:1 into internal instructions, one internal instruction
-per RV32 word at the same byte address, so branch offsets and ``jal`` link
-values need no relocation.
+-- raw hex word lists, flat little-endian binary images (``.bin`` files or
+raw bytes), or ``.hex`` text files in the synapse32 style (one word per
+line, ``#``/``//`` comments), each source read by one rule
+(:func:`load_words`) -- and translates it 1:1 into internal instructions,
+one internal instruction per RV32 word at the same byte address, so branch
+offsets and ``jal`` link values need no relocation.
 
 Translation model
 -----------------
@@ -481,43 +482,48 @@ def words_from_binary(blob: bytes) -> List[int]:
             for i in range(0, len(blob), 4)]
 
 
-def _sniff(blob: bytes) -> List[int]:
-    """Autodetect hex text vs flat binary for extension-less sources."""
-    try:
-        text = blob.decode("ascii")
-    except UnicodeDecodeError:
-        return words_from_binary(blob)
-    try:
-        return words_from_hex_text(text)
-    except DecodeError:
-        return words_from_binary(blob)
-
-
 Source = Union[str, "os.PathLike[str]", bytes, bytearray, Iterable[int]]
+
+#: Path suffixes read as hex text and as a flat little-endian binary.
+HEX_SUFFIXES = (".hex", ".txt")
+BINARY_SUFFIXES = (".bin",)
 
 
 def load_words(source: Source) -> List[int]:
     """Extract RV32 words from a path, raw bytes, or an int iterable.
 
-    Paths ending in ``.hex``/``.txt`` are parsed as hex text; other
-    paths and raw ``bytes`` are sniffed (ascii hex first, flat
-    little-endian binary otherwise).
+    One rule per source, with no guessing: a path ending in ``.hex`` or
+    ``.txt`` is hex text, a path ending in ``.bin`` and raw ``bytes``
+    are a flat little-endian binary, and an int iterable is the words
+    themselves.  Any other path, and an image that holds no instruction
+    words, raise :class:`DecodeError`.
     """
+    where = "image"
     if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
+        path = where = os.fspath(source)
+        suffix = os.path.splitext(path)[1].lower()
+        if suffix not in HEX_SUFFIXES + BINARY_SUFFIXES:
+            raise DecodeError(
+                f"{path}: an RV32 image is read by its suffix: .hex or "
+                f".txt for hex text, .bin for a flat little-endian binary")
         with open(path, "rb") as fh:
             blob = fh.read()
-        if path.endswith((".hex", ".txt")):
+        if suffix in BINARY_SUFFIXES:
+            words = words_from_binary(blob)
+        else:
             try:
                 text = blob.decode("ascii")
             except UnicodeDecodeError:
                 raise DecodeError(f"{path}: hex text file is not "
                                   f"ascii") from None
-            return words_from_hex_text(text)
-        return _sniff(blob)
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return _sniff(bytes(source))
-    return list(source)
+            words = words_from_hex_text(text)
+    elif isinstance(source, (bytes, bytearray, memoryview)):
+        words = words_from_binary(bytes(source))
+    else:
+        words = list(source)
+    if not words:
+        raise DecodeError(f"{where}: no instruction words")
+    return words
 
 
 def load_program(source: Source, name: Optional[str] = None) -> Program:

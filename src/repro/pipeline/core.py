@@ -35,11 +35,28 @@ order each cycle:
 5. fetch/rename/dispatch along the predicted path;
 6. advance the clock, skipping guaranteed-idle spans.
 
-Work every instruction does runs inline in the loop: rename and the
-ROB/scheduler insert at dispatch, ALU execution through
+Work every instruction does runs inline in the loop: rename (decoded
+through the per-opcode tables
+:data:`~repro.isa.instructions.READS_RS1`, ``READS_RS2`` and
+``WRITES_RD``) and the ROB insert at dispatch, ALU execution through
 :func:`~repro.isa.interp.execute_op` and completion scheduling,
-writeback, and retirement with the golden-trace comparison.  Work
-specific to one instruction class stays in one helper per stage:
+writeback, and retirement with the golden-trace comparison.  So does
+the scheduling window's per-instruction work, on the
+:class:`~repro.pipeline.scheduler.Scheduler`'s ready heap, waiter maps
+and occupancy bound to locals: the insert at dispatch (list the
+instruction once per unready source read and once on a pending consumed
+dependence tag, or push it onto the ready heap when nothing is pending)
+and the wakeup at writeback (pop a completing register's waiters and
+count each down, skipping squashed and issued ones; ``in_ready`` guards
+against a second push).  Select is one
+:meth:`~repro.pipeline.scheduler.Scheduler.select` call per cycle,
+which takes the group out of the window.  The ROB's and the window's
+room are locals for a whole fetch group, which probes the L1I once per
+line: a later fetch from the line fetched just before it is a hit on
+its set's MRU line, because nothing else touches the L1I inside a fetch
+group, and those hits join the L1I's access count when the group ends.
+
+Work specific to one instruction class stays in one helper per stage:
 memory instructions use :meth:`Core._dispatch_mem` (dependence-predictor
 tags, subsystem dispatch), :meth:`Core._execute_mem` and
 :meth:`Core._retire_mem`; control instructions use
@@ -72,6 +89,7 @@ image and a per-core hierarchy over a shared L2 instead.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Deque, Dict, Iterator, List, Optional
 
 from ..branch.gshare import GsharePredictor
@@ -139,15 +157,6 @@ for _name, _kind, _unit, _desc in (
 ):
     declare_metric(_name, kind=_kind, subsystem="pipeline",
                    description=_desc, unit=_unit)
-
-# Rename decode, from each opcode's operand format: which sources it reads
-# and whether it writes rd.
-_USES_RS2 = frozenset(op for op, fmt in ops.OPERAND_FORMAT.items()
-                      if "{rs2}" in fmt)
-_NO_RS1 = frozenset(op for op, fmt in ops.OPERAND_FORMAT.items()
-                    if "{rs1}" not in fmt)
-_HAS_DEST = frozenset(op for op, fmt in ops.OPERAND_FORMAT.items()
-                      if fmt.startswith("r{rd}"))
 
 
 class SimulationError(Exception):
@@ -238,7 +247,7 @@ class Core:
         self.tag_file = DependenceTagFile()
         self.predictor = ProducerSetPredictor(config.predictor,
                                               self.counters)
-        self.scheduler = Scheduler(config.sched_size, self.tag_file)
+        self.scheduler = Scheduler(config.sched_size)
         self.rename = RenameTable(num_phys=config.rob_size + 64)
         self.bpred = GsharePredictor(oracle_fix_rate=config.oracle_fix_rate,
                                      seed=config.branch_seed)
@@ -390,16 +399,19 @@ class Core:
         free_append = free.append
         scheduler = self.scheduler
         sched_capacity = scheduler.capacity
+        ready_heap = scheduler.ready_heap
+        phys_waiters = scheduler.phys_waiters
+        tag_waiters = scheduler.tag_waiters
         select = scheduler.select
-        mark_issued = scheduler.mark_issued
-        dispatch_fast = scheduler.dispatch_fast
-        on_phys_ready = scheduler.on_phys_ready
         tag_file = self.tag_file
+        tag_is_ready = tag_file.is_ready
         subsystem = self.subsystem
         instructions = self.program.instructions
         num_insts = len(instructions)
         fetch = self.program.fetch
         inst_latency = self.hierarchy.inst_latency
+        l1i = self.hierarchy.l1i
+        line_shift = l1i._line_shift
         dispatch_mem = self._dispatch_mem
         predict = self._predict
         execute_mem = self._execute_mem
@@ -411,9 +423,9 @@ class Core:
         c_stall_rob = self._c_stall_rob
         c_stall_sched = self._c_stall_sched
         c_stall_phys = self._c_stall_phys
-        no_rs1 = _NO_RS1
-        uses_rs2 = _USES_RS2
-        has_dest = _HAS_DEST
+        reads_rs1 = ops.READS_RS1
+        reads_rs2 = ops.READS_RS2
+        writes_rd = ops.WRITES_RD
         nop = ops.NOP
         halt = ops.HALT
 
@@ -432,7 +444,20 @@ class Core:
                     if phys is not None:
                         values[phys] = inst.dest_value or 0
                         ready[phys] = True
-                        on_phys_ready(phys)
+                        # Wakeup: a waiter is listed once per source it
+                        # reads this register through.
+                        waiters = phys_waiters.pop(phys, None)
+                        if waiters is not None:
+                            for waiter in waiters:
+                                if waiter.squashed or waiter.issued:
+                                    continue
+                                wait = waiter.wait_count - 1
+                                waiter.wait_count = wait
+                                if not wait and not waiter.stalled and \
+                                        not waiter.in_ready:
+                                    waiter.in_ready = True
+                                    heappush(ready_heap,
+                                             (waiter.seq, waiter))
                     tag = inst.produced_tag
                     if tag is not None:
                         # The idealized scheduler only wakes predicted
@@ -520,10 +545,9 @@ class Core:
                 scheduler.clear_stall_bits()
 
             # 4. Select the cycle's group, then execute it.
-            for inst in select(num_fus):
+            for inst in select(num_fus) if ready_heap else ():
                 if inst.squashed:
                     continue
-                mark_issued(inst)
                 static = inst.inst
                 a = values[inst.rs1_phys]
                 b = values[inst.rs2_phys]
@@ -556,11 +580,21 @@ class Core:
                 trace_index = self._fetch_trace_index
                 first_seq = seq = self.next_seq
                 branches = 0
+                # Nothing but this group's dispatches fills the ROB or the
+                # window until the group ends.  (A replay can leave the
+                # window over capacity, so its room can be negative.)
+                rob_room = rob_size - len(rob)
+                window_room = sched_capacity - scheduler.occupancy
+                # The line the group fetched last, and how many fetches
+                # re-read it: nothing else touches the L1I inside a fetch
+                # group, so each of those is a hit on its set's MRU line.
+                fetched_line = -1
+                line_hits = 0
                 for _ in width_slots:
-                    if len(rob) >= rob_size:
+                    if rob_room <= 0:
                         c_stall_rob.value += 1
                         break
-                    if scheduler._occupancy >= sched_capacity:
+                    if window_room <= 0:
                         c_stall_sched.value += 1
                         break
                     if not free:
@@ -585,10 +619,15 @@ class Core:
                         break
                     # Instruction cache: a miss stalls fetch; the lookup
                     # filled the line, so the re-fetch after the stall hits.
-                    ilat = inst_latency(pc)
-                    if ilat > 1:
-                        self._fetch_stall_until = cycle + ilat - 1
-                        break
+                    line = pc >> line_shift
+                    if line == fetched_line:
+                        line_hits += 1
+                    else:
+                        ilat = inst_latency(pc)
+                        if ilat > 1:
+                            self._fetch_stall_until = cycle + ilat - 1
+                            break
+                        fetched_line = line
 
                     record = None
                     if trace_index >= 0:
@@ -605,34 +644,63 @@ class Core:
                                 f"but trace expects {record.pc:#x} at "
                                 f"index {trace_index}")
                     inst = DynInst(seq, pc, static, trace_index)
-                    seq += 1
 
-                    # Rename.  The RAT needs no checkpoint: recovery walks
-                    # the undo log (each instruction's old_rd_phys).
-                    unready1 = unready2 = -1
+                    # Rename, listing the instruction once as a waiter on
+                    # each source read that is not ready yet (the same
+                    # register twice waits twice).  The RAT needs no
+                    # checkpoint: recovery walks the undo log (each
+                    # instruction's old_rd_phys).
+                    wait = 0
                     op = static.op
-                    if op not in no_rs1:
+                    if reads_rs1[op]:
                         phys = rat[static.rs1]
                         inst.rs1_phys = phys
                         if not ready[phys]:
-                            unready1 = phys
-                    if op in uses_rs2:
+                            waiters = phys_waiters.get(phys)
+                            if waiters is None:
+                                phys_waiters[phys] = [inst]
+                            else:
+                                waiters.append(inst)
+                            wait = 1
+                    if reads_rs2[op]:
                         phys = rat[static.rs2]
                         inst.rs2_phys = phys
                         if not ready[phys]:
-                            unready2 = phys
+                            waiters = phys_waiters.get(phys)
+                            if waiters is None:
+                                phys_waiters[phys] = [inst]
+                            else:
+                                waiters.append(inst)
+                            wait += 1
                     rd = static.rd
-                    if rd and op in has_dest:
+                    if rd and writes_rd[op]:
                         inst.old_rd_phys = rat[rd]
                         phys = free_pop()
                         ready[phys] = False
                         rat[rd] = phys
                         inst.rd_phys = phys
 
+                    # Window insert: a pending consumed dependence tag is
+                    # one more wait; with none, straight onto the ready
+                    # heap.
                     if static.is_mem:
                         dispatch_mem(inst)
+                        tag = inst.consumed_tag
+                        if tag is not None and not tag_is_ready(tag):
+                            waiters = tag_waiters.get(tag)
+                            if waiters is None:
+                                tag_waiters[tag] = [inst]
+                            else:
+                                waiters.append(inst)
+                            wait += 1
+                    inst.wait_count = wait
+                    if not wait:
+                        inst.in_ready = True
+                        heappush(ready_heap, (seq, inst))
+                    seq += 1
                     rob_append(inst)
-                    dispatch_fast(inst, unready1, unready2)
+                    rob_room -= 1
+                    window_room -= 1
                     if observer is not None:
                         observer.on_dispatch(inst, cycle)
 
@@ -642,26 +710,25 @@ class Core:
                         trace_index = predict(inst, record)
                         fetch_pc = inst.predicted_target
                     elif op == halt:
-                        inst.actual_target = pc  # the ISS convention
-                        inst.predicted_target = pc
                         fetch_pc = None
                         break
                     else:
                         fetch_pc = (pc + INSTRUCTION_BYTES) & MASK64
-                        inst.predicted_target = fetch_pc
                         if trace_index >= 0:
                             trace_index += 1
+                l1i.accesses += line_hits
                 self._fetch_pc = fetch_pc
                 self._fetch_trace_index = trace_index
                 self.next_seq = seq
-                c_dispatched.value += seq - first_seq
-                fetch_progress = seq != first_seq
+                dispatched = seq - first_seq
+                scheduler.occupancy += dispatched
+                c_dispatched.value += dispatched
+                fetch_progress = dispatched != 0
 
             # 6. Advance the clock, skipping guaranteed-idle spans.
             cycle += 1
             self.cycle = cycle
-            if idle_skip and not fetch_progress and \
-                    not scheduler.has_ready and \
+            if idle_skip and not fetch_progress and not ready_heap and \
                     not (rob and rob[0].completed):
                 target = min(completions) if completions else -1
                 stall = self._fetch_stall_until
@@ -698,9 +765,8 @@ class Core:
         static = inst.inst
         op = static.op
         addr = (a + static.imm) & MASK64
-        size = ops.ACCESS_SIZE[op]
+        size = static.access_size
         inst.addr = addr
-        inst.size = size
         watermark = self.rob[0].seq if self.rob else self.next_seq
         if static.is_load:
             self._c_executed_loads.value += 1
@@ -739,9 +805,11 @@ class Core:
     def _retire_mem(self, head: DynInst) -> None:
         """Retire a load/store through the memory subsystem; stores write
         the architectural image here."""
-        if head.inst.is_load:
+        static = head.inst
+        size = static.access_size
+        if static.is_load:
             corrected, violations = self.subsystem.retire_load(
-                head.seq, head.addr or 0, head.size)
+                head.seq, head.addr, size)
             self._c_retired_loads.value += 1
             if corrected is not None:
                 # Value-based retirement replay (Cain & Lipasti): the
@@ -751,8 +819,8 @@ class Core:
                 # here, so it must carry the corrected value too.  The
                 # subsystem replays the raw memory bytes; signed loads
                 # need the same extension the execute path applies.
-                if head.inst.op in SIGNED_LOADS:
-                    corrected = sign_extend(corrected, head.size * 8)
+                if static.op in SIGNED_LOADS:
+                    corrected = sign_extend(corrected, size * 8)
                 head.dest_value = corrected
                 if head.rd_phys is not None:
                     self.rename.write(head.rd_phys, corrected)
@@ -760,7 +828,7 @@ class Core:
                 self._ordering_violation(head, violations)
         else:
             addr, size, data, violations = self.subsystem.retire_store(
-                head.seq, head.addr or 0, head.size,
+                head.seq, head.addr, size,
                 bypassed=head.rob_head_bypass, pc=head.pc)
             self.memory.write_int(addr, size, data)
             self.hierarchy.data_latency(addr)  # commit-port cache traffic
@@ -791,7 +859,6 @@ class Core:
             target = static.imm if predicted \
                 else (pc + INSTRUCTION_BYTES) & MASK64
         else:
-            inst.predicted_taken = True
             if op == ops.J or op == ops.JAL:
                 inst.predicted_target = static.imm
                 return inst.trace_index + 1 if record is not None else -1
@@ -814,7 +881,6 @@ class Core:
             inst.actual_target = static.imm if taken \
                 else (inst.pc + INSTRUCTION_BYTES) & MASK64
         else:
-            inst.actual_taken = True
             if op == ops.JR:
                 inst.actual_target = a
             elif op == ops.JALR:
@@ -923,7 +989,7 @@ class Core:
             squashed_count += 1
         if first_squashed is not None:
             self.counters.incr("squashed_instructions", squashed_count)
-            scheduler.squash_after(flush_after_seq)
+            scheduler.squash_after()
         return first_squashed
 
     def _redirect_fetch(self, resume_pc: int, resume_trace_index: int,

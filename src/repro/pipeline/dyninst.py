@@ -1,4 +1,21 @@
-"""Dynamic instruction record flowing through the out-of-order pipeline."""
+"""Dynamic instruction record flowing through the out-of-order pipeline.
+
+``DynInst.__init__`` sets only the fields that some stage reads before
+any stage has written them.  The others are written by the stage that
+owns them, and read only after it ran:
+
+* ``wait_count`` -- dispatch (the window insert), for every instruction;
+* ``consumed_tag`` -- dispatch (``Core._dispatch_mem``), for loads and
+  stores;
+* ``predicted_taken`` and ``actual_taken`` -- fetch (``Core._predict``)
+  and execute (``Core._execute_control``), for conditional branches;
+* ``predicted_target`` and ``actual_target`` -- the same two stages, for
+  every control instruction;
+* ``addr`` -- execute (``Core._execute_mem``), for loads and stores, and
+  ``store_data`` -- execute, for stores.
+
+An access's size is its static instruction's ``access_size``.
+"""
 
 from __future__ import annotations
 
@@ -26,7 +43,7 @@ class DynInst:
         "consumed_tag", "produced_tag",
         # execution state
         "issued", "completed", "squashed", "dest_value",
-        "addr", "size", "store_data",
+        "addr", "store_data",
         # control flow
         "predicted_taken", "predicted_target", "actual_taken",
         "actual_target",
@@ -42,23 +59,14 @@ class DynInst:
         self.old_rd_phys: Optional[int] = None
         self.rs1_phys = 0
         self.rs2_phys = 0
-        self.wait_count = 0
         self.stalled = False
         self.in_ready = False
         self.rob_head_bypass = False
-        self.consumed_tag: Optional[int] = None
         self.produced_tag: Optional[int] = None
         self.issued = False
         self.completed = False
         self.squashed = False
         self.dest_value: Optional[int] = None
-        self.addr: Optional[int] = None
-        self.size = 0
-        self.store_data = 0
-        self.predicted_taken = False
-        self.predicted_target = 0
-        self.actual_taken = False
-        self.actual_target = 0
 
     @property
     def on_right_path(self) -> bool:

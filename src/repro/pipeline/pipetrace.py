@@ -223,7 +223,7 @@ class PipeTracer:
         self.epochs.append(EpochSnapshot(
             epoch=epoch, cycle=proc.cycle, retired=proc.retired,
             rob_occupancy=len(proc.rob),
-            sched_occupancy=proc.scheduler._occupancy, deltas=deltas))
+            sched_occupancy=proc.scheduler.occupancy, deltas=deltas))
 
     # -- queries ---------------------------------------------------------------
 

@@ -8,7 +8,9 @@ the mapping its destination displaced (``DynInst.old_rd_phys``), and a
 flush walks the squashed instructions youngest-first, mapping each
 destination back and releasing its physical register
 (``Core._squash_after``).  The core's dispatch stage performs
-:meth:`RenameTable.allocate` inline.
+:meth:`RenameTable.allocate` inline, reading which registers an
+instruction reads and writes from per-opcode tables
+(``instructions.READS_RS1``, ``READS_RS2`` and ``WRITES_RD``).
 
 Physical register 0 is permanently mapped to architectural r0 (always
 zero, always ready).

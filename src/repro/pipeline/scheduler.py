@@ -1,4 +1,5 @@
-"""Out-of-order scheduler with dependence-tag enforcement and stall bits.
+"""Out-of-order scheduling window with dependence-tag enforcement and
+stall bits.
 
 Event-driven wakeup/select: each waiting instruction carries a count of
 outstanding source operands (physical registers plus, for predicted
@@ -8,6 +9,19 @@ zero enter an age-ordered ready heap.  Select pops the oldest ready
 instructions each cycle, which both mimics age-prioritized select logic
 and guarantees forward progress.
 
+The window's state is :class:`Scheduler`'s, but the work every
+instruction does on it runs inline in the core's cycle loop
+(:meth:`~repro.pipeline.core.Core._cycles`), on ``ready_heap``,
+``phys_waiters``, ``tag_waiters`` and ``occupancy`` bound to locals:
+the insert at dispatch (count the unready sources and the pending
+consumed tag, append to their waiter lists, or push onto the ready heap
+when nothing is pending) and the wakeup at writeback (pop a completing
+register's waiters and decrement their counts; squashed and issued
+waiters are skipped, and ``in_ready`` guards against a second push).
+What stays here are the once-per-cycle :meth:`Scheduler.select` and the
+rare paths: replay and stall bits, the ROB-head bypass, dependence-tag
+wakeup and squash.
+
 Replayed loads/stores (structural conflicts, SFC corruptions) are parked
 with their *stall bit* set; per Section 2.4.3 the scheduler clears all
 stall bits whenever the MDT or SFC evicts an entry.
@@ -16,134 +30,67 @@ stall bits whenever the MDT or SFC evicts an entry.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..core.predictors import DependenceTagFile
 from .dyninst import DynInst
 
 
 class Scheduler:
-    """Scheduling window: wakeup lists, ready heap, stalled instructions."""
+    """Scheduling window: wakeup lists, ready heap, stalled instructions.
 
-    def __init__(self, capacity: int, tag_file: DependenceTagFile):
+    ``occupancy`` counts the instructions in the window: dispatched and
+    not yet issued or squashed, plus replayed ones parked again.  It can
+    exceed ``capacity`` for a while, because a replay re-enters the
+    window without waiting for room.
+    """
+
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.tag_file = tag_file
-        self._ready: List = []                     # heap of (seq, DynInst)
-        self._phys_waiters: Dict[int, List[DynInst]] = {}
-        self._tag_waiters: Dict[int, List[DynInst]] = {}
+        self.ready_heap: List = []                 # heap of (seq, DynInst)
+        self.phys_waiters: Dict[int, List[DynInst]] = {}
+        self.tag_waiters: Dict[int, List[DynInst]] = {}
+        self.occupancy = 0
         self._stalled: List[DynInst] = []
-        self._occupancy = 0
-
-    # -- capacity -----------------------------------------------------------------
-
-    @property
-    def occupancy(self) -> int:
-        return self._occupancy
 
     @property
     def has_space(self) -> bool:
-        return self._occupancy < self.capacity
+        return self.occupancy < self.capacity
 
-    # -- dispatch -------------------------------------------------------------------
+    # -- select ----------------------------------------------------------------------
 
-    def dispatch_fast(self, inst: DynInst, unready1: int = -1,
-                      unready2: int = -1) -> None:
-        """Insert a renamed instruction into the window.
-
-        ``unready1``/``unready2`` are the source physical registers that
-        are not yet ready (-1 = none; the same register twice waits for
-        two wakeups).  The consumed dependence tag, if pending, adds one
-        more wait.  The core's dispatch stage calls this once per
-        instruction.
-        """
-        self._occupancy += 1
-        wait = 0
-        if unready1 >= 0:
-            phys_waiters = self._phys_waiters
-            waiters = phys_waiters.get(unready1)
-            if waiters is None:
-                phys_waiters[unready1] = [inst]
-            else:
-                waiters.append(inst)
-            wait = 1
-        if unready2 >= 0:
-            phys_waiters = self._phys_waiters
-            waiters = phys_waiters.get(unready2)
-            if waiters is None:
-                phys_waiters[unready2] = [inst]
-            else:
-                waiters.append(inst)
-            wait += 1
-        tag = inst.consumed_tag
-        if tag is not None and not self.tag_file.is_ready(tag):
-            waiters = self._tag_waiters.get(tag)
-            if waiters is None:
-                self._tag_waiters[tag] = [inst]
-            else:
-                waiters.append(inst)
-            wait += 1
-        inst.wait_count = wait
-        if wait == 0:
-            self._push_ready(inst)
+    def select(self, width: int) -> List[DynInst]:
+        """Take up to ``width`` ready instructions, oldest first, out of
+        the window: each is marked issued as it is popped.  The core
+        selects the whole group before any member executes; a member
+        that an older one's execution squashes is skipped there."""
+        selected: List[DynInst] = []
+        ready = self.ready_heap
+        while ready and len(selected) < width:
+            _seq, inst = heapq.heappop(ready)
+            inst.in_ready = False
+            if inst.squashed or inst.issued or inst.stalled:
+                continue
+            inst.issued = True
+            selected.append(inst)
+        self.occupancy -= len(selected)
+        return selected
 
     # -- wakeup ---------------------------------------------------------------------
 
     def _push_ready(self, inst: DynInst) -> None:
         if not inst.in_ready and not inst.squashed:
             inst.in_ready = True
-            heapq.heappush(self._ready, (inst.seq, inst))
+            heapq.heappush(self.ready_heap, (inst.seq, inst))
 
-    def _wake(self, waiters: Optional[List[DynInst]]) -> None:
-        if not waiters:
-            return
-        for inst in waiters:
+    def on_tag_ready(self, tag: int) -> None:
+        """A dependence tag's producer completed (or was squashed): wake
+        the predicted consumers waiting on it."""
+        for inst in self.tag_waiters.pop(tag, ()):
             if inst.squashed or inst.issued:
                 continue
             inst.wait_count -= 1
             if inst.wait_count == 0 and not inst.stalled:
                 self._push_ready(inst)
-
-    def on_phys_ready(self, phys: int) -> None:
-        # _wake inlined: this runs once per completing producer.
-        waiters = self._phys_waiters.pop(phys, None)
-        if not waiters:
-            return
-        ready = self._ready
-        for inst in waiters:
-            if inst.squashed or inst.issued:
-                continue
-            inst.wait_count -= 1
-            if inst.wait_count == 0 and not inst.stalled and \
-                    not inst.in_ready:
-                inst.in_ready = True
-                heapq.heappush(ready, (inst.seq, inst))
-
-    def on_tag_ready(self, tag: int) -> None:
-        self._wake(self._tag_waiters.pop(tag, None))
-
-    # -- select ----------------------------------------------------------------------
-
-    def select(self, width: int) -> List[DynInst]:
-        """Pop up to ``width`` ready instructions, oldest first."""
-        selected: List[DynInst] = []
-        ready = self._ready
-        while ready and len(selected) < width:
-            _seq, inst = heapq.heappop(ready)
-            inst.in_ready = False
-            if inst.squashed or inst.issued or inst.stalled:
-                continue
-            selected.append(inst)
-        return selected
-
-    def mark_issued(self, inst: DynInst) -> None:
-        """The instruction left the window for a function unit."""
-        inst.issued = True
-        self._occupancy -= 1
-
-    @property
-    def has_ready(self) -> bool:
-        # The heap may hold squashed leftovers; peek conservatively.
-        return bool(self._ready)
 
     # -- replay ----------------------------------------------------------------------
 
@@ -152,7 +99,7 @@ class Scheduler:
         window with its stall bit set (Section 2.4.3)."""
         inst.issued = False
         inst.stalled = True
-        self._occupancy += 1
+        self.occupancy += 1
         self._stalled.append(inst)
 
     def clear_stall_bits(self) -> None:
@@ -181,16 +128,18 @@ class Scheduler:
 
     # -- flush -----------------------------------------------------------------------
 
-    def squash_after(self, seq: int) -> None:
-        """Drop window occupancy for squashed instructions.
+    def squash_after(self) -> None:
+        """Drop squashed instructions from the stalled list.
 
         Squashed instructions are removed lazily from the heap and wakeup
         lists (their ``squashed`` flag excludes them); only the occupancy
-        count and the stalled list are cleaned eagerly.
+        count (:meth:`note_squashed`) and the stalled list are cleaned
+        eagerly.
         """
         self._stalled = [i for i in self._stalled if not i.squashed]
 
     def note_squashed(self, inst: DynInst) -> None:
-        """Account for one squashed, not-yet-issued instruction."""
+        """Account for one squashed instruction: one still in the window
+        leaves it."""
         if not inst.issued:
-            self._occupancy -= 1
+            self.occupancy -= 1

@@ -143,3 +143,20 @@ def test_one_observer_per_core():
     PipeTracer(core)
     with pytest.raises(ValueError):
         PipeTracer(core)
+
+
+def test_l1i_counts_one_access_per_fetch():
+    # A fetch group probes the L1I once per line and counts the later
+    # fetches from that line as MRU hits: the counters must read as if
+    # every fetch had probed.  Straight-line code over three lines: each
+    # line's first fetch misses and is fetched again after the stall.
+    def program(a):
+        for index in range(80):
+            a.addi(f"r{1 + index % 8}", "r0", index)
+        a.halt()
+    result = Processor(assemble(program), baseline_lsq_config()).run()
+    stats = result.counters.as_dict()
+    assert stats["l1i_misses"] == 3
+    assert stats["l1i_accesses"] == \
+        stats["dispatched_instructions"] + stats["l1i_misses"]
+    assert stats["dispatched_instructions"] == 81

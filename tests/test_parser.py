@@ -100,6 +100,31 @@ class TestBasics:
         """)
         assert program.instructions[0].imm == 0x8
 
+    def test_numeric_jump_targets(self):
+        for token in ("0x10", "16"):
+            program = parse_asm(f"j {token}\nhalt")
+            assert program.instructions[0].imm == 16
+
+    def test_label_spelled_in_hex_letters(self):
+        regs = run_regs("""
+            li r1, 1
+            j a
+            li r1, 99
+        a: halt
+        """)
+        assert regs[1] == 1
+        assert parse_asm("j a\na: halt").instructions[0].imm == 4
+
+    def test_branch_to_hex_letter_label(self):
+        regs = run_regs("""
+            li r1, 1
+            beq r0, r0, dead
+            li r1, 99
+        dead:
+            halt
+        """)
+        assert regs[1] == 1
+
 
 class TestDataDirectives:
     def test_data_words(self):

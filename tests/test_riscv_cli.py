@@ -79,6 +79,17 @@ class TestRunRiscv:
         assert main(["run", "--riscv", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_image_suffix_exits_with_the_rule(self, tmp_path,
+                                                      capsys):
+        # Hex text under a suffix the loader has no rule for is refused,
+        # not guessed at.
+        image = tmp_path / "hazard.img"
+        image.write_bytes(HAZARD_HEX.read_bytes())
+        assert main(["run", "--riscv", str(image)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert ".hex" in err and ".bin" in err
+
     def test_non_halting_image_exits_with_message(self, tmp_path, capsys,
                                                   monkeypatch):
         loop = tmp_path / "loop.hex"
