@@ -42,7 +42,8 @@ def corruption_mechanisms(runner):
         "Section 3.2 alternative: corruption masks vs flush endpoints "
         "(aggressive core)",
         ["IPC-mask", "IPC-endpoints", "corrupt/ld-mask",
-         "corrupt/ld-endp", "overflows"], rows)
+         "corrupt/ld-endp", "overflows"], rows,
+        arithmetic=["corrupt/ld-mask", "corrupt/ld-endp", "overflows"])
 
 
 def test_flush_endpoints_vs_corruption_masks(figure_bench):

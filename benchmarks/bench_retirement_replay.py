@@ -48,7 +48,8 @@ def retirement_replay_comparison(runner):
         "Section 4: completion-time (SFC/MDT) vs retirement-time "
         "(value-based replay) disambiguation, aggressive core",
         ["IPC-sfc/mdt", "IPC-replay", "replay/sfc", "reexec/load",
-         "late-violations"], rows)
+         "late-violations"], rows,
+        arithmetic=["reexec/load", "late-violations"])
 
 
 def test_completion_beats_retirement_on_deep_windows(figure_bench):

@@ -47,7 +47,8 @@ def untagged_sweep(runner):
     series = list(rows[0][1])
     return FigureResult(
         "Section 2.2: tagged vs untagged MDT across table sizes "
-        "(baseline core)", series, rows)
+        "(baseline core)", series, rows,
+        arithmetic=[key for key in series if key.startswith("viol%")])
 
 
 def test_untagged_mdt_tradeoff(figure_bench):

@@ -224,24 +224,15 @@ def simulate_interval(program: Program, config: ProcessorConfig,
     # suffix trace below steps it.
     memory = resumed.memory.copy()
     needed = warmup_insts + interval_insts + config.rob_size + TRACE_SLACK
-    records = []
-    append = records.append
-    step = resumed.step
-    for _ in range(needed):
-        record = step()
-        if record is None:
-            break
-        append(record)
-        if resumed.halted:
-            break
-    core = Core(program, config, trace=records, memory=memory,
+    trace = resumed.record(needed)
+    core = Core(program, config, trace=trace, memory=memory,
                 start_pc=ckpt.pc, start_regs=ckpt.regs,
                 warm_state=ckpt.warm)
-    core.run_until(min(warmup_insts, len(records)))
+    core.run_until(min(warmup_insts, len(trace)))
     warm_cycle = core.cycle
     warm_retired = core.retired
     warm_counters = core.counters.as_dict()
-    core.run_until(min(warmup_insts + interval_insts, len(records)))
+    core.run_until(min(warmup_insts + interval_insts, len(trace)))
     retired = core.retired - warm_retired
     cycles = core.cycle - warm_cycle
     if retired <= 0 or cycles <= 0:

@@ -5,9 +5,13 @@ per-cell failure records.
 One :class:`ExperimentRunner` owns three layers of reuse:
 
 * **golden traces** -- each workload's architectural execution happens
-  once per (benchmark, scale) no matter how many processor
-  configurations are measured against it, and is shipped to worker
-  processes so they never re-interpret the program;
+  once per (benchmark, scale) per grid no matter how many processor
+  configurations are measured against it, and the trace (a
+  :class:`~repro.isa.interp.GoldenTrace`, whose columns pickle as a few
+  buffers) is shipped to worker processes so they never re-interpret
+  the program.  A grid builds a benchmark's trace when it submits that
+  benchmark's first cell and lets it go after its last; :meth:`trace`
+  and :meth:`run` keep the traces they build for the runner's life;
 * **process-pool scheduling** -- ``run_suite`` submits uncached grid
   cells to a ``ProcessPoolExecutor`` (``jobs`` workers, default
   ``os.cpu_count()``); ``jobs=1``, or a single uncached cell, runs
@@ -64,14 +68,15 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections import Counter, deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..checkpoint.sampling import sample_run
 from ..checkpoint.store import CheckpointStore
-from ..isa.interp import RetireRecord, run_program
+from ..isa.interp import GoldenTrace, run_program
 from ..isa.program import Program
 from ..obs.runrecord import (
     STATUS_FAILED,
@@ -253,7 +258,7 @@ def _payload(result, counters: dict, started: float, **extra) -> dict:
             "wall_time": time.perf_counter() - started, **extra}
 
 
-def _simulate_cell(program: Program, trace: List[RetireRecord],
+def _simulate_cell(program: Program, trace: GoldenTrace,
                    config: ProcessorConfig) -> dict:
     """Simulate one grid cell; returns the cacheable payload dict.
 
@@ -270,7 +275,7 @@ class CellTimeout(Exception):
 
 
 def _run_cell(cell_fn: Callable[..., dict], program: Program,
-              trace: List[RetireRecord], config: ProcessorConfig,
+              trace: GoldenTrace, config: ProcessorConfig,
               timeout: Optional[float]) -> dict:
     """``cell_fn(program, trace, config)``, raising :class:`CellTimeout`
     once ``timeout`` seconds have passed.
@@ -293,6 +298,15 @@ def _run_cell(cell_fn: Callable[..., dict], program: Program,
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _outcome(run: Callable[[], dict]) -> Union[dict, Exception]:
+    """``run()``'s payload, or the exception it raised (one bad cell never
+    discards the rest of the grid)."""
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001 -- isolate cells
+        return exc
 
 
 def check_scale(scale: int) -> int:
@@ -356,10 +370,10 @@ class ExperimentRunner:
                                             DEFAULT_CACHE_DIR))
         else:
             self.cache = None
-        #: One dict per completed cell, in completion order.
+        #: One dict per completed cell: a grid's cells in grid order.
         self.manifest: List[dict] = []
         self._programs: Dict[str, Program] = {}
-        self._traces: Dict[str, List[RetireRecord]] = {}
+        self._traces: Dict[str, GoldenTrace] = {}
         #: Injection point for failure testing: the per-cell worker
         #: function (must stay picklable for ``jobs > 1``).
         self._cell_fn = _simulate_cell
@@ -378,7 +392,8 @@ class ExperimentRunner:
             self._programs[benchmark] = suites.build(benchmark, self.scale)
         return self._programs[benchmark]
 
-    def trace(self, benchmark: str) -> List[RetireRecord]:
+    def trace(self, benchmark: str) -> GoldenTrace:
+        """The benchmark's golden trace, built once and kept."""
         if benchmark not in self._traces:
             self._traces[benchmark] = run_program(self.program(benchmark),
                                                   TRACE_LIMIT)
@@ -492,8 +507,14 @@ class ExperimentRunner:
     def _run_cells(self, cells: List[_Cell],
                    results: Dict[Tuple[str, str], SimResult]) -> None:
         """Simulate every uncached cell -- in-process when ``jobs <= 1``
-        or there is only one cell, otherwise on a process pool --
-        recording (and caching) each one as it finishes."""
+        or there is only one cell, otherwise on a process pool -- caching
+        each one as it finishes and recording the cells in grid order.
+
+        A benchmark's golden trace is taken from :meth:`trace`'s memo or
+        built when its first cell is submitted, and a trace built here
+        is let go once the benchmark's last cell has settled.  The pool
+        is handed at most two cells per worker at a time, so only their
+        traces are alive at once."""
         in_process = self.jobs <= 1 or len(cells) == 1
         if in_process and self.cell_timeout is not None and \
                 threading.current_thread() is not threading.main_thread():
@@ -501,40 +522,71 @@ class ExperimentRunner:
                 "cell_timeout uses SIGALRM, which only the main thread "
                 "can handle; run in-process cells from the main thread "
                 "or drop the timeout")
-        # Golden traces are built once, in the parent, so pool workers
-        # receive them instead of re-interpreting the program per cell.
-        work = [(cell, functools.partial(
-            _run_cell, self._cell_fn, self.program(cell.benchmark),
-            self.trace(cell.benchmark), cell.primary, self.cell_timeout))
-            for cell in cells]
+        left = Counter(cell.benchmark for cell in cells)
+        built: Dict[str, GoldenTrace] = {}
+        settled: Dict[int, Union[dict, Exception]] = {}
+        unrecorded = deque(range(len(cells)))
+
+        def work(index: int) -> Callable[[], dict]:
+            cell = cells[index]
+            trace = self._traces.get(cell.benchmark)
+            if trace is None:
+                trace = built.get(cell.benchmark)
+            if trace is None:
+                trace = built[cell.benchmark] = run_program(
+                    self.program(cell.benchmark), TRACE_LIMIT)
+            return functools.partial(
+                _run_cell, self._cell_fn, self.program(cell.benchmark),
+                trace, cell.primary, self.cell_timeout)
+
+        def settle(index: int, outcome: Union[dict, Exception]) -> None:
+            cell = cells[index]
+            if self.cache and not isinstance(outcome, Exception):
+                self.cache.store(cell.key, outcome)
+            settled[index] = outcome
+            left[cell.benchmark] -= 1
+            if not left[cell.benchmark]:
+                built.pop(cell.benchmark, None)
+            while unrecorded and unrecorded[0] in settled:
+                index = unrecorded.popleft()
+                self._record_cell(cells[index], settled.pop(index), results)
+
         if in_process:
-            for cell, run in work:
-                self._settle(cell, run, results)
+            for index in range(len(cells)):
+                settle(index, _outcome(work(index)))
             return
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(cells)))
+        workers = min(self.jobs, len(cells))
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
+            queued = deque(range(len(cells)))
             pending = {}
-            for cell, run in work:
-                try:
-                    pending[pool.submit(run)] = cell
-                except BrokenProcessPool as exc:
-                    # A worker died while cells were still being queued.
-                    self._fail_cell(cell, exc)
-            for future in as_completed(pending):
-                self._settle(pending[future], future.result, results)
+            while queued or pending:
+                while queued and len(pending) < 2 * workers:
+                    index = queued.popleft()
+                    try:
+                        pending[pool.submit(work(index))] = index
+                    except BrokenProcessPool as exc:
+                        # A worker died while cells were still being
+                        # queued.
+                        settle(index, exc)
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    settle(pending.pop(future), _outcome(future.result))
         finally:
             pool.shutdown(cancel_futures=True)
 
-    def _settle(self, cell: _Cell, outcome: Callable[[], dict],
-                results: Dict[Tuple[str, str], SimResult]) -> None:
-        """Record one cell from ``outcome()``: its payload, or whatever
-        it raised as a failure entry."""
-        try:
-            payload = outcome()
-        except Exception as exc:  # noqa: BLE001 -- isolate cells
-            self._fail_cell(cell, exc)
-        else:
-            self._finish_cell(cell, payload, results)
+    def _record_cell(self, cell: _Cell, outcome: Union[dict, Exception],
+                     results: Dict[Tuple[str, str], SimResult]) -> None:
+        """Record every (benchmark, config) alias of a settled cell: its
+        payload rehydrated, or what it raised as a failure entry."""
+        if isinstance(outcome, Exception):
+            self._fail_cell(cell, outcome)
+            return
+        for config in cell.configs:
+            self.manifest.append(self._record(
+                cell.benchmark, config, outcome, cell.key, False))
+            results[(cell.benchmark, config.name)] = \
+                self._rehydrate(config, outcome)
 
     # ------------------------------------------------------------ manifest
 
@@ -606,18 +658,6 @@ class ExperimentRunner:
             return None
         self.manifest.append(entry)
         return payload
-
-    def _finish_cell(self, cell: _Cell, payload: dict,
-                     results: Dict[Tuple[str, str], SimResult]) -> None:
-        """Persist one completed cell to the cache, then record and
-        rehydrate every (benchmark, config) alias."""
-        if self.cache:
-            self.cache.store(cell.key, payload)
-        for config in cell.configs:
-            self.manifest.append(self._record(
-                cell.benchmark, config, payload, cell.key, False))
-            results[(cell.benchmark, config.name)] = \
-                self._rehydrate(config, payload)
 
     def _fail_cell(self, cell: _Cell, exc: Exception) -> None:
         """Record a structured failure entry for every alias of a cell

@@ -27,27 +27,38 @@ from .experiment import ExperimentRunner, geometric_mean, normalized_ipc
 
 
 class FigureResult:
-    """Rows of (benchmark, {series: value}) plus int/fp averages."""
+    """Rows of (benchmark, {series: value}) plus int/fp averages.
+
+    IPC and IPC-ratio series average geometrically.  The series named in
+    ``arithmetic`` -- rates (violations, replays or corruptions per
+    retired instruction) and counts, which are legitimately 0 on some
+    benchmarks -- average arithmetically: a geometric mean reads 0 as
+    soon as one row does.
+    """
 
     def __init__(self, title: str, series_names: Sequence[str],
-                 rows: List[Tuple[str, Dict[str, float]]]):
+                 rows: List[Tuple[str, Dict[str, float]]],
+                 arithmetic: Sequence[str] = ()):
         self.title = title
         self.series_names = list(series_names)
         self.rows = rows
+        self.arithmetic = frozenset(arithmetic)
 
     def averages(self) -> List[Tuple[str, Dict[str, float]]]:
-        """Geometric-mean rows for the int and fp subsets present."""
+        """Average rows for the int and fp subsets present."""
         out = []
+        table = dict(self.rows)
         for label, subset in (("int avg", suites.INT_BENCHMARKS),
                               ("fp avg", suites.FP_BENCHMARKS)):
             names = [b for b, _ in self.rows if b in subset]
             if not names:
                 continue
-            values = {
-                series: geometric_mean(
-                    dict(self.rows)[b][series] for b in names)
-                for series in self.series_names
-            }
+            values = {}
+            for series in self.series_names:
+                column = [table[b][series] for b in names]
+                values[series] = sum(column) / len(column) \
+                    if series in self.arithmetic \
+                    else geometric_mean(column)
             out.append((label, values))
         return out
 
@@ -184,7 +195,8 @@ def enf_ablation(runner: ExperimentRunner,
         }))
     return FigureResult(
         "Section 3.2: dependence enforcement ablation (aggressive core)",
-        ["ENF/NOT-ENF", "viol%-NOT-ENF", "viol%-ENF"], rows)
+        ["ENF/NOT-ENF", "viol%-NOT-ENF", "viol%-ENF"], rows,
+        arithmetic=["viol%-NOT-ENF", "viol%-ENF"])
 
 
 def associativity_sweep(runner: ExperimentRunner,
@@ -211,7 +223,8 @@ def associativity_sweep(runner: ExperimentRunner,
     series = [key for key in rows[0][1]]
     return FigureResult(
         "Section 3.2: SFC/MDT associativity sweep (aggressive core)",
-        series, rows)
+        series, rows,
+        arithmetic=[key for key in series if "-replay@" in key])
 
 
 def corruption_rates(runner: ExperimentRunner,
@@ -233,7 +246,8 @@ def corruption_rates(runner: ExperimentRunner,
     return FigureResult(
         "Section 3.2: SFC corruption replays per retired load "
         "(aggressive core)",
-        ["corrupt-replays/load", "IPC"], rows)
+        ["corrupt-replays/load", "IPC"], rows,
+        arithmetic=["corrupt-replays/load"])
 
 
 def granularity_sweep(runner: ExperimentRunner,
@@ -264,7 +278,9 @@ def granularity_sweep(runner: ExperimentRunner,
         rows.append((benchmark, values))
     series = [key for key in rows[0][1]]
     return FigureResult("Section 2.2: MDT granularity sweep (baseline core)",
-                        series, rows)
+                        series, rows,
+                        arithmetic=[key for key in series
+                                    if key.startswith("viol%")])
 
 
 def power_comparison(runner: ExperimentRunner,

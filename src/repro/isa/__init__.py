@@ -26,6 +26,7 @@ from .riscv import (
 )
 from .interp import (
     ExecutionLimitExceeded,
+    GoldenTrace,
     Interpreter,
     RetireRecord,
     branch_taken,
@@ -44,6 +45,7 @@ __all__ = [
     "CONTROL_OPS",
     "DecodeError",
     "ExecutionLimitExceeded",
+    "GoldenTrace",
     "INSTRUCTION_BYTES",
     "Instruction",
     "Interpreter",

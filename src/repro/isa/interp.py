@@ -1,15 +1,17 @@
 """In-order architectural simulator (ISS).
 
 Runs a :class:`~repro.isa.program.Program` to completion, producing a golden
-retirement trace.  The out-of-order pipeline validates every retired
-instruction against this trace, mirroring the paper's methodology ("the
-results produced by retiring instructions are validated against a trace
-generated by an architectural simulator").
+retirement trace (a :class:`GoldenTrace`).  The out-of-order pipeline
+validates every retired instruction against this trace, mirroring the
+paper's methodology ("the results produced by retiring instructions are
+validated against a trace generated by an architectural simulator").
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from array import array
+from bisect import bisect_left
+from typing import Iterator, List, Optional
 
 from ..memory.main_memory import MainMemory
 from . import instructions as ops
@@ -45,6 +47,109 @@ class RetireRecord:
         name = ops.OPCODE_NAMES.get(self.op, f"op{self.op}")
         return (f"RetireRecord(pc={self.pc:#x} {name} val={self.dest_value} "
                 f"st={self.store_addr}/{self.store_data})")
+
+
+class GoldenTrace:
+    """A golden retirement trace stored as columns, one compact sequence
+    per field, instead of one :class:`RetireRecord` per instruction.
+
+    Row ``i`` is the ``i``-th instruction retired:
+
+    * ``pc`` -- a list with one entry more than there are rows: ``pc[i]``
+      is row ``i``'s PC and ``pc[i + 1]`` its architecturally correct
+      successor (the last entry is the PC after the last row);
+    * ``op`` -- a bytearray of opcodes;
+    * ``taken`` -- a bytearray, 1 where the row transferred control;
+    * ``dest`` -- a list of the values written to the destination
+      register, 0 in rows whose opcode writes none
+      (:data:`~repro.isa.instructions.WRITES_RD` is false);
+    * ``store_rows``, ``store_addr``, ``store_data`` -- typed arrays with
+      one entry per store row, in row order: its row index, address and
+      data.
+
+    The pipeline reads ``pc`` and ``dest`` once per instruction, so they
+    are lists, whose reads allocate nothing; a typed array would make a
+    new int on every read of a value above 256.  Equal destination
+    values share one int object.  ``len()``, ``trace[i]`` (negative
+    ``i`` and slices too) and iteration read rows back as
+    :class:`RetireRecord` objects built on demand.  A trace pickles as
+    its column buffers.
+
+    :meth:`Interpreter.record` builds one; ``Interpreter.step(trace)``
+    appends a row.
+    """
+
+    __slots__ = ("pc", "op", "taken", "dest", "store_rows", "store_addr",
+                 "store_data")
+
+    def __init__(self):
+        self.pc: List[int] = []
+        self.op = bytearray()
+        self.taken = bytearray()
+        self.dest: List[int] = []
+        self.store_rows = array("L")
+        self.store_addr = array("Q")
+        self.store_data = array("Q")
+
+    def _close(self, next_pc: int) -> None:
+        """Append the PC after the last row, and let equal destination
+        values share one int object."""
+        self.pc.append(next_pc)
+        shared: dict = {}
+        self.dest = list(map(shared.setdefault, self.dest, self.dest))
+
+    def __len__(self) -> int:
+        return len(self.op)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.op)))]
+        rows = len(self.op)
+        if index < 0:
+            index += rows
+        if not 0 <= index < rows:
+            raise IndexError(f"trace index {index} out of range "
+                             f"({rows} rows)")
+        op = self.op[index]
+        store_addr = store_data = None
+        slot = bisect_left(self.store_rows, index)
+        if slot < len(self.store_rows) and self.store_rows[slot] == index:
+            store_addr = self.store_addr[slot]
+            store_data = self.store_data[slot]
+        return RetireRecord(
+            self.pc[index], op,
+            self.dest[index] if ops.WRITES_RD[op] else None,
+            store_addr, store_data, self.pc[index + 1],
+            self.taken[index] == 1)
+
+    def __iter__(self) -> Iterator[RetireRecord]:
+        return map(self.__getitem__, range(len(self.op)))
+
+    def __reduce__(self):
+        return (_load_trace, (
+            array("Q", self.pc).tobytes(), bytes(self.op),
+            bytes(self.taken), array("Q", self.dest).tobytes(),
+            self.store_rows.tobytes(), self.store_addr.tobytes(),
+            self.store_data.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"GoldenTrace({len(self.op)} rows, "
+                f"{len(self.store_rows)} stores)")
+
+
+def _load_trace(pc: bytes, op: bytes, taken: bytes, dest: bytes,
+                store_rows: bytes, store_addr: bytes,
+                store_data: bytes) -> GoldenTrace:
+    """Unpickle a :class:`GoldenTrace` from its column buffers."""
+    trace = GoldenTrace()
+    trace.pc = array("Q", pc).tolist()
+    trace.op = bytearray(op)
+    trace.taken = bytearray(taken)
+    trace.dest = array("Q", dest).tolist()
+    trace.store_rows.frombytes(store_rows)
+    trace.store_addr.frombytes(store_addr)
+    trace.store_data.frombytes(store_data)
+    return trace
 
 
 class ExecutionLimitExceeded(Exception):
@@ -251,15 +356,18 @@ class Interpreter:
             pd = self._pd = self.program.predecoded()
         return pd
 
-    def step(self) -> Optional[RetireRecord]:
+    def step(self, trace: Optional[GoldenTrace] = None
+             ) -> Optional[RetireRecord]:
         """Execute one instruction; return its retire record, or None if
-        the machine has already halted.
+        the machine has already halted.  With ``trace``, append the
+        instruction's row to that trace's columns instead, and return
+        None.
 
         The one per-instruction implementation of the ISA: the golden
-        trace is built from it, and :meth:`fast_forward` steps every
-        instruction its compiled blocks and inline direct jumps do not
-        cover.  An unaligned or out-of-range PC executes the pad
-        instruction :meth:`Program.fetch` returns."""
+        trace is built from it (:meth:`record`), and :meth:`fast_forward`
+        steps every instruction its compiled blocks and inline direct
+        jumps do not cover.  An unaligned or out-of-range PC executes the
+        pad instruction :meth:`Program.fetch` returns."""
         if self.halted:
             return None
         pc = self.pc
@@ -320,11 +428,20 @@ class Interpreter:
         if dest_value is not None and rd != 0:
             regs[rd] = dest_value
 
-        record = RetireRecord(pc, op, dest_value, store_addr, store_data,
-                              next_pc, taken)
         self.pc = next_pc
         self.instructions_retired += 1
-        return record
+        if trace is None:
+            return RetireRecord(pc, op, dest_value, store_addr, store_data,
+                                next_pc, taken)
+        if store_addr is not None:
+            trace.store_rows.append(len(trace.op))
+            trace.store_addr.append(store_addr)
+            trace.store_data.append(store_data)
+        trace.pc.append(pc)
+        trace.op.append(op)
+        trace.taken.append(taken)
+        trace.dest.append(dest_value or 0)
+        return None
 
     def _step_warm(self, bpred, hierarchy) -> None:
         """:meth:`step` one instruction, training the warm state a
@@ -478,29 +595,36 @@ class Interpreter:
             executed += 1
         return executed
 
-    def run(self, max_instructions: int = 1_000_000) -> List[RetireRecord]:
+    def record(self, count: int) -> GoldenTrace:
+        """Step up to ``count`` instructions, stopping once the machine
+        halts, and return their rows as a :class:`GoldenTrace`: the one
+        builder of golden traces, for whole runs (:meth:`run`) and for
+        sampled windows' suffixes alike."""
+        trace = GoldenTrace()
+        step = self.step
+        for _ in range(count):
+            if self.halted:
+                break
+            step(trace)
+        trace._close(self.pc)
+        return trace
+
+    def run(self, max_instructions: int = 1_000_000) -> GoldenTrace:
         """Run to halt (or budget), returning the full retirement trace.
 
         A program that halts on exactly the ``max_instructions``-th
         instruction returns its trace normally; the limit only trips when
         the budget is exhausted with the machine still running.
         """
-        trace: List[RetireRecord] = []
-        append = trace.append
-        step = self.step
-        for _ in range(max_instructions):
-            record = step()
-            if record is None:
-                return trace
-            append(record)
-            if self.halted:
-                return trace
-        raise ExecutionLimitExceeded(
-            f"program {self.program.name!r} did not halt within "
-            f"{max_instructions} instructions")
+        trace = self.record(max_instructions)
+        if not self.halted:
+            raise ExecutionLimitExceeded(
+                f"program {self.program.name!r} did not halt within "
+                f"{max_instructions} instructions")
+        return trace
 
 
 def run_program(program: Program,
-                max_instructions: int = 1_000_000) -> List[RetireRecord]:
+                max_instructions: int = 1_000_000) -> GoldenTrace:
     """Convenience wrapper: interpret ``program`` and return its trace."""
     return Interpreter(program).run(max_instructions)

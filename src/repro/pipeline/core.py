@@ -88,6 +88,7 @@ image and a per-core hierarchy over a shared L2 instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from heapq import heappush
 from typing import Deque, Dict, Iterator, List, Optional
@@ -98,7 +99,7 @@ from ..core.predictors import DependenceTagFile, ProducerSetPredictor
 from ..core.subsystem import REPLAY
 from ..isa import instructions as ops
 from ..isa.instructions import MASK64, SIGNED_LOADS, sign_extend
-from ..isa.interp import RetireRecord, branch_taken, execute_op, run_program
+from ..isa.interp import GoldenTrace, branch_taken, execute_op, run_program
 from ..isa.program import INSTRUCTION_BYTES, Program
 from ..memory.cache import CacheHierarchy, paper_hierarchy
 from ..memory.main_memory import MainMemory
@@ -222,7 +223,7 @@ class Core:
     """
 
     def __init__(self, program: Program, config: ProcessorConfig,
-                 trace: Optional[List[RetireRecord]] = None,
+                 trace: Optional[GoldenTrace] = None,
                  memory: Optional[MainMemory] = None,
                  hierarchy: Optional[CacheHierarchy] = None,
                  validate: bool = True,
@@ -279,7 +280,7 @@ class Core:
 
         # Fetch state: ``_fetch_trace_index >= 0`` means fetch is on the
         # architecturally correct path and the next instruction fetched is
-        # ``trace[_fetch_trace_index]``.
+        # the trace's row ``_fetch_trace_index``.
         self._fetch_pc: Optional[int] = start_pc
         self._fetch_trace_index = 0
         self._fetch_stall_until = 0
@@ -382,8 +383,16 @@ class Core:
         branch_limit = config.fetch_branches_per_cycle
         validate = self.validate_trace
         idle_skip = self.idle_skip
+        # The golden trace's columns (see GoldenTrace): fetch reads the
+        # PC, retirement every column.
         trace = self.trace
         trace_len = len(trace)
+        trace_pc = trace.pc
+        trace_op = trace.op
+        trace_dest = trace.dest
+        store_rows = trace.store_rows
+        store_addr = trace.store_addr
+        store_data = trace.store_data
         counters = self.counters
         rob = self.rob
         rob_append = rob.append
@@ -490,37 +499,48 @@ class Core:
                     retire_control(head)
                 # Validation runs after retirement-replay correction so
                 # the value compared against the golden trace is the
-                # retiring one.
+                # retiring one.  Once the opcode matches, the row holds a
+                # destination value to check exactly when the instruction
+                # renamed a destination other than r0, and is a store row
+                # exactly when the instruction is a store.  A failing
+                # check reads the row back as a RetireRecord for its
+                # message.
                 if validate:
                     if head.trace_index != retired:
                         raise SimulationError(
                             f"retired {head!r} out of order: trace index "
                             f"{head.trace_index} != retire count {retired}")
-                    record = trace[retired]
-                    if head.pc != record.pc or static.op != record.op:
+                    if head.pc != trace_pc[retired] or \
+                            static.op != trace_op[retired]:
                         raise SimulationError(
                             f"retired {head!r} does not match "
-                            f"trace[{retired}] {record!r}")
-                    if record.dest_value is not None and static.rd != 0 \
-                            and head.dest_value != record.dest_value:
+                            f"trace[{retired}] {trace[retired]!r}")
+                    if head.rd_phys is not None and \
+                            head.dest_value != trace_dest[retired]:
+                        record = trace[retired]
                         raise SimulationError(
                             f"wrong destination value at {head!r}: "
                             f"{head.dest_value} != {record.dest_value} "
                             f"(trace[{retired}] {record!r})")
-                    if record.store_addr is not None and (
-                            head.addr != record.store_addr or
-                            head.store_data != record.store_data):
-                        raise SimulationError(
-                            f"wrong store effect at {head!r}: "
-                            f"{head.addr}/{head.store_data} != "
-                            f"{record.store_addr}/{record.store_data} "
-                            f"(trace[{retired}])")
+                    if static.is_store:
+                        slot = bisect_left(store_rows, retired)
+                        if slot == len(store_rows) or \
+                                store_rows[slot] != retired or \
+                                head.addr != store_addr[slot] or \
+                                head.store_data != store_data[slot]:
+                            record = trace[retired]
+                            raise SimulationError(
+                                f"wrong store effect at {head!r}: "
+                                f"{head.addr}/{head.store_data} != "
+                                f"{record.store_addr}/{record.store_data} "
+                                f"(trace[{retired}])")
                     if static.is_control and \
-                            head.actual_target != record.next_pc:
+                            head.actual_target != trace_pc[retired + 1]:
                         raise SimulationError(
                             f"wrong control target at {head!r}: "
                             f"{head.actual_target:#x} != "
-                            f"{record.next_pc:#x} (trace[{retired}])")
+                            f"{trace_pc[retired + 1]:#x} "
+                            f"(trace[{retired}])")
                 phys = head.old_rd_phys
                 if phys is not None:
                     ready[phys] = False
@@ -629,7 +649,6 @@ class Core:
                             break
                         fetched_line = line
 
-                    record = None
                     if trace_index >= 0:
                         if trace_index >= trace_len:
                             raise SimulationError(
@@ -637,11 +656,11 @@ class Core:
                                 f"trace ({trace_len} records) at "
                                 f"pc={pc:#x}; the trace does not belong "
                                 f"to this program")
-                        record = trace[trace_index]
-                        if record.pc != pc:
+                        if trace_pc[trace_index] != pc:
                             raise SimulationError(
                                 f"right-path fetch diverged: pc={pc:#x} "
-                                f"but trace expects {record.pc:#x} at "
+                                f"but trace expects "
+                                f"{trace_pc[trace_index]:#x} at "
                                 f"index {trace_index}")
                     inst = DynInst(seq, pc, static, trace_index)
 
@@ -707,7 +726,7 @@ class Core:
                     # Next fetch PC and right-path tracking.
                     if static.is_control:
                         branches += 1
-                        trace_index = predict(inst, record)
+                        trace_index = predict(inst)
                         fetch_pc = inst.predicted_target
                     elif op == halt:
                         fetch_pc = None
@@ -841,17 +860,20 @@ class Core:
 
     # ------------------------------------------------------------------ control instructions
 
-    def _predict(self, inst: DynInst, record: Optional[RetireRecord]) -> int:
+    def _predict(self, inst: DynInst) -> int:
         """Predict a fetched control instruction's target into
-        ``inst.predicted_target``.  Returns the next fetch's trace index
-        (-1 once fetch leaves the architecturally correct path)."""
+        ``inst.predicted_target``; on the right path the oracle reads the
+        trace's taken flag and next PC.  Returns the next fetch's trace
+        index (-1 once fetch leaves the architecturally correct path)."""
         static = inst.inst
         pc = inst.pc
         op = static.op
+        index = inst.trace_index
         bpred = self.bpred
         if static.is_branch:
-            if record is not None:
-                predicted = bpred.predict_with_oracle(pc, record.taken)
+            if index >= 0:
+                predicted = bpred.predict_with_oracle(
+                    pc, self.trace.taken[index] == 1)
             else:
                 predicted = bpred.predict(pc)
                 bpred.predictions += 1
@@ -861,14 +883,15 @@ class Core:
         else:
             if op == ops.J or op == ops.JAL:
                 inst.predicted_target = static.imm
-                return inst.trace_index + 1 if record is not None else -1
+                return index + 1 if index >= 0 else -1
             target = bpred.predict_indirect(pc)
-            if record is not None and target != record.next_pc \
-                    and bpred.oracle_should_fix():
-                target = record.next_pc
+            if index >= 0:
+                next_pc = self.trace.pc[index + 1]
+                if target != next_pc and bpred.oracle_should_fix():
+                    target = next_pc
         inst.predicted_target = target
-        if record is not None and target == record.next_pc:
-            return inst.trace_index + 1
+        if index >= 0 and target == self.trace.pc[index + 1]:
+            return index + 1
         return -1
 
     def _execute_control(self, inst: DynInst, a: int, b: int) -> None:
@@ -911,8 +934,7 @@ class Core:
         self.counters.incr("branch_mispredict_flushes")
         resume_trace = -1
         if inst.on_right_path:
-            record = self.trace[inst.trace_index]
-            if inst.actual_target == record.next_pc:
+            if inst.actual_target == self.trace.pc[inst.trace_index + 1]:
                 resume_trace = inst.trace_index + 1
             # Otherwise the branch resolved from misspeculated inputs (a
             # stale load value whose ordering violation has not been

@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import registry
 from ..harness.configs import fuzz_config_matrix
-from ..isa.instructions import LOAD_OPS
+from ..isa.instructions import LOAD_OPS, STORE_OPS
 from ..isa.interp import ExecutionLimitExceeded, Interpreter
 from ..isa.program import Program
 from ..obs.runrecord import KIND_FUZZ, SCHEMA_VERSION
@@ -226,8 +226,8 @@ class DifferentialFuzzer:
                                  f"interpreter did not halt: {exc}")], 0
         oracle_digest = interp.memory.digest()
         oracle_regs = interp.regs
-        oracle_loads = sum(1 for r in trace if r.op in LOAD_OPS)
-        oracle_stores = sum(1 for r in trace if r.store_addr is not None)
+        oracle_loads = sum(map(trace.op.count, LOAD_OPS))
+        oracle_stores = sum(map(trace.op.count, STORE_OPS))
 
         results = {}
         for config in self.configs:

@@ -23,12 +23,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from pathlib import Path
 from typing import List, Tuple
 
 import pytest
 
 from repro.harness import baseline_lsq_config
 from repro.harness.experiment import ExperimentRunner, _simulate_cell
+from repro.perf import manifest_digest
 
 SCALE = 800
 BENCH = "gap"
@@ -74,6 +76,24 @@ def _raise_on_marked(program, trace, config):
     return _simulate_cell(program, trace, config)
 
 
+#: The test process; a forked worker sees another pid.
+_PARENT_PID = os.getpid()
+
+
+def _first_finishes_last(program, trace, config):
+    """On a pool worker, hold the cell named ``first`` until the three
+    other cells have finished (each logs its call when done)."""
+    result = _simulate_cell(program, trace, config)
+    if config.name == "first" and os.getpid() != _PARENT_PID:
+        deadline = time.monotonic() + 30
+        while len(calls_logged()) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # let their results reach the parent first
+    else:
+        _log_call(config)
+    return result
+
+
 @pytest.fixture(autouse=True)
 def call_log(tmp_path, monkeypatch):
     path = tmp_path / "calls.log"
@@ -87,6 +107,11 @@ def calls(call_log) -> List[Tuple[str, int]]:
         return []
     return [(name, int(pid)) for name, pid in
             (line.split() for line in call_log.read_text().splitlines())]
+
+
+def calls_logged() -> List[Tuple[str, int]]:
+    """:func:`calls`, from inside a double."""
+    return calls(Path(os.environ["REPRO_TEST_CALL_LOG"]))
 
 
 def runner(tmp_path, **kwargs):
@@ -215,3 +240,20 @@ class TestSerialPaths:
 
     def test_serial_hang_times_out(self, tmp_path, call_log):
         check_hung_cell(tmp_path, call_log, jobs=1)
+
+
+@fork_only
+def test_pooled_manifest_lists_cells_in_grid_order():
+    """The grid's first cell finishes last on the pool, and the manifest
+    still lists the cells in grid order, as the serial path does."""
+    grid = [cfg("first", 64), cfg("ok1", 128), cfg("ok2", 96),
+            cfg("ok3", 160)]
+    digests = []
+    for jobs in (1, 2):
+        engine = ExperimentRunner(scale=SCALE, jobs=jobs, use_cache=False)
+        engine._cell_fn = _first_finishes_last
+        engine.run_suite([BENCH], grid)
+        assert [e["config_name"] for e in engine.manifest] == \
+            ["first", "ok1", "ok2", "ok3"]
+        digests.append(manifest_digest(engine.manifest))
+    assert digests[0] == digests[1]

@@ -156,3 +156,14 @@ class TestFigureResult:
             [("gap", {"a": 2.0}), ("crafty", {"a": 8.0})])
         assert figure.value("gap", "a") == 2.0
         assert figure.average("int avg", "a") == pytest.approx(4.0)
+
+    def test_rate_columns_average_arithmetically(self):
+        """A rate that is 0 on one benchmark averages to its arithmetic
+        mean; an IPC column keeps the geometric mean."""
+        figure = FigureResult(
+            "demo", ["IPC", "viol%"],
+            [("gap", {"IPC": 2.0, "viol%": 0.0}),
+             ("crafty", {"IPC": 8.0, "viol%": 0.3})],
+            arithmetic=["viol%"])
+        assert figure.average("int avg", "viol%") == pytest.approx(0.15)
+        assert figure.average("int avg", "IPC") == pytest.approx(4.0)
